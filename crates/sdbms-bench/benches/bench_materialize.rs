@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use sdbms_bench::clean_micro;
 use sdbms_columnar::{TableStore, TransposedFile};
-use sdbms_data::RawDatabase;
+use sdbms_data::{RawDatabase, Value};
 use sdbms_stats::descriptive;
 use sdbms_storage::{ArchiveStore, StorageEnv, Tracker};
 
@@ -32,7 +32,12 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("use_via_materialized_view", |b| {
         b.iter(|| {
-            let (col, _) = store.read_column_f64("INCOME").expect("col");
+            let col: Vec<f64> = store
+                .read_column("INCOME")
+                .expect("col")
+                .iter()
+                .filter_map(Value::as_f64)
+                .collect();
             descriptive::mean(&col).expect("mean")
         })
     });

@@ -1,16 +1,15 @@
-//! Zone-map pruning + compressed-domain execution on the scan hot
-//! path: the pruned predicate scan (`filter_table_rows`) against the
-//! seed path (decode every referenced column, evaluate every row), and
-//! the run-aware aggregation (`profile_table_column_runs`) against
-//! decode-everything profiling, across a selectivity sweep and worker
-//! counts.
+//! Zone-map pruning on the scan hot path: the pruned predicate scan
+//! (`filter_table_rows`) against the seed path (decode every referenced
+//! column, evaluate every row), across a selectivity sweep and worker
+//! counts. (Aggregation over RLE columns is measured by experiment
+//! E15: the typed batch's run view is the only compressed-domain path.)
 //!
 //! The fixture is a clustered table — exactly the shape statistical
 //! archives take after sorting by a stratification variable — so the
 //! per-segment zone maps have narrow, refutable bounds. Both paths are
 //! proven bit-identical in `tests/parallel_equivalence.rs`; this bench
-//! measures only time. Acceptance: ≥5× on the ≤1%-selectivity scan and
-//! ≥2× on run-aware aggregation of the RLE column, at 1 and 4 workers.
+//! measures only time. Acceptance: ≥5× on the ≤1%-selectivity scan at
+//! 1 and 4 workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -18,7 +17,7 @@ use sdbms_columnar::{Compression, TableStore, TransposedFile};
 use sdbms_data::dataset::DataSet;
 use sdbms_data::schema::{Attribute, Schema};
 use sdbms_data::{DataType, Value};
-use sdbms_exec::{filter_indices, profile_table_column, profile_table_column_runs, ExecConfig};
+use sdbms_exec::{filter_indices, ExecConfig};
 use sdbms_relational::{filter_table_rows, CmpOp, Expr, Predicate};
 use sdbms_storage::StorageEnv;
 
@@ -105,24 +104,6 @@ fn bench(c: &mut Criterion) {
                 |b, _| b.iter(|| filter_table_rows(&store, pred, &cfg).expect("scan")),
             );
         }
-    }
-    group.finish();
-
-    // Aggregation over the RLE clustering column: the run-aware path
-    // touches O(runs) values instead of O(rows).
-    let mut group = c.benchmark_group("run_aware_aggregate");
-    group.sample_size(10);
-    for workers in [1usize, 4] {
-        let cfg = ExecConfig {
-            workers,
-            morsel_rows: 1_024,
-        };
-        group.bench_with_input(BenchmarkId::new("decode", workers), &workers, |b, _| {
-            b.iter(|| profile_table_column(&store, "BLOCK", &cfg).expect("profile"))
-        });
-        group.bench_with_input(BenchmarkId::new("runs", workers), &workers, |b, _| {
-            b.iter(|| profile_table_column_runs(&store, "BLOCK", &cfg).expect("profile"))
-        });
     }
     group.finish();
 }

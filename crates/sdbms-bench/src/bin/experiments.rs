@@ -836,7 +836,12 @@ fn e9_materialization() {
     env.pool.flush_all().expect("flush");
     let mut cum_b = Vec::new();
     for _ in 0..uses {
-        let (col, _) = store.read_column_f64("INCOME").expect("column");
+        let col: Vec<f64> = store
+            .read_column("INCOME")
+            .expect("column")
+            .iter()
+            .filter_map(Value::as_f64)
+            .collect();
         let _ = sdbms_stats::descriptive::mean(&col).expect("mean");
         cum_b.push(model.cost(&env.tracker.snapshot()));
     }
@@ -1037,13 +1042,10 @@ fn e13_zone_map_pruning() {
     use sdbms_columnar::Compression;
     use sdbms_data::dataset::DataSet;
     use sdbms_data::schema::{Attribute, Schema};
-    use sdbms_exec::{filter_indices, profile_table_column, profile_table_column_runs, ExecConfig};
+    use sdbms_exec::{filter_indices, ExecConfig};
     use sdbms_relational::filter_table_rows;
 
-    banner(
-        "E13",
-        "zone-map pruning + run-aware aggregation on the scan hot path",
-    );
+    banner("E13", "zone-map pruning on the scan hot path");
 
     // A clustered table: 100 blocks of 2048 rows, eight 256-row
     // segments per block, so equality on the clustering column refutes
@@ -1157,52 +1159,10 @@ fn e13_zone_map_pruning() {
         )
     );
 
-    let mut table = Vec::new();
-    let mut agg_json = Vec::new();
-    for workers in [1usize, 4] {
-        let cfg = ExecConfig {
-            workers,
-            morsel_rows: 1_024,
-        };
-        let t_decode = time_us(&mut || {
-            profile_table_column(&store, "BLOCK", &cfg).expect("profile");
-        });
-        let t_runs = time_us(&mut || {
-            profile_table_column_runs(&store, "BLOCK", &cfg).expect("profile");
-        });
-        let speedup = t_decode as f64 / t_runs.max(1) as f64;
-        table.push(vec![
-            "BLOCK (RLE)".into(),
-            workers.to_string(),
-            us(t_decode),
-            us(t_runs),
-            ratio(t_decode as f64, t_runs.max(1) as f64),
-        ]);
-        agg_json.push(format!(
-            "    {{\"column\": \"BLOCK\", \"workers\": {workers}, \
-             \"decode_us\": {t_decode}, \"runs_us\": {t_runs}, \
-             \"speedup\": {speedup:.2}}}"
-        ));
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "aggregate over",
-                "workers",
-                "decode profile",
-                "run-aware profile",
-                "speedup",
-            ],
-            &table
-        )
-    );
-
     let json = format!(
         "{{\n  \"experiment\": \"e13_zone_map_pruning\",\n  \"rows\": {n_rows},\n  \
-         \"scan\": [\n{}\n  ],\n  \"aggregate\": [\n{}\n  ]\n}}\n",
+         \"scan\": [\n{}\n  ]\n}}\n",
         scan_json.join(",\n"),
-        agg_json.join(",\n"),
     );
     match std::fs::write("BENCH_scan.json", &json) {
         Ok(()) => println!("wrote BENCH_scan.json"),
@@ -1553,9 +1513,8 @@ fn e15_vectorized_kernels() {
 
     let json = format!(
         "{{\n  \"experiment\": \"e15_vectorized_kernels\",\n  \"rows\": {n_rows},\n  \
-         \"scan\": [\n{}\n  ],\n  \"aggregate\": [\n{}\n  ]\n}}\n",
+         \"scan\": [\n{}\n  ]\n}}\n",
         scan_json.join(",\n"),
-        agg_json.join(",\n"),
     );
     match std::fs::write("BENCH_scan.json", &json) {
         Ok(()) => println!("wrote BENCH_scan.json"),

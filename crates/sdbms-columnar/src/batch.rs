@@ -39,9 +39,9 @@
 //! dictionary segments), [`ColumnBatch::run_lens`] exposes the run
 //! partition: `run_lens()[k]` consecutive rows sharing one value.
 //! Run boundaries carry no meaning — the paper's accumulators are
-//! run-invariant (`ColumnProfile::from_runs == from_values` under any
-//! partition) — so the view is purely an optimization handle. Any
-//! row-level push drops it.
+//! run-invariant (feeding `ColumnProfile::add_run` any partition into
+//! constant runs equals `from_values` on the expansion) — so the view
+//! is purely an optimization handle. Any row-level push drops it.
 
 use sdbms_data::{DataError, Value};
 
@@ -429,6 +429,10 @@ fn take_arr<const N: usize>(body: &[u8], pos: &mut usize) -> Result<[u8; N], Dat
 /// appending. Mirrors [`crate::segment::decode_segment_range`] exactly
 /// — same clamping, same error strings — but builds a typed batch with
 /// no per-row `Value` materialization on the RLE and dictionary paths.
+/// A window that reaches the stored row count must also consume the
+/// body exactly, as [`crate::segment::decode_segment`] requires: every
+/// production scan decodes through here, so trailing bytes are damage
+/// here too.
 pub fn decode_batch_range(
     buf: &[u8],
     lo: usize,
@@ -440,7 +444,8 @@ pub fn decode_batch_range(
     let body = &buf[3..];
     let lo = lo.min(n);
     let hi = hi.min(n);
-    if lo >= hi {
+    let to_end = hi == n;
+    if lo >= hi && !to_end {
         return Ok(());
     }
     match tag {
@@ -489,6 +494,9 @@ pub fn decode_batch_range(
                     _ => return Err(DataError::Decode("unknown value tag")),
                 }
             }
+            if to_end && pos != body.len() {
+                return Err(DataError::Decode("trailing bytes in raw segment"));
+            }
             Ok(())
         }
         1 => {
@@ -501,15 +509,20 @@ pub fn decode_batch_range(
                 if row <= lo {
                     continue;
                 }
-                let take = row.min(hi) - start.max(lo);
+                // Zero past `hi`: reading to the end keeps walking so
+                // the cursor reports trailing bytes and surplus runs.
+                let take = row.min(hi).saturating_sub(start.max(lo));
                 out.push_run(&v, take);
                 pushed += take;
-                if row >= hi {
+                if row >= hi && !to_end {
                     break;
                 }
             }
             if pushed != hi - lo {
                 return Err(DataError::Decode("rle segment shorter than header count"));
+            }
+            if to_end && row != n {
+                return Err(DataError::Decode("segment count mismatch"));
             }
             Ok(())
         }
@@ -522,7 +535,7 @@ pub fn decode_batch_range(
             }
             // Codes are fixed-width: jump straight into the window and
             // coalesce equal adjacent codes into runs (2-byte compares,
-            // never value compares — mirrors `segment_runs`).
+            // never value compares).
             let mut i = lo;
             while i < hi {
                 let code = crate::read_u16(body, pos + 2 * i, "dict code truncated")? as usize;
@@ -537,6 +550,9 @@ pub fn decode_batch_range(
                     .ok_or(DataError::Decode("dict code out of range"))?;
                 out.push_run(v, j - i);
                 i = j;
+            }
+            if to_end && pos + 2 * n != body.len() {
+                return Err(DataError::Decode("trailing bytes in dict segment"));
             }
             Ok(())
         }
@@ -775,10 +791,34 @@ mod tests {
                 decode_segment(&bad).unwrap_err(),
                 "{c:?} bad tag"
             );
-            let trunc = &buf[..buf.len() - 1];
-            assert!(decode_batch(trunc).is_err(), "{c:?} truncated");
         }
         assert!(decode_batch(&[0]).is_err());
+    }
+
+    #[test]
+    fn full_decode_is_as_strict_as_the_scalar_oracle_about_length() {
+        for vals in [mixed(), floats_with_gaps(), blocky_codes(), Vec::new()] {
+            for c in ALL {
+                let buf = encode_segment(&vals, c);
+                let mut longer = buf.clone();
+                longer.push(0);
+                assert_eq!(
+                    decode_batch(&longer).unwrap_err(),
+                    decode_segment(&longer).unwrap_err(),
+                    "{c:?} one trailing byte"
+                );
+                let shorter = &buf[..buf.len() - 1];
+                assert!(decode_segment(shorter).is_err(), "{c:?} truncated");
+                assert!(decode_batch(shorter).is_err(), "{c:?} truncated");
+                // A window that stops short of the stored count cannot
+                // see the tail and stays lenient, like the scalar range
+                // decoder.
+                if vals.len() > 1 {
+                    let mut b = ColumnBatch::new();
+                    decode_batch_range(&longer, 0, vals.len() - 1, &mut b).unwrap();
+                }
+            }
+        }
     }
 
     proptest::proptest! {

@@ -55,9 +55,9 @@ pub fn decompress_values(buf: &[u8]) -> Result<Vec<Value>, DataError> {
 /// [`compress_values`] body — the compressed-domain read path.
 ///
 /// Unlike [`decompress_values`], the cursor never materializes a
-/// `Vec<Value>`: run-aware consumers (zone-map builders, `(value, n)`
-/// accumulators) decode one representative value per run and process
-/// the run length arithmetically, turning O(rows) work into O(runs).
+/// `Vec<Value>`: the batch decoder pushes each run whole into a
+/// [`crate::batch::ColumnBatch`], whose run view lets the aggregation
+/// kernels process run lengths arithmetically — O(runs), not O(rows).
 ///
 /// Contract: concatenating each yielded value `len` times reproduces
 /// the original sequence exactly. Run boundaries are an encoding

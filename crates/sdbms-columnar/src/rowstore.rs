@@ -216,9 +216,7 @@ mod tests {
         let pops = s.read_column("POPULATION").unwrap();
         assert_eq!(pops[0], Value::Int(12_300_347));
         assert_eq!(pops[8], Value::Int(2_143_924));
-        let (nums, skipped) = s.read_column_f64("POPULATION").unwrap();
-        assert_eq!(nums.len(), 9);
-        assert_eq!(skipped, 0);
+        assert_eq!(pops.len(), 9);
     }
 
     #[test]

@@ -187,65 +187,6 @@ pub fn decode_segment_range(buf: &[u8], lo: usize, hi: usize) -> Result<Vec<Valu
     }
 }
 
-/// Read a segment as `(value, run-length)` pairs — the compressed-
-/// domain path for run-aware accumulators.
-///
-/// An RLE segment yields its stored runs without expansion; raw and
-/// dictionary segments coalesce adjacent [`Value::group_eq`] values
-/// (for a dictionary this compares 2-byte codes, not values). The
-/// expansion of the result always equals [`decode_segment`]; run
-/// boundaries themselves carry no meaning.
-pub fn segment_runs(buf: &[u8]) -> Result<Vec<(Value, usize)>, DataError> {
-    let n = crate::read_u16(buf, 0, "segment header truncated")? as usize;
-    let tag = *buf.get(2).ok_or(DataError::Decode("segment tag missing"))?;
-    let body = &buf[3..];
-    let runs: Vec<(Value, usize)> = match tag {
-        1 => rle::RunCursor::new(body)?.collect::<Result<_, _>>()?,
-        2 => {
-            let dict_size = crate::read_u16(body, 0, "dict size truncated")? as usize;
-            let mut pos = 2usize;
-            let mut dict = Vec::with_capacity(dict_size);
-            for _ in 0..dict_size {
-                dict.push(Value::decode(body, &mut pos)?);
-            }
-            let mut runs: Vec<(usize, usize)> = Vec::new(); // (code, len)
-            for _ in 0..n {
-                let code = crate::read_u16(body, pos, "dict code truncated")? as usize;
-                pos += 2;
-                match runs.last_mut() {
-                    Some((c, len)) if *c == code => *len += 1,
-                    _ => runs.push((code, 1)),
-                }
-            }
-            if pos != body.len() {
-                return Err(DataError::Decode("trailing bytes in dict segment"));
-            }
-            let mut out = Vec::with_capacity(runs.len());
-            for (code, len) in runs {
-                let v = dict
-                    .get(code)
-                    .ok_or(DataError::Decode("dict code out of range"))?;
-                out.push((v.clone(), len));
-            }
-            out
-        }
-        _ => {
-            let mut out: Vec<(Value, usize)> = Vec::new();
-            for v in decode_segment(buf)? {
-                match out.last_mut() {
-                    Some((rv, len)) if rv.group_eq(&v) => *len += 1,
-                    _ => out.push((v, 1)),
-                }
-            }
-            out
-        }
-    };
-    if runs.iter().map(|(_, len)| len).sum::<usize>() != n {
-        return Err(DataError::Decode("segment count mismatch"));
-    }
-    Ok(runs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,36 +291,12 @@ mod tests {
     }
 
     #[test]
-    fn segment_runs_expand_to_decoded_values() {
-        let vals: Vec<Value> = (0..200)
-            .map(|i| match (i / 25) % 3 {
-                0 => Value::Code(9),
-                1 => Value::Missing,
-                _ => Value::Int(i as i64 / 60),
-            })
-            .collect();
-        for c in [Compression::None, Compression::Rle, Compression::Dictionary] {
-            let buf = encode_segment(&vals, c);
-            let runs = segment_runs(&buf).unwrap();
-            let expanded: Vec<Value> = runs
-                .iter()
-                .flat_map(|(v, n)| std::iter::repeat_n(v.clone(), *n))
-                .collect();
-            assert_eq!(expanded, vals, "{c:?}");
-            // Runs are genuinely coalesced: far fewer runs than rows.
-            assert!(runs.len() * 10 < vals.len(), "{c:?}: {} runs", runs.len());
-        }
-    }
-
-    #[test]
-    fn range_and_runs_reject_damage() {
+    fn range_decode_rejects_damage() {
         let buf = encode_segment(&sample(), Compression::Rle);
         assert!(decode_segment_range(&buf[..buf.len() - 1], 0, 7).is_err());
-        assert!(segment_runs(&buf[..buf.len() - 1]).is_err());
         let mut bad = buf;
         bad[2] = 9;
         assert!(decode_segment_range(&bad, 0, 7).is_err());
-        assert!(segment_runs(&bad).is_err());
     }
 
     proptest::proptest! {

@@ -55,29 +55,6 @@ pub trait TableStore {
         None
     }
 
-    /// Read rows `[start, start + len)` of one column as `(value,
-    /// run-length)` pairs whose expansion equals
-    /// [`TableStore::read_column_range`] exactly. Run boundaries are
-    /// layout-dependent and carry no meaning; run-aware consumers must
-    /// produce identical results for any partition of the sequence
-    /// into constant runs. The default coalesces a decoded range.
-    fn read_column_runs(
-        &self,
-        attribute: &str,
-        start: usize,
-        len: usize,
-    ) -> Result<Vec<(Value, usize)>> {
-        let vals = self.read_column_range(attribute, start, len)?;
-        let mut out: Vec<(Value, usize)> = Vec::new();
-        for v in vals {
-            match out.last_mut() {
-                Some((rv, n)) if rv.group_eq(&v) => *n += 1,
-                _ => out.push((v, 1)),
-            }
-        }
-        Ok(out)
-    }
-
     /// Read rows `[start, start + len)` of one column as a typed
     /// [`ColumnBatch`] whose expansion
     /// ([`ColumnBatch::to_values`]) equals
@@ -186,21 +163,6 @@ pub trait TableStore {
     /// report 0.
     fn store_generation(&self) -> u64 {
         0
-    }
-
-    /// One column as `(numeric values, skipped)` — the hot path for
-    /// statistical functions.
-    fn read_column_f64(&self, attribute: &str) -> Result<(Vec<f64>, usize)> {
-        let vals = self.read_column(attribute)?;
-        let mut out = Vec::with_capacity(vals.len());
-        let mut skipped = 0usize;
-        for v in &vals {
-            match v.as_f64() {
-                Some(x) => out.push(x),
-                None => skipped += 1,
-            }
-        }
-        Ok((out, skipped))
     }
 }
 

@@ -16,7 +16,7 @@ use sdbms_storage::{BufferPool, HeapFile, MmapSegmentSource, PageId, Rid};
 
 use crate::batch::{decode_batch_range, ColumnBatch};
 use crate::segment::{
-    decode_segment, decode_segment_range, encode_segment, segment_runs, Compression, SEGMENT_ROWS,
+    decode_segment, decode_segment_range, encode_segment, Compression, SEGMENT_ROWS,
 };
 use crate::store::{Result, TableStore};
 use crate::zonemap::ZoneMap;
@@ -205,6 +205,41 @@ impl TransposedFile {
         (i < col.segments.len()).then_some(i)
     }
 
+    /// Visit, in row order, every segment of `attribute` overlapping
+    /// rows `[start, start + len)` as `visit(column, segment index, lo,
+    /// hi)`, `[lo, hi)` being the covered rows relative to the segment.
+    /// A morsel aligned to [`SEGMENT_ROWS`] touches exactly its own
+    /// segments, so parallel workers never fetch each other's pages.
+    fn for_each_overlap(
+        &self,
+        attribute: &str,
+        start: usize,
+        len: usize,
+        mut visit: impl FnMut(&Column, usize, usize, usize) -> Result<()>,
+    ) -> Result<()> {
+        let ci = self.schema.require(attribute)?;
+        let end = start
+            .checked_add(len)
+            .filter(|&e| e <= self.rows)
+            .ok_or(DataError::NoSuchRow(start.saturating_add(len).max(1) - 1))?;
+        if start == end {
+            return Ok(());
+        }
+        let col = &self.columns[ci];
+        let first = Self::segment_index_for_row(col, start)
+            .ok_or(DataError::Decode("segment directory out of sync"))?;
+        for si in first..col.segments.len() {
+            let info = col.segments[si];
+            if info.start_row >= end {
+                break;
+            }
+            let lo = start.saturating_sub(info.start_row);
+            let hi = (end - info.start_row).min(info.len);
+            visit(col, si, lo, hi)?;
+        }
+        Ok(())
+    }
+
     /// Persist a zone map for `values`, stamped with `generation`,
     /// returning its record id. Returns `None` on any write failure —
     /// zone maps are advisory, so losing one degrades scans to
@@ -361,62 +396,24 @@ impl TableStore for TransposedFile {
     }
 
     fn read_column_range(&self, attribute: &str, start: usize, len: usize) -> Result<Vec<Value>> {
-        let ci = self.schema.require(attribute)?;
-        let end = start
-            .checked_add(len)
-            .filter(|&e| e <= self.rows)
-            .ok_or(DataError::NoSuchRow(start.saturating_add(len).max(1) - 1))?;
-        if start == end {
-            return Ok(Vec::new());
-        }
-        // Decode only the segments overlapping [start, end) — a morsel
-        // aligned to SEGMENT_ROWS touches exactly its own segments, so
-        // parallel workers never fetch each other's pages — and within
-        // a partially-covered segment, decode only the covered rows.
-        let col = &self.columns[ci];
-        let first = Self::segment_index_for_row(col, start)
-            .ok_or(DataError::Decode("segment directory out of sync"))?;
-        let mut out = Vec::with_capacity(len);
-        for si in first..col.segments.len() {
-            let info = col.segments[si];
-            if info.start_row >= end {
-                break;
-            }
+        let mut out = Vec::with_capacity(len.min(self.rows));
+        self.for_each_overlap(attribute, start, len, |col, si, lo, hi| {
             let bytes = self.segment_bytes_view(col, si)?;
-            let lo = start.saturating_sub(info.start_row);
-            let hi = (end - info.start_row).min(info.len);
             out.extend(decode_segment_range(&bytes, lo, hi)?);
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
     fn read_column_batch(&self, attribute: &str, start: usize, len: usize) -> Result<ColumnBatch> {
-        let ci = self.schema.require(attribute)?;
-        let end = start
-            .checked_add(len)
-            .filter(|&e| e <= self.rows)
-            .ok_or(DataError::NoSuchRow(start.saturating_add(len).max(1) - 1))?;
+        // Decoded straight into the typed batch: RLE and dictionary
+        // segments contribute runs (one `Value` per run), raw segments
+        // decode primitive payloads directly into the lane.
         let mut out = ColumnBatch::new();
-        if start == end {
-            return Ok(out);
-        }
-        // Same segment walk as `read_column_range`, but decoded
-        // straight into the typed batch: RLE and dictionary segments
-        // contribute runs (one `Value` per run), raw segments decode
-        // primitive payloads directly into the lane.
-        let col = &self.columns[ci];
-        let first = Self::segment_index_for_row(col, start)
-            .ok_or(DataError::Decode("segment directory out of sync"))?;
-        for si in first..col.segments.len() {
-            let info = col.segments[si];
-            if info.start_row >= end {
-                break;
-            }
+        self.for_each_overlap(attribute, start, len, |col, si, lo, hi| {
             let bytes = self.segment_bytes_view(col, si)?;
-            let lo = start.saturating_sub(info.start_row);
-            let hi = (end - info.start_row).min(info.len);
-            decode_batch_range(&bytes, lo, hi, &mut out)?;
-        }
+            decode_batch_range(&bytes, lo, hi, &mut out)
+        })?;
         Ok(out)
     }
 
@@ -436,67 +433,19 @@ impl TableStore for TransposedFile {
     }
 
     fn range_stats(&self, attribute: &str, start: usize, len: usize) -> Option<ZoneMap> {
-        let ci = self.schema.require(attribute).ok()?;
-        let end = start.checked_add(len).filter(|&e| e <= self.rows)?;
-        if start == end {
-            return Some(ZoneMap::default());
-        }
-        let col = &self.columns[ci];
-        let first = Self::segment_index_for_row(col, start)?;
         let mut merged = ZoneMap::default();
-        for si in first..col.segments.len() {
-            let info = col.segments[si];
-            if info.start_row >= end {
-                break;
-            }
-            // Pruning decisions cover whole segments: a map describes
-            // its full segment, so partial overlap still merges the
-            // whole map (conservative — a superset of the range).
-            merged.merge(&Self::load_zone(col, si, self.generation)?);
-        }
+        // Pruning decisions cover whole segments: a map describes its
+        // full segment, so partial overlap still merges the whole map
+        // (conservative — a superset of the range). Any failure — bad
+        // range, unknown attribute, one missing map — is "no statistics".
+        self.for_each_overlap(attribute, start, len, |col, si, _, _| {
+            let zone = Self::load_zone(col, si, self.generation)
+                .ok_or(DataError::Decode("segment has no zone map"))?;
+            merged.merge(&zone);
+            Ok(())
+        })
+        .ok()?;
         Some(merged)
-    }
-
-    fn read_column_runs(
-        &self,
-        attribute: &str,
-        start: usize,
-        len: usize,
-    ) -> Result<Vec<(Value, usize)>> {
-        let ci = self.schema.require(attribute)?;
-        let end = start
-            .checked_add(len)
-            .filter(|&e| e <= self.rows)
-            .ok_or(DataError::NoSuchRow(start.saturating_add(len).max(1) - 1))?;
-        if start == end {
-            return Ok(Vec::new());
-        }
-        let col = &self.columns[ci];
-        let first = Self::segment_index_for_row(col, start)
-            .ok_or(DataError::Decode("segment directory out of sync"))?;
-        let mut out: Vec<(Value, usize)> = Vec::new();
-        for si in first..col.segments.len() {
-            let info = col.segments[si];
-            if info.start_row >= end {
-                break;
-            }
-            let bytes = self.segment_bytes_view(col, si)?;
-            let lo = start.saturating_sub(info.start_row);
-            let hi = (end - info.start_row).min(info.len);
-            if lo == 0 && hi == info.len {
-                // Fully-covered segment: runs come straight off the
-                // encoded record, no row materialization.
-                out.extend(segment_runs(&bytes)?);
-            } else {
-                for v in decode_segment_range(&bytes, lo, hi)? {
-                    match out.last_mut() {
-                        Some((rv, n)) if rv.group_eq(&v) => *n += 1,
-                        _ => out.push((v, 1)),
-                    }
-                }
-            }
-        }
-        Ok(out)
     }
 
     fn read_row(&self, row: usize) -> Result<Vec<Value>> {
@@ -789,9 +738,8 @@ mod tests {
         assert_eq!(t.get_cell(301, "AGE").unwrap(), ds.rows()[301][4]);
         // Invalidation: mark missing.
         t.set_cell(300, "AGE", Value::Missing).unwrap();
-        let (nums, skipped) = t.read_column_f64("AGE").unwrap();
-        assert_eq!(nums.len(), 599);
-        assert_eq!(skipped, 1);
+        let ages = t.read_column("AGE").unwrap();
+        assert_eq!(ages.iter().filter(|v| v.is_missing()).count(), 1);
     }
 
     #[test]
@@ -924,25 +872,6 @@ mod tests {
     }
 
     #[test]
-    fn column_runs_expand_to_column_values() {
-        let env = StorageEnv::new(256);
-        let ds = micro(900);
-        let t = TransposedFile::from_dataset(env.pool, &ds).unwrap();
-        for attr in ["SEX", "INCOME", "REGION"] {
-            let full = t.read_column(attr).unwrap();
-            for (start, len) in [(0, 900), (0, 256), (100, 400), (899, 1), (450, 0)] {
-                let runs = t.read_column_runs(attr, start, len).unwrap();
-                let expanded: Vec<Value> = runs
-                    .iter()
-                    .flat_map(|(v, n)| std::iter::repeat_n(v.clone(), *n))
-                    .collect();
-                assert_eq!(expanded, full[start..start + len], "{attr} ({start},{len})");
-            }
-        }
-        assert!(t.read_column_runs("SEX", 800, 200).is_err());
-    }
-
-    #[test]
     fn append_and_repack_keep_zone_maps_fresh() {
         let env = StorageEnv::new(128);
         let mut t = TransposedFile::create(env.pool, figure1().schema().clone()).unwrap();
@@ -1047,12 +976,6 @@ mod tests {
             assert_eq!(&t.read_column(a).unwrap(), want, "{a}");
             let batch = t.read_column_batch(a, 100, 500).unwrap();
             assert_eq!(batch.to_values(), want[100..600], "{a} batch");
-            let runs = t.read_column_runs(a, 0, 900).unwrap();
-            let expanded: Vec<Value> = runs
-                .iter()
-                .flat_map(|(v, n)| std::iter::repeat_n(v.clone(), *n))
-                .collect();
-            assert_eq!(&expanded, want, "{a} runs");
         }
         assert_eq!(t.read_row(456).unwrap(), ds.rows()[456]);
         // Encoded segments compare byte-for-byte across the two paths.

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use sdbms_columnar::TableStore;
 use sdbms_data::Value;
 use sdbms_stats::{FrequencyTable, MinMaxAcc, Moments};
-use sdbms_storage::budget::{ambient_token, BudgetScope, CancelError, CancelToken};
+use sdbms_storage::ambient;
 
 /// Environment variable overriding the worker count
 /// (`SDBMS_WORKERS=4`). Unset, empty, unparsable, or `0` all fall back
@@ -129,6 +129,15 @@ pub struct Morsel {
 /// the smallest morsel index among those actually produced is
 /// returned, so a given fault pattern fails the same way regardless of
 /// interleaving where possible.
+///
+/// The calling thread's ambient request scopes (I/O attribution,
+/// deadline budget) are re-installed in every worker, so a fanned-out
+/// scan is billed to, and bounded by, the request that issued it.
+/// Cancellation needs no separate entry point: every device attempt
+/// under `work` checks the ambient budget, and a trip surfaces as a
+/// typed error through the same cooperative abort as any morsel error
+/// — at most the one in-flight morsel per worker finishes, and a
+/// partial result is never returned.
 pub fn scan_morsels<T, E, F>(rows: usize, cfg: &ExecConfig, work: F) -> Result<Vec<T>, E>
 where
     F: Fn(Morsel) -> Result<T, E> + Sync,
@@ -150,17 +159,14 @@ where
 
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    // The calling thread's ambient request budget (if any) is
-    // re-installed in every worker, so a deadline caps the scan's
-    // storage I/O no matter how many threads it fans out over.
-    let ambient = ambient_token();
+    let ambient = ambient::capture();
     let mut slots: Vec<Option<Result<T, E>>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let _budget = ambient.clone().map(BudgetScope::enter);
+                    let _ambient = ambient.install();
                     let mut produced: Vec<(usize, Result<T, E>)> = Vec::new();
                     // lint: allow(relaxed-ordering): abort is a best-effort shutdown hint; a stale read only costs one extra morsel, never correctness
                     while !abort.load(Ordering::Relaxed) {
@@ -209,31 +215,6 @@ where
     }
 }
 
-/// [`scan_morsels`] with an injectable [`CancelToken`]: the token is
-/// checked once per morsel, *before* the morsel's work runs, and a
-/// trip surfaces as a typed error (`E::from(CancelError)`) through the
-/// same cooperative-abort machinery internal worker errors use — one
-/// shared stop path for external cancellation, deadline exhaustion,
-/// and engine errors. A cancelled scan therefore stops within one
-/// in-flight morsel per worker and never returns a partial result:
-/// the typed error wins, exactly like any other morsel error.
-pub fn scan_morsels_with<T, E, F>(
-    rows: usize,
-    cfg: &ExecConfig,
-    token: &CancelToken,
-    work: F,
-) -> Result<Vec<T>, E>
-where
-    F: Fn(Morsel) -> Result<T, E> + Sync,
-    T: Send,
-    E: Send + From<CancelError>,
-{
-    scan_morsels(rows, cfg, |m| {
-        token.check().map_err(E::from)?;
-        work(m)
-    })
-}
-
 /// Single-pass, mergeable summary state for one column — the paper's
 /// "one scan feeds min/max/mean/median-window/frequency" design.
 ///
@@ -260,8 +241,8 @@ pub struct ColumnProfile {
 
 impl ColumnProfile {
     /// Absorb `n` consecutive rows holding the same value — the
-    /// compressed-domain entry point fed by `(value, run-length)`
-    /// pairs off RLE/dictionary pages.
+    /// compressed-domain entry point [`kernels::add_batch`] feeds from
+    /// a batch's run view (RLE/dictionary segments).
     ///
     /// Contract: feeding the runs of a sequence (under *any* partition
     /// into constant runs) produces a profile `==` to
@@ -286,16 +267,6 @@ impl ColumnProfile {
             }
             None => self.non_numeric += n,
         }
-    }
-
-    /// Profile a morsel given as `(value, run-length)` pairs.
-    #[must_use]
-    pub fn from_runs(runs: &[(Value, usize)]) -> Self {
-        let mut p = ColumnProfile::default();
-        for (v, n) in runs {
-            p.add_run(v, *n);
-        }
-        p
     }
 
     /// Profile one run of values (a morsel's partial state).
@@ -387,8 +358,8 @@ where
 /// Each morsel is fetched as a typed [`sdbms_columnar::ColumnBatch`]
 /// — decoded straight from segment bytes on segmented layouts, no
 /// per-row `Value` materialization — and folded by the vectorized
-/// [`kernels::add_batch`] kernel. The result is `==` to the scalar
-/// path (`profile_with` over `read_column_range`) bit for bit, at
+/// [`kernels::add_batch`] kernel. The result is `==` to the per-cell
+/// oracle ([`profile_values`] of the decoded column) bit for bit, at
 /// every worker count.
 pub fn profile_table_column<S>(
     store: &S,
@@ -420,36 +391,6 @@ where
     Ok(profile)
 }
 
-/// Run-aware parallel profile of one stored column: each morsel is
-/// consumed as `(value, run-length)` pairs straight off the encoded
-/// pages, so RLE-friendly columns aggregate in O(runs) decode work
-/// instead of O(rows). The result is `==` to
-/// [`profile_table_column`] — run boundaries never show in the
-/// profile.
-pub fn profile_table_column_runs<S>(
-    store: &S,
-    attribute: &str,
-    cfg: &ExecConfig,
-) -> sdbms_columnar::store::Result<ColumnProfile>
-where
-    S: TableStore + Sync + ?Sized,
-{
-    let partials = scan_morsels(
-        store.len(),
-        cfg,
-        |m| -> sdbms_columnar::store::Result<ColumnProfile> {
-            Ok(ColumnProfile::from_runs(
-                &store.read_column_runs(attribute, m.start, m.len)?,
-            ))
-        },
-    )?;
-    let mut profile = ColumnProfile::default();
-    for p in partials {
-        profile.merge(p);
-    }
-    Ok(profile)
-}
-
 /// Decides whether a scan morsel can be skipped outright.
 ///
 /// Implementations answer "may any row in `[start, start + len)`
@@ -472,37 +413,6 @@ impl SegmentPruner for NoPruner {
     fn may_match(&self, _start: usize, _len: usize) -> bool {
         true
     }
-}
-
-/// [`filter_indices`] with zone-map pushdown: morsels the pruner
-/// refutes contribute no indices and are never evaluated (no page
-/// reads, no decode). Because refuted morsels by contract contain no
-/// matching rows, the output is identical to the unpruned scan for
-/// every worker count.
-pub fn filter_indices_pruned<E, F, P>(
-    rows: usize,
-    cfg: &ExecConfig,
-    pruner: &P,
-    keep: F,
-) -> Result<Vec<usize>, E>
-where
-    F: Fn(usize) -> Result<bool, E> + Sync,
-    E: Send,
-    P: SegmentPruner + ?Sized,
-{
-    let chunks = scan_morsels(rows, cfg, |m| {
-        let mut hits = Vec::new();
-        if !pruner.may_match(m.start, m.len) {
-            return Ok(hits);
-        }
-        for i in m.start..m.start + m.len {
-            if keep(i)? {
-                hits.push(i);
-            }
-        }
-        Ok(hits)
-    })?;
-    Ok(chunks.into_iter().flatten().collect())
 }
 
 /// Profile an in-memory column (morsel-parallel over slices).
@@ -609,54 +519,21 @@ mod tests {
                 _ => runs.push((v.clone(), 1)),
             }
         }
-        assert_eq!(ColumnProfile::from_runs(&runs), per_row);
+        let fed = |runs: &[(Value, usize)]| {
+            let mut p = ColumnProfile::default();
+            for (v, n) in runs {
+                p.add_run(v, *n);
+            }
+            p
+        };
+        assert_eq!(fed(&runs), per_row);
         // …and into an arbitrary different partition (every run split):
         let split: Vec<(Value, usize)> = col.iter().map(|v| (v.clone(), 1)).collect();
-        assert_eq!(ColumnProfile::from_runs(&split), per_row);
+        assert_eq!(fed(&split), per_row);
         // Zero-length runs are no-ops.
-        let mut p = ColumnProfile::from_runs(&runs);
+        let mut p = fed(&runs);
         p.add_run(&Value::Int(1), 0);
         assert_eq!(p, per_row);
-    }
-
-    #[test]
-    fn pruned_filter_skips_refuted_morsels_exactly() {
-        struct EvenMorselsOnly {
-            morsel_rows: usize,
-        }
-        impl SegmentPruner for EvenMorselsOnly {
-            fn may_match(&self, start: usize, _len: usize) -> bool {
-                (start / self.morsel_rows).is_multiple_of(2)
-            }
-        }
-        let cfg = ExecConfig {
-            workers: 4,
-            morsel_rows: 100,
-        };
-        let evaluated = AtomicUsize::new(0);
-        let pruner = EvenMorselsOnly { morsel_rows: 100 };
-        let got: Vec<usize> =
-            filter_indices_pruned::<std::convert::Infallible, _, _>(1000, &cfg, &pruner, |i| {
-                evaluated.fetch_add(1, Ordering::Relaxed);
-                Ok(i % 3 == 0)
-            })
-            .unwrap();
-        // Exactly the even-morsel rows were evaluated…
-        assert_eq!(evaluated.load(Ordering::Relaxed), 500);
-        // …and the hits are the unpruned hits restricted to them.
-        let expect: Vec<usize> = (0..1000)
-            .filter(|i| (i / 100) % 2 == 0 && i % 3 == 0)
-            .collect();
-        assert_eq!(got, expect);
-        // NoPruner reproduces plain filter_indices bit-for-bit.
-        let plain: Vec<usize> =
-            filter_indices::<std::convert::Infallible, _>(1000, &cfg, |i| Ok(i % 3 == 0)).unwrap();
-        let nopruned: Vec<usize> =
-            filter_indices_pruned::<std::convert::Infallible, _, _>(1000, &cfg, &NoPruner, |i| {
-                Ok(i % 3 == 0)
-            })
-            .unwrap();
-        assert_eq!(nopruned, plain);
     }
 
     #[test]
@@ -682,39 +559,49 @@ mod tests {
 
     #[test]
     fn cancelled_scan_stops_within_one_morsel_per_worker() {
-        use sdbms_storage::StorageError;
-        let cfg = ExecConfig {
-            workers: 4,
-            morsel_rows: 16,
-        };
-        let token = CancelToken::unbounded();
-        let calls = AtomicUsize::new(0);
-        // The very first morsel to run cancels the scan; everything
-        // else must stop at its next per-morsel token check.
-        let r: Result<Vec<()>, StorageError> = scan_morsels_with(10_000, &cfg, &token, |_m| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            token.cancel();
-            Ok(())
-        });
-        assert_eq!(r.unwrap_err(), StorageError::Cancelled);
-        assert!(
-            calls.load(Ordering::SeqCst) <= cfg.workers,
-            "at most the one in-flight morsel per worker may finish, got {}",
-            calls.load(Ordering::SeqCst)
-        );
-    }
-
-    #[test]
-    fn op_budget_exhaustion_surfaces_typed_deadline_error() {
+        use sdbms_storage::budget::{charge_ambient_ops, BudgetScope, CancelToken};
         use sdbms_storage::StorageError;
         for workers in [1, 4] {
             let cfg = ExecConfig {
                 workers,
                 morsel_rows: 16,
             };
-            let token = CancelToken::with_op_budget(5);
-            let r: Result<Vec<()>, StorageError> = scan_morsels_with(10_000, &cfg, &token, |_m| {
-                token.consume_ops(2);
+            let token = CancelToken::unbounded();
+            let _scope = BudgetScope::enter(token.clone());
+            let calls = AtomicUsize::new(0);
+            // Each morsel opens with the checkpoint every device attempt
+            // makes; the very first one to pass it cancels the request,
+            // and everything else must stop at its own next checkpoint.
+            let r: Result<Vec<()>, StorageError> = scan_morsels(10_000, &cfg, |_m| {
+                charge_ambient_ops(0)?;
+                calls.fetch_add(1, Ordering::SeqCst);
+                token.cancel();
+                Ok(())
+            });
+            assert_eq!(r.unwrap_err(), StorageError::Cancelled, "{workers} workers");
+            assert!(
+                calls.load(Ordering::SeqCst) <= workers,
+                "at most the one in-flight morsel per worker may finish, got {}",
+                calls.load(Ordering::SeqCst)
+            );
+        }
+    }
+
+    #[test]
+    fn op_budget_exhaustion_surfaces_typed_deadline_error() {
+        use sdbms_storage::budget::{charge_ambient_ops, BudgetScope, CancelToken};
+        use sdbms_storage::StorageError;
+        for workers in [1, 4] {
+            let cfg = ExecConfig {
+                workers,
+                morsel_rows: 16,
+            };
+            // Each morsel plays two device attempts on whatever thread it
+            // lands on; the charges must reach the calling thread's
+            // ambient budget or the scan would never trip.
+            let _scope = BudgetScope::enter(CancelToken::with_op_budget(5));
+            let r: Result<Vec<()>, StorageError> = scan_morsels(10_000, &cfg, |_m| {
+                charge_ambient_ops(2)?;
                 Ok(())
             });
             assert_eq!(
@@ -725,24 +612,53 @@ mod tests {
         }
     }
 
+    /// A 20 000-row transposed store on a pool far smaller than one
+    /// column, so a scan really touches the device.
+    fn scan_fixture() -> (sdbms_storage::StorageEnv, sdbms_columnar::TransposedFile) {
+        use sdbms_data::{Attribute, DataSet, DataType, Schema};
+        let schema = Schema::new(vec![Attribute::measured("X", DataType::Float)]).unwrap();
+        let rows = (0..20_000).map(|i| vec![Value::Float(f64::from(i) * 0.5)]);
+        let ds = DataSet::from_rows("scan", schema, rows.collect()).unwrap();
+        let env = sdbms_storage::StorageEnv::new(8);
+        let store = sdbms_columnar::TransposedFile::from_dataset(env.pool.clone(), &ds).unwrap();
+        (env, store)
+    }
+
     #[test]
-    fn workers_inherit_the_ambient_budget() {
-        use sdbms_storage::budget::charge_ambient_ops;
-        use sdbms_storage::StorageError;
-        let cfg = ExecConfig {
-            workers: 4,
-            morsel_rows: 16,
-        };
-        let token = CancelToken::with_op_budget(10);
-        let _scope = BudgetScope::enter(token);
-        // Each morsel plays one device attempt on whatever worker
-        // thread it lands on; the charges must reach the calling
-        // thread's ambient budget or the scan would never trip.
-        let r: Result<Vec<()>, StorageError> = scan_morsels(10_000, &cfg, |_m| {
-            charge_ambient_ops(1)?;
-            Ok(())
-        });
-        assert_eq!(r.unwrap_err(), StorageError::DeadlineExceeded);
+    fn fanned_out_scans_keep_the_callers_io_scopes() {
+        use sdbms_storage::{IoScope, IoStats};
+        use std::sync::Arc;
+        let (env, store) = scan_fixture();
+        let touches = |s: sdbms_storage::IoSnapshot| s.page_reads + s.pool_hits;
+        for workers in [1, 4] {
+            let cfg = ExecConfig::with_workers(workers);
+            // Nested scopes: the outer one must see the inner scans'
+            // worker-thread charges too.
+            let outer = IoScope::enter(Arc::new(IoStats::default()));
+            let mut total = 0;
+            for profile in [false, true] {
+                let inner = IoScope::enter(Arc::new(IoStats::default()));
+                let before = env.tracker.snapshot();
+                if profile {
+                    profile_table_column(&store, "X", &cfg).unwrap();
+                } else {
+                    read_table_column(&store, "X", &cfg).unwrap();
+                }
+                let global = touches(env.tracker.snapshot().since(&before));
+                assert!(global > 0);
+                assert_eq!(
+                    touches(inner.stats().snapshot()),
+                    global,
+                    "{workers} workers, profile={profile}"
+                );
+                total += global;
+            }
+            assert_eq!(
+                touches(outer.stats().snapshot()),
+                total,
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

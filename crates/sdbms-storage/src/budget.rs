@@ -14,31 +14,22 @@
 //!   for real deployments and the tail-latency experiments, where
 //!   determinism is not required.
 //!
-//! The token travels *ambiently* through a [`BudgetScope`], a
-//! thread-local stack modeled on [`crate::cost::IoScope`]: the serving
-//! layer enters a scope around each request, and every disk or archive
-//! attempt underneath — including retries and their backoff — charges
-//! the innermost token without any signature changes through the
-//! intermediate layers. Parallel scans re-install the calling thread's
-//! ambient token in each worker, so a deadline caps a scan no matter
-//! how many threads it fans out over.
+//! The token travels *ambiently* through a [`BudgetScope`] on the
+//! thread's [`crate::ambient`] stack: the serving layer enters a scope
+//! around each request, and every disk or archive attempt underneath —
+//! including retries and their backoff — charges the innermost token
+//! without any signature changes through the intermediate layers.
+//! Parallel scans re-install the calling thread's ambient stack in each
+//! worker, so a deadline caps a scan no matter how many threads it fans
+//! out over.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::ambient::{self, Entry};
 use crate::error::StorageError;
-
-thread_local! {
-    /// Per-thread stack of ambient request budgets. The innermost
-    /// (most recently entered) token is the one storage-level
-    /// operations consult; outer tokens still apply because an inner
-    /// scope is always created as a [`CancelToken::child`] of — or
-    /// alongside — the outer request's token.
-    static BUDGETS: RefCell<Vec<CancelToken>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Why a budget check failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,11 +223,12 @@ impl CancelToken {
 }
 
 /// An RAII guard that makes a [`CancelToken`] the *ambient request
-/// budget* for the current thread until dropped. Modeled on
-/// [`crate::cost::IoScope`]: entering pushes onto a thread-local stack,
-/// and storage-level attempts consult the innermost entry via
-/// [`ambient_token`] / [`charge_ambient_ops`] without any plumbing
-/// through the intermediate layers.
+/// budget* for the current thread until dropped: storage-level attempts
+/// consult the innermost entered token via [`ambient_token`] /
+/// [`charge_ambient_ops`] without any plumbing through the intermediate
+/// layers. Outer tokens still apply because an inner scope is always
+/// created as a [`CancelToken::child`] of — or alongside — the outer
+/// request's token.
 #[derive(Debug)]
 pub struct BudgetScope {
     token: CancelToken,
@@ -247,7 +239,7 @@ impl BudgetScope {
     /// drops, `token` is the innermost ambient budget here.
     #[must_use]
     pub fn enter(token: CancelToken) -> BudgetScope {
-        BUDGETS.with(|stack| stack.borrow_mut().push(token.clone()));
+        ambient::push(Entry::Budget(token.clone()));
         BudgetScope { token }
     }
 
@@ -260,23 +252,21 @@ impl BudgetScope {
 
 impl Drop for BudgetScope {
     fn drop(&mut self) {
-        BUDGETS.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Guards usually drop LIFO, but search from the top so an
-            // out-of-order drop removes its own entry, not a peer's.
-            if let Some(i) = stack.iter().rposition(|t| t.same_token(&self.token)) {
-                stack.remove(i);
-            }
-        });
+        ambient::remove(|e| matches!(e, Entry::Budget(t) if t.same_token(&self.token)));
     }
 }
 
-/// The innermost ambient [`CancelToken`] on this thread, if any. The
-/// executor captures this before fanning out so worker threads inherit
-/// the calling request's budget.
+fn innermost(entries: &[Entry]) -> Option<&CancelToken> {
+    entries.iter().rev().find_map(|e| match e {
+        Entry::Budget(token) => Some(token),
+        Entry::Io(_) => None,
+    })
+}
+
+/// The innermost ambient [`CancelToken`] on this thread, if any.
 #[must_use]
 pub fn ambient_token() -> Option<CancelToken> {
-    BUDGETS.with(|stack| stack.borrow().last().cloned())
+    ambient::with_entries(|entries| innermost(entries).cloned())
 }
 
 /// Storage-level budget checkpoint: fail with a typed
@@ -285,8 +275,8 @@ pub fn ambient_token() -> Option<CancelToken> {
 /// `ops` units from it. Called once per device I/O attempt, and with
 /// the delay's weight when a slow fault stalls an operation.
 pub fn charge_ambient_ops(ops: u64) -> Result<(), StorageError> {
-    BUDGETS.with(|stack| {
-        if let Some(token) = stack.borrow().last() {
+    ambient::with_entries(|entries| {
+        if let Some(token) = innermost(entries) {
             token.check()?;
             token.consume_ops(ops);
         }

@@ -14,19 +14,10 @@
 //! transfers, and tape (archive) access is dominated by serpentine
 //! rewinds.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-thread_local! {
-    /// Per-thread stack of session-scoped accounting sinks. Every
-    /// charge made through a [`Tracker`] on this thread is mirrored
-    /// into each active scope, which is how a snapshot session learns
-    /// *its own* I/O on counters shared by every analyst — the global
-    /// totals stay exact, and each session's scope sees exactly the
-    /// operations the current thread performed while it was entered.
-    static SCOPES: RefCell<Vec<Arc<IoStats>>> = const { RefCell::new(Vec::new()) };
-}
+use crate::ambient::{self, Entry};
 
 /// One monotone event counter.
 ///
@@ -198,7 +189,8 @@ pub struct Tracker(Arc<IoStats>);
 /// An RAII marker that routes a copy of this thread's I/O charges into
 /// a private [`IoStats`] until dropped. Scopes nest (an inner scope's
 /// charges also land in the outer one) and are cheap: entering pushes
-/// one `Arc` onto a thread-local stack.
+/// one `Arc` onto the thread's [`crate::ambient`] stack, which parallel
+/// scans re-install in their workers.
 ///
 /// This is what gives per-session I/O accounting on shared storage:
 /// the global tracker keeps exact totals for the whole system, while
@@ -215,7 +207,7 @@ impl IoScope {
     /// `stats`.
     #[must_use]
     pub fn enter(stats: Arc<IoStats>) -> IoScope {
-        SCOPES.with(|stack| stack.borrow_mut().push(Arc::clone(&stats)));
+        ambient::push(Entry::Io(Arc::clone(&stats)));
         IoScope { stats }
     }
 
@@ -228,14 +220,7 @@ impl IoScope {
 
 impl Drop for IoScope {
     fn drop(&mut self) {
-        SCOPES.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Guards usually drop LIFO, but search from the top so an
-            // out-of-order drop removes its own entry, not a peer's.
-            if let Some(i) = stack.iter().rposition(|s| Arc::ptr_eq(s, &self.stats)) {
-                stack.remove(i);
-            }
-        });
+        ambient::remove(|e| matches!(e, Entry::Io(s) if Arc::ptr_eq(s, &self.stats)));
     }
 }
 
@@ -250,9 +235,11 @@ impl Tracker {
     /// every [`IoScope`] active on the current thread.
     fn charge(&self, f: impl Fn(&IoStats)) {
         f(&self.0);
-        SCOPES.with(|stack| {
-            for scope in stack.borrow().iter() {
-                f(scope);
+        ambient::with_entries(|entries| {
+            for entry in entries {
+                if let Entry::Io(scope) = entry {
+                    f(scope);
+                }
             }
         });
     }

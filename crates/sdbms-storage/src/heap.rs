@@ -160,6 +160,17 @@ fn compact(p: &mut Page) {
     set_free_ptr(p, cursor as u16);
 }
 
+/// Reject a header the free-space arithmetic below would underflow on.
+/// A page allocated but never flushed before a crash reads back zeroed
+/// (`free_ptr == 0`), and the file's in-memory page list still names it.
+fn check_header(p: &Page, pid: PageId) -> Result<()> {
+    let fp = free_ptr(p) as usize;
+    if fp < HEADER + SLOT_SIZE * slot_count(p) as usize || fp > PAGE_SIZE {
+        return Err(StorageError::corrupt("heap page header out of bounds").at_page(pid));
+    }
+    Ok(())
+}
+
 /// Insert `bytes` into the page, compacting first if needed.
 /// Returns the slot index, or `None` if it cannot fit.
 fn page_insert(p: &mut Page, bytes: &[u8]) -> Option<u16> {
@@ -270,6 +281,7 @@ impl HeapFile {
             .copied()
             .ok_or_else(|| StorageError::corrupt("heap file has no pages"))?;
         let guard = self.pool.fetch(last)?;
+        guard.with(|p| check_header(p, last))?;
         if let Some(slot) = guard.with_mut(|p| page_insert(p, bytes)) {
             state.records += 1;
             return Ok(Rid::new(last, slot));
@@ -606,6 +618,19 @@ mod tests {
         }
         let n = h.scan().count();
         assert_eq!(n, 200);
+    }
+
+    #[test]
+    fn insert_into_a_zeroed_last_page_is_a_typed_error() {
+        // Crash shape: the page was allocated (zeroed on disk) and
+        // initialised only in a frame that never got flushed.
+        let h = heap(8);
+        assert_eq!(h.pool().discard_frames().unwrap(), 1);
+        let pid = h.pages()[0];
+        match h.insert(b"after the crash") {
+            Err(StorageError::Corrupt(d)) => assert_eq!(d.page, Some(u64::from(pid))),
+            other => panic!("expected Corrupt at page {pid}, got {other:?}"),
+        }
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //! - [`budget`] — per-request deadlines and cooperative cancellation:
 //!   a [`budget::CancelToken`] flows ambiently through a
 //!   [`budget::BudgetScope`] and every device attempt below checks it.
+//! - [`ambient`] — the one thread-local stack both scope kinds live
+//!   on, with the capture/install pair that carries a request's scopes
+//!   onto worker threads.
 //! - [`page`] — fixed 4 KiB pages with little-endian field access.
 //! - [`disk`] — an in-memory disk that charges reads, writes, and
 //!   seeks (non-sequential accesses).
@@ -50,6 +53,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ambient;
 pub mod archive;
 pub mod btree;
 pub mod budget;

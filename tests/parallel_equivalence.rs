@@ -278,14 +278,15 @@ fn missing_and_coded_values_identical_across_workers() {
 
 // ---- zone-map pruning & compressed-domain execution ------------------------
 //
-// The pruned scan path (`filter_table_rows`) and the run-aware profile
-// path (`profile_table_column_runs`) carry the same contract as the
+// The pruned scan path (`filter_table_rows`) and the batch profile
+// path (`profile_table_column`, which folds RLE/dictionary segments
+// through the batch's run view) carry the same contract as the
 // parallel executor itself: *bit-identical* to the naive
 // decode-everything scan, at every worker count, for every predicate —
 // pruning may only skip work, never change an answer.
 
 use sdbms::columnar::{Compression, TransposedFile};
-use sdbms::exec::{profile_table_column, profile_table_column_runs};
+use sdbms::exec::profile_table_column;
 use sdbms::relational::filter_table_rows;
 
 /// An RLE-friendly mixed table: a plateau'd integer column (so zone
@@ -437,35 +438,30 @@ proptest! {
     }
 }
 
-/// Run-aware profiles (consuming `(value, run_len)` pairs straight from
-/// the compressed segments) are bit-identical to decode-everything
-/// profiles at every worker count, for every encoding.
+/// Batch profiles — whole runs folded through the batch's run view on
+/// the RLE and dictionary columns, typed lanes on the raw ones — are
+/// bit-identical to the per-cell oracle (`profile_values` of the
+/// in-memory column) at every worker count, for every encoding.
 #[test]
 fn run_aware_profiles_bit_identical_to_decode_profiles() {
     let ds = pruning_dataset(3000, 64);
     let store = pruning_store(&ds);
     for attr in ["BLOCK", "X", "F", "TAG"] {
-        let reference = profile_table_column(
-            &store,
-            attr,
+        let col: Vec<Value> = ds.column(attr).expect("column").cloned().collect();
+        let reference = profile_values(
+            &col,
             &ExecConfig {
                 workers: 1,
                 morsel_rows: 256,
             },
-        )
-        .expect("decode profile");
+        );
         for workers in WORKER_COUNTS {
             let cfg = ExecConfig {
                 workers,
                 morsel_rows: 256,
             };
-            let decoded = profile_table_column(&store, attr, &cfg).expect("decode profile");
-            let by_runs = profile_table_column_runs(&store, attr, &cfg).expect("run profile");
-            assert_eq!(
-                decoded, reference,
-                "{attr}: decode path at {workers} workers"
-            );
-            assert_eq!(by_runs, reference, "{attr}: run path at {workers} workers");
+            let batched = profile_table_column(&store, attr, &cfg).expect("batch profile");
+            assert_eq!(batched, reference, "{attr} at {workers} workers");
         }
     }
 }
@@ -598,8 +594,8 @@ fn nan_store(ds: &DataSet) -> TransposedFile {
 }
 
 /// Batch-kernel profiles over NaN / signed-zero / missing floats are
-/// bit-identical to the scalar per-cell path at every worker count —
-/// and so is the run-aware path over the RLE column.
+/// bit-identical to the scalar per-cell path at every worker count
+/// (`BLOCK` is RLE, so its batches fold through the run view).
 #[test]
 fn batch_profiles_with_nan_floats_bit_identical_to_scalar() {
     let ds = nan_dataset(2148); // ragged tail segment
@@ -622,11 +618,6 @@ fn batch_profiles_with_nan_floats_bit_identical_to_scalar() {
             assert!(
                 profile_bits_eq(&batched, &reference),
                 "{attr}: batch path diverged at {workers} workers"
-            );
-            let by_runs = profile_table_column_runs(&store, attr, &cfg).expect("run profile");
-            assert!(
-                profile_bits_eq(&by_runs, &reference),
-                "{attr}: run path diverged at {workers} workers"
             );
         }
     }
