@@ -4,10 +4,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sdbms_data::Value;
+use sdbms_exec::ColumnProfile;
 use sdbms_storage::StorageEnv;
 use sdbms_summary::{
-    apply_updates, get_or_compute, AccuracyPolicy, MaintenancePolicy, StatFunction, SummaryDb,
-    UpdateDelta,
+    apply_updates, get_or_compute_resilient, AccuracyPolicy, MaintenancePolicy, StatFunction,
+    SummaryDb, UpdateDelta,
 };
 
 const N: usize = 50_000;
@@ -21,10 +22,9 @@ fn seeded_db(base: &[Value]) -> SummaryDb {
         StatFunction::Mean,
         StatFunction::Variance,
     ] {
-        get_or_compute(&db, "X", &f, AccuracyPolicy::Exact, &mut || {
-            Ok(base.to_vec())
-        })
-        .expect("seed");
+        let mut source = |feeds| Ok(ColumnProfile::of(base, feeds));
+        get_or_compute_resilient(&db, "X", &f, AccuracyPolicy::Exact, &mut source, None)
+            .expect("seed");
     }
     db
 }
@@ -54,8 +54,8 @@ fn bench(c: &mut Criterion) {
                 b.iter_batched(
                     || seeded_db(&base),
                     |db| {
-                        apply_updates(&db, "X", &deltas, policy, &mut || Ok(updated.clone()))
-                            .expect("apply")
+                        let mut source = |feeds| Ok(ColumnProfile::of(&updated, feeds));
+                        apply_updates(&db, "X", &deltas, policy, &mut source).expect("apply")
                     },
                     criterion::BatchSize::LargeInput,
                 );

@@ -18,13 +18,14 @@ use sdbms_core::{
 };
 use sdbms_data::census::{aggregate_census, figure1, CensusConfig};
 use sdbms_data::{CodeBook, DataType, RawDatabase, Value};
+use sdbms_exec::ColumnProfile;
 use sdbms_management::{differentiate, AggExpr};
 use sdbms_relational::ops;
 use sdbms_stats::quantile;
 use sdbms_storage::{ArchiveStore, CostModel, StorageEnv, Tracker};
 use sdbms_summary::{
-    apply_updates, get_or_compute, Entry, Freshness, MedianWindow, SummaryDb, SummaryValue,
-    UpdateDelta,
+    apply_updates, get_or_compute_resilient, Entry, Freshness, MedianWindow, SummaryDb,
+    SummaryValue, UpdateDelta,
 };
 
 fn main() {
@@ -384,11 +385,13 @@ fn e2_incremental_vs_recompute() {
             let env = StorageEnv::new(512);
             let db = SummaryDb::create(env.pool).expect("create");
             for f in &fns {
-                get_or_compute(&db, "X", f, AccuracyPolicy::Exact, &mut || Ok(base.clone()))
+                let mut source = |feeds| Ok(ColumnProfile::of(&base, feeds));
+                get_or_compute_resilient(&db, "X", f, AccuracyPolicy::Exact, &mut source, None)
                     .expect("seed");
             }
             let t0 = Instant::now();
-            apply_updates(&db, "X", &deltas, policy, &mut || Ok(updated.clone())).expect("apply");
+            let mut source = |feeds| Ok(ColumnProfile::of(&updated, feeds));
+            apply_updates(&db, "X", &deltas, policy, &mut source).expect("apply");
             t0.elapsed().as_micros()
         };
         let t_inc = time_policy(MaintenancePolicy::Incremental);

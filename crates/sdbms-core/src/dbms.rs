@@ -13,7 +13,7 @@ use std::sync::Arc;
 use sdbms_columnar::{Layout, RowStore, TableStore, TransposedFile};
 use sdbms_data::{
     census, codebook::CodeBook, dataset::DataSet, metadata::MetadataGraph, metadata::NodeKind,
-    rawdb::RawDatabase, schema::Attribute, value::DataType, value::Value,
+    rawdb::RawDatabase, schema::Attribute, schema::Schema, value::DataType, value::Value,
 };
 use sdbms_management::{
     ChangeRecord, DerivedRule, ManagementError, RuleStore, VectorGenerator, Version, ViewCatalog,
@@ -30,8 +30,9 @@ use sdbms_summary::{
 use sdbms_txn::{EpochRegistry, LockTable};
 
 use crate::error::{CoreError, Result};
+use crate::repair::archive_column;
 use crate::session::{BatchId, PendingBatch};
-use crate::view::{ConcreteView, UpdateReport};
+use crate::view::{AccessTracker, ConcreteView, UpdateReport};
 
 /// How hard the DBMS works to keep Summary Databases consistent with
 /// their views across a crash.
@@ -317,16 +318,6 @@ impl StatDbms {
 
     // ---- view materialization -------------------------------------------
 
-    pub(crate) fn resolve_source(
-        &self,
-        name: &str,
-    ) -> std::result::Result<DataSet, sdbms_data::DataError> {
-        if let Some(cb) = self.codebooks.get(name) {
-            return Ok(cb.to_dataset());
-        }
-        self.raw.extract(name, None, None)
-    }
-
     /// Materialize a concrete view with the default layout and policy.
     ///
     /// Enforces the §2.3 duplicate check: if an equivalent view is
@@ -354,10 +345,7 @@ impl StatDbms {
                 owner: existing.owner.clone(),
             });
         }
-        let mut resolve = |name: &str| -> std::result::Result<DataSet, sdbms_data::DataError> {
-            self.resolve_source(name)
-        };
-        let ds = def.execute(&mut resolve)?;
+        let ds = def.execute(&mut |name| resolve_source(&self.codebooks, &self.raw, name))?;
         let store: Arc<dyn TableStore + Send + Sync> = match layout {
             Layout::Row => Arc::new(RowStore::from_dataset(self.env.pool.clone(), &ds)?),
             Layout::Transposed => {
@@ -500,10 +488,11 @@ impl StatDbms {
     ///
     /// The lookup degrades gracefully: a damaged cache entry is
     /// quarantined and treated as a miss, and if the view's own store
-    /// is unreadable the answer is recomputed from the raw database by
-    /// re-executing the view definition
-    /// ([`ComputeSource::Fallback`] — correct, but served without
-    /// caching until the view is repaired).
+    /// is unreadable the answer is recomputed from the raw database
+    /// ([`crate::repair::archive_column`]: view definition re-executed,
+    /// cleaning history replayed) and served as
+    /// [`ComputeSource::Fallback`] — correct, but without caching until
+    /// the view is repaired.
     pub fn compute(
         &mut self,
         view: &str,
@@ -518,60 +507,29 @@ impl StatDbms {
         if self.health.is_impaired(view) {
             return self.compute_degraded(view, attribute, function);
         }
-        // Split borrows: the fallback closure re-executes the view's
-        // definition against the raw database / code books while the
-        // view itself is mutably borrowed for the primary path.
-        let catalog = &self.catalog;
-        let codebooks = &self.codebooks;
-        let raw = &self.raw;
+        // Split borrows: the fallback closure reads the catalog, raw
+        // database and code books while the view itself is mutably
+        // borrowed for the primary path.
+        let (codebooks, raw, exec) = (&self.codebooks, &self.raw, &self.exec);
         let v = self
             .views
             .get_mut(view)
             .ok_or_else(|| CoreError::NoSuchView(view.to_string()))?;
-        let attr = v.store.schema().attribute(attribute)?.clone();
-        if function.needs_numeric() && !attr.is_summarizable() {
-            return Err(CoreError::NotSummarizable {
-                attribute: attribute.to_string(),
-            });
-        }
-        let store = &v.store;
-        let tracker = &mut v.tracker;
-        let exec = &self.exec;
-        let mut column = || {
-            tracker.column_reads += 1;
-            sdbms_exec::read_table_column(&**store, &attr.name, exec).map_err(SummaryError::Data)
+        let record = self.catalog.view(view)?;
+        let store = &*v.store;
+        let attr = &summarizable(store.schema(), attribute, function)?.name;
+        let mut profile = summary_scan(store, &mut v.tracker, attr, exec);
+        let mut archive = || {
+            archive_column(record, codebooks, raw, store.schema(), attr).map_err(SummaryError::Data)
         };
-        let mut fb;
-        let fallback: Option<&mut dyn FnMut() -> sdbms_summary::Result<Vec<Value>>> =
-            match catalog.view(view) {
-                Ok(rec) => {
-                    let def = &rec.definition;
-                    let attr_name = attr.name.clone();
-                    fb = move || -> sdbms_summary::Result<Vec<Value>> {
-                        let mut resolve =
-                            |name: &str| -> std::result::Result<DataSet, sdbms_data::DataError> {
-                                if let Some(cb) = codebooks.get(name) {
-                                    return Ok(cb.to_dataset());
-                                }
-                                raw.extract(name, None, None)
-                            };
-                        let ds = def.execute(&mut resolve).map_err(SummaryError::Data)?;
-                        let col = ds.column(&attr_name).map_err(SummaryError::Data)?;
-                        Ok(col.cloned().collect())
-                    };
-                    Some(&mut fb)
-                }
-                Err(_) => None,
-            };
-        let (value, source) = get_or_compute_resilient(
+        Ok(get_or_compute_resilient(
             &v.summary,
             attribute,
             function,
             accuracy,
-            &mut column,
-            fallback,
-        )?;
-        Ok((value, source))
+            &mut profile,
+            Some(&mut archive),
+        )?)
     }
 
     /// Like [`StatDbms::compute`], but before touching data, try to
@@ -644,18 +602,15 @@ impl StatDbms {
         }
         let mut warmed = 0;
         for attr in names {
-            // One parallel batch scan answers the whole standing set
-            // for the attribute. If the scan or a cache write fails (a
-            // faulty page, damaged cache bytes), fall back to the
+            // One parallel batch scan answers whatever part of the
+            // standing set is cold. If the scan or a cache write fails
+            // (a faulty page, damaged cache bytes), fall back to the
             // per-function compute path, which degrades gracefully
             // instead of aborting the warm-up.
             let by_profile = {
                 let v = self.view_mut(view)?;
-                v.tracker.column_reads += 1;
-                match sdbms_exec::profile_table_column(&*v.store, &attr, &exec) {
-                    Ok(p) => sdbms_summary::warm_attribute(&v.summary, &attr, &p, &fns).ok(),
-                    Err(_) => None,
-                }
+                let mut profile = summary_scan(&*v.store, &mut v.tracker, &attr, &exec);
+                sdbms_summary::warm_attribute(&v.summary, &attr, &fns, &mut profile).ok()
             };
             match by_profile {
                 Some(n) => warmed += n,
@@ -1142,28 +1097,9 @@ impl StatDbms {
         let v = self.view_mut(view)?;
         let policy = v.policy;
         for (attr, ds) in deltas {
-            if matches!(policy, MaintenancePolicy::EagerRecompute) {
-                // Eager maintenance recomputes every entry anyway, so
-                // one parallel batch scan feeds all of them. On any
-                // failure fall through to the serial per-entry path,
-                // which carries the quarantine / rebuild degradation
-                // logic.
-                v.tracker.column_reads += 1;
-                let regenerated = sdbms_exec::profile_table_column(&*v.store, &attr, &exec)
-                    .ok()
-                    .and_then(|p| sdbms_summary::regenerate_attribute(&v.summary, &attr, &p).ok());
-                if let Some(r) = regenerated {
-                    report.maintenance.recomputed += r.recomputed;
-                    continue;
-                }
-            }
-            let store = &v.store;
-            let tracker = &mut v.tracker;
-            let mut column = || {
-                tracker.column_reads += 1;
-                store.read_column(&attr).map_err(SummaryError::Data)
-            };
-            let r = match apply_updates(&v.summary, &attr, &ds, policy, &mut column) {
+            // One batch scan feeds every entry the policy recomputes.
+            let mut profile = summary_scan(&*v.store, &mut v.tracker, &attr, &exec);
+            let r = match apply_updates(&v.summary, &attr, &ds, policy, &mut profile) {
                 Ok(r) => r,
                 // Degrade gracefully: if maintenance hit damage (bad
                 // cache bytes, a dead page) rather than a crash, fall
@@ -1482,6 +1418,51 @@ impl StatDbms {
             _ => Ok(None),
         }
     }
+}
+
+/// A view-definition source by name: a registered code book, else a
+/// raw data set extracted from the archive.
+pub(crate) fn resolve_source(
+    codebooks: &HashMap<String, CodeBook>,
+    raw: &RawDatabase,
+    name: &str,
+) -> std::result::Result<DataSet, sdbms_data::DataError> {
+    match codebooks.get(name) {
+        Some(cb) => Ok(cb.to_dataset()),
+        None => raw.extract(name, None, None),
+    }
+}
+
+/// The Summary Database's view of a stored column: a tracked batch
+/// scan feeding the accumulators it is asked for.
+fn summary_scan<'a>(
+    store: &'a (dyn TableStore + Send + Sync),
+    tracker: &'a mut AccessTracker,
+    attribute: &'a str,
+    exec: &'a sdbms_exec::ExecConfig,
+) -> impl FnMut(sdbms_exec::Accumulators) -> sdbms_summary::Result<sdbms_exec::ColumnProfile> + 'a {
+    move |feeds| {
+        tracker.column_reads += 1;
+        sdbms_exec::profile_table_column_for(store, attribute, exec, feeds)
+            .map_err(SummaryError::Data)
+    }
+}
+
+/// The paper's metadata rule, applied wherever a summary is asked for:
+/// the attribute must exist, and a numeric function needs an attribute
+/// whose values are quantities (not category codes or identifiers).
+pub(crate) fn summarizable<'s>(
+    schema: &'s Schema,
+    attribute: &str,
+    function: &StatFunction,
+) -> Result<&'s Attribute> {
+    let attr = schema.attribute(attribute)?;
+    if function.needs_numeric() && !attr.is_summarizable() {
+        return Err(CoreError::NotSummarizable {
+            attribute: attribute.to_string(),
+        });
+    }
+    Ok(attr)
 }
 
 /// Whether an error means the simulated machine went down (as opposed

@@ -29,15 +29,22 @@
 //! 4. **Verify & readmit** — a clean post-repair detection pass flips
 //!    the view back to `Healthy`. While `Degraded`/`Repairing`, reads
 //!    are admitted from the archive as `ComputeSource::Fallback`
-//!    results that are never cached.
+//!    results that are never cached. [`archive_column`] is the only
+//!    way such a column is produced, for impaired views and for a
+//!    healthy view whose scan just failed alike.
 //!
 //! `Unrecoverable` is reserved for the one case with no sound
 //! authority left: the archive itself fails, or the bounded retry
 //! budget is spent.
 
+use std::collections::HashMap;
+
 use sdbms_columnar::{Layout, RowStore, TableStore, TransposedFile};
-use sdbms_data::{schema::Attribute, value::DataType, value::Value, DataError};
-use sdbms_management::{ChangeRecord, DerivedRule, VectorGenerator};
+use sdbms_data::{
+    codebook::CodeBook, rawdb::RawDatabase, schema::Attribute, schema::Schema, value::DataType,
+    value::Value, DataError,
+};
+use sdbms_management::{ChangeRecord, DerivedRule, VectorGenerator, ViewRecord};
 use sdbms_repair::{
     Component, CorruptionFinding, CursorStore, HealthRecord, RepairLadder, ScrubCursor, ScrubPhase,
     ScrubReport, ViewHealth,
@@ -47,7 +54,7 @@ use sdbms_summary::{
     quarantinable, ComputeSource, Freshness, StatFunction, SummaryDb, SummaryValue,
 };
 
-use crate::dbms::{coerce, error_is_crash, StatDbms};
+use crate::dbms::{coerce, error_is_crash, resolve_source, summarizable, StatDbms};
 use crate::error::{CoreError, Result};
 
 /// Every `SUMMARY_SAMPLE_EVERY`-th Summary-DB entry a scrub pass walks
@@ -272,29 +279,35 @@ impl StatDbms {
         let Some(v) = self.views.get(view) else {
             return Ok(None);
         };
-        let col = match v.store.read_column(&entry.attribute) {
-            Ok(col) => col,
+        let function = &entry.function;
+        let profile = sdbms_exec::profile_table_column_for(
+            &*v.store,
+            &entry.attribute,
+            &self.exec,
+            function.accumulators(),
+        );
+        let fresh = match profile {
+            Ok(p) => function.answer(&p),
             Err(e) if data_error_is_crash(&e) => return Err(e.into()),
             // The column itself is unreadable — page-level damage the
             // page phases report with better granularity; the entry
             // cannot be judged either way.
             Err(_) => return Ok(None),
         };
-        let Ok(fresh) = entry.function.compute(&col) else {
-            return Ok(None);
-        };
-        if fresh.approx_eq(&entry.result, CROSS_CHECK_TOL) {
-            return Ok(None);
+        match fresh {
+            Ok(fresh) if !fresh.approx_eq(&entry.result, CROSS_CHECK_TOL) => {
+                Ok(Some(CorruptionFinding {
+                    view: view.to_string(),
+                    component: Component::SummaryEntry,
+                    page: None,
+                    detail: format!(
+                        "cached {function} of {:?} disagrees with recompute",
+                        entry.attribute
+                    ),
+                }))
+            }
+            _ => Ok(None),
         }
-        Ok(Some(CorruptionFinding {
-            view: view.to_string(),
-            component: Component::SummaryEntry,
-            page: None,
-            detail: format!(
-                "cached {} of {:?} disagrees with recompute",
-                entry.function, entry.attribute
-            ),
-        }))
     }
 
     // ---- repair ---------------------------------------------------------
@@ -488,22 +501,16 @@ impl StatDbms {
     /// terminal: there is no sound source left.
     fn regenerate_store(&mut self, view: &str, report: &mut RepairReport) -> Result<()> {
         let def = self.catalog.view(view)?.definition.clone();
-        let ds = {
-            let mut resolve =
-                |name: &str| -> std::result::Result<sdbms_data::dataset::DataSet, DataError> {
-                    self.resolve_source(name)
-                };
-            match def.execute(&mut resolve) {
-                Ok(ds) => ds,
-                Err(e) if data_error_is_crash(&e) => return Err(e.into()),
-                Err(e) => {
-                    let reason = format!("archive regeneration failed: {e}");
-                    self.health.mark_unrecoverable(view, &reason);
-                    return Err(CoreError::Unrecoverable {
-                        view: view.to_string(),
-                        reason,
-                    });
-                }
+        let ds = match def.execute(&mut |name| resolve_source(&self.codebooks, &self.raw, name)) {
+            Ok(ds) => ds,
+            Err(e) if data_error_is_crash(&e) => return Err(e.into()),
+            Err(e) => {
+                let reason = format!("archive regeneration failed: {e}");
+                self.health.mark_unrecoverable(view, &reason);
+                return Err(CoreError::Unrecoverable {
+                    view: view.to_string(),
+                    reason,
+                });
             }
         };
         let layout = self.view(view)?.layout;
@@ -608,10 +615,9 @@ impl StatDbms {
 
     // ---- degraded reads -------------------------------------------------
 
-    /// Serve a read of an impaired view straight from the raw archive:
-    /// re-execute the view definition, replay the recorded cell edits
-    /// of the requested attribute, and compute. The Summary DB is
-    /// never consulted and never written — a [`ComputeSource::Fallback`]
+    /// Serve a read of an impaired view straight from the raw archive
+    /// ([`archive_column`]) and compute. The Summary DB is never
+    /// consulted and never written — a [`ComputeSource::Fallback`]
     /// result must not be cached while the view is suspect.
     pub(crate) fn compute_degraded(
         &self,
@@ -619,44 +625,55 @@ impl StatDbms {
         attribute: &str,
         function: &StatFunction,
     ) -> Result<(SummaryValue, ComputeSource)> {
-        let v = self
-            .views
-            .get(view)
-            .ok_or_else(|| CoreError::NoSuchView(view.to_string()))?;
-        let attr = v.store.schema().attribute(attribute)?.clone();
-        if function.needs_numeric() && !attr.is_summarizable() {
-            return Err(CoreError::NotSummarizable {
-                attribute: attribute.to_string(),
-            });
-        }
-        let def = self.catalog.view(view)?.definition.clone();
-        let mut resolve =
-            |name: &str| -> std::result::Result<sdbms_data::dataset::DataSet, DataError> {
-                self.resolve_source(name)
-            };
-        let ds = def.execute(&mut resolve)?;
-        let mut col: Vec<Value> = ds.column(&attr.name)?.cloned().collect();
-        let ci = v.store.schema().require(&attr.name)?;
-        for (_, rec) in self.catalog.view(view)?.history.records() {
-            match rec {
-                ChangeRecord::CellUpdate {
-                    row,
-                    attribute: a,
-                    new,
-                    ..
-                } if a == &attr.name && *row < col.len() => {
-                    col[*row] = new.clone();
-                }
-                // Batch-appended rows are not in the archive-derived
-                // data set; extend the column from the recorded values
-                // (schema order at append time).
-                ChangeRecord::RowAppended { values } => {
-                    col.push(values.get(ci).cloned().unwrap_or(Value::Missing));
-                }
-                _ => {}
-            }
-        }
-        let value = function.compute(&col)?;
-        Ok((value, ComputeSource::Fallback))
+        let schema = self.view(view)?.store.schema();
+        let attr = summarizable(schema, attribute, function)?;
+        let col = archive_column(
+            self.catalog.view(view)?,
+            &self.codebooks,
+            &self.raw,
+            schema,
+            &attr.name,
+        )?;
+        Ok((function.compute(&col)?, ComputeSource::Fallback))
     }
+}
+
+/// The one archive-fallback column builder: `attribute` of a view as
+/// the raw archive plus the Management DB describe it — re-execute the
+/// view definition, then replay the recorded cleaning history of that
+/// attribute (cell edits, batch-appended rows) so the analyst's edits
+/// survive the loss of the concrete view. `schema` is the live view's
+/// (it survives in memory when the data pages do not).
+pub(crate) fn archive_column(
+    record: &ViewRecord,
+    codebooks: &HashMap<String, CodeBook>,
+    raw: &RawDatabase,
+    schema: &Schema,
+    attribute: &str,
+) -> std::result::Result<Vec<Value>, DataError> {
+    let ds = record
+        .definition
+        .execute(&mut |name| resolve_source(codebooks, raw, name))?;
+    let mut col: Vec<Value> = ds.column(attribute)?.cloned().collect();
+    let ci = schema.require(attribute)?;
+    for (_, rec) in record.history.records() {
+        match rec {
+            ChangeRecord::CellUpdate {
+                row,
+                attribute: a,
+                new,
+                ..
+            } if a == attribute && *row < col.len() => {
+                col[*row] = new.clone();
+            }
+            // Batch-appended rows are not in the archive-derived
+            // data set; extend the column from the recorded values
+            // (schema order at append time).
+            ChangeRecord::RowAppended { values } => {
+                col.push(values.get(ci).cloned().unwrap_or(Value::Missing));
+            }
+            _ => {}
+        }
+    }
+    Ok(col)
 }

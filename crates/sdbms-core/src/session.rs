@@ -36,7 +36,7 @@ use sdbms_storage::{IoScope, IoSnapshot, IoStats};
 use sdbms_summary::{ComputeSource, StatFunction, SummaryValue};
 use sdbms_txn::{EpochPin, LockGuard};
 
-use crate::dbms::{coerce, error_is_crash, StatDbms};
+use crate::dbms::{coerce, error_is_crash, summarizable, StatDbms};
 use crate::error::{CoreError, Result};
 use crate::view::UpdateReport;
 
@@ -159,7 +159,7 @@ impl Snapshot {
     }
 
     /// Compute `function(attribute)` on the pinned version. The first
-    /// call per `(attribute, function)` reads the column
+    /// call per `(attribute, function)` scans the column
     /// ([`ComputeSource::Computed`]); repeats serve the memoized value
     /// ([`ComputeSource::Cache`]) with no I/O. The memo never outlives
     /// the snapshot, so it can never serve a value from another
@@ -173,13 +173,30 @@ impl Snapshot {
         if let Some(v) = self.memo.lock().get(&key) {
             return Ok((v.clone(), ComputeSource::Cache));
         }
-        let value = {
-            let _scope = IoScope::enter(Arc::clone(&self.stats));
-            let col = self.store.read_column(attribute)?;
-            function.compute(&col)?
-        };
+        let value = self.compute_uncached(attribute, function)?;
         self.memo.lock().insert(key, value.clone());
         Ok((value, ComputeSource::Computed))
+    }
+
+    /// [`Snapshot::compute`] past the memo: the engine's miss path on
+    /// the pinned version — metadata rule, one batch scan feeding the
+    /// accumulators `function` reads, the one evaluator. Scans run on
+    /// the calling thread: the callers that share a snapshot (the
+    /// serving layer's workers) already parallelise across requests.
+    pub fn compute_uncached(
+        &self,
+        attribute: &str,
+        function: &StatFunction,
+    ) -> Result<SummaryValue> {
+        let attr = summarizable(self.store.schema(), attribute, function)?;
+        let _scope = IoScope::enter(Arc::clone(&self.stats));
+        let profile = sdbms_exec::profile_table_column_for(
+            &*self.store,
+            &attr.name,
+            &sdbms_exec::ExecConfig::serial(),
+            function.accumulators(),
+        )?;
+        Ok(function.answer(&profile)?)
     }
 
     /// The I/O this snapshot has incurred: only reads made through

@@ -31,7 +31,7 @@ use std::cmp::Ordering;
 use sdbms_columnar::{BatchValues, ColumnBatch};
 use sdbms_data::Value;
 
-use crate::{scan_morsels, ColumnProfile, ExecConfig, Morsel, SegmentPruner};
+use crate::{scan_morsels, Accumulators, ColumnProfile, ExecConfig, Morsel, SegmentPruner};
 
 /// Number of `u64` words a `rows`-bit selection bitmap needs.
 #[must_use]
@@ -307,50 +307,40 @@ pub fn selection_count(sel: &[u64]) -> usize {
 fn add_row(profile: &mut ColumnProfile, batch: &ColumnBatch, i: usize) {
     profile.rows += 1;
     if !batch.is_valid(i) {
-        profile.freq.add(&Value::Missing);
+        profile.count_value(&Value::Missing);
         profile.non_numeric += 1;
         return;
     }
-    match batch.values() {
+    let x = match batch.values() {
         BatchValues::F64(xs) => {
-            let x = xs[i];
-            profile.freq.add(&Value::Float(x));
-            profile.moments.add(x);
-            profile.minmax.add(x);
-            profile.numbers.push(x);
+            profile.count_value(&Value::Float(xs[i]));
+            Some(xs[i])
         }
         BatchValues::I64(xs) => {
-            let v = xs[i];
-            profile.freq.add(&Value::Int(v));
-            let x = v as f64;
-            profile.moments.add(x);
-            profile.minmax.add(x);
-            profile.numbers.push(x);
+            profile.count_value(&Value::Int(xs[i]));
+            Some(xs[i] as f64)
         }
         BatchValues::Code(xs) => {
-            profile.freq.add(&Value::Code(xs[i]));
-            profile.non_numeric += 1;
+            profile.count_value(&Value::Code(xs[i]));
+            None
         }
         BatchValues::Other(vs) => {
-            let v = &vs[i];
-            profile.freq.add(v);
-            match v.as_f64() {
-                Some(x) => {
-                    profile.moments.add(x);
-                    profile.minmax.add(x);
-                    profile.numbers.push(x);
-                }
-                None => profile.non_numeric += 1,
-            }
+            profile.count_value(&vs[i]);
+            vs[i].as_f64()
         }
+    };
+    match x {
+        Some(x) => profile.add_numbers(std::iter::once(x)),
+        None => profile.non_numeric += 1,
     }
 }
 
-/// Fold a whole batch into `profile`. The result equals feeding
-/// [`ColumnBatch::to_values`] through [`ColumnProfile::from_values`]
-/// — without materializing a single `Value` for typed lanes. A run
-/// view folds in O(runs) frequency/extreme updates; the all-valid
-/// float lane is a branch-free slice loop.
+/// Fold a whole batch into `profile`, feeding the accumulators the
+/// profile was opened for. The result equals feeding
+/// [`ColumnBatch::to_values`] through [`ColumnProfile::of`] — without
+/// materializing a single `Value` for typed lanes. A run view folds in
+/// O(runs) frequency/extreme updates; the all-valid typed lanes are
+/// branch-free slice loops.
 pub fn add_batch(profile: &mut ColumnProfile, batch: &ColumnBatch) {
     if let Some(runs) = batch.run_lens() {
         let mut row = 0usize;
@@ -362,79 +352,77 @@ pub fn add_batch(profile: &mut ColumnProfile, batch: &ColumnBatch) {
         }
         return;
     }
+    let count = profile.feeds().contains(Accumulators::FREQ);
     match batch.values() {
         BatchValues::F64(xs) if batch.all_valid() => {
             profile.rows += xs.len();
-            profile.numbers.reserve(xs.len());
-            for &x in xs {
-                profile.moments.add(x);
-                profile.minmax.add(x);
-                profile.numbers.push(x);
-            }
-            // Frequency counts are additive, so equal keys can be
-            // collapsed before touching the tree: sort by the same
-            // total order the table is keyed on, then one
-            // `add_count` per distinct value.
-            let mut sorted = xs.to_vec();
-            sorted.sort_unstable_by(f64::total_cmp);
-            let mut i = 0;
-            while i < sorted.len() {
-                let x = sorted[i];
-                let mut j = i + 1;
-                while j < sorted.len() && sorted[j].to_bits() == x.to_bits() {
-                    j += 1;
-                }
-                profile.freq.add_count(&Value::Float(x), (j - i) as u64);
-                i = j;
+            profile.add_numbers(xs.iter().copied());
+            if count {
+                // Frequency counts are additive, so equal keys can be
+                // collapsed before touching the tree: sort by the same
+                // total order the table is keyed on, then one
+                // `add_count` per distinct value.
+                let mut sorted = xs.to_vec();
+                sorted.sort_unstable_by(f64::total_cmp);
+                count_sorted(
+                    profile,
+                    &sorted,
+                    |a, b| a.to_bits() == b.to_bits(),
+                    |&x| Value::Float(x),
+                );
             }
         }
         BatchValues::I64(xs) if batch.all_valid() => {
             profile.rows += xs.len();
-            profile.numbers.reserve(xs.len());
-            let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-            for &v in xs {
-                lo = lo.min(v);
-                hi = hi.max(v);
-                let x = v as f64;
-                profile.moments.add(x);
-                profile.minmax.add(x);
-                profile.numbers.push(x);
-            }
-            // Narrow value ranges (codes, block ids) take a counting
-            // pass instead of a sort: one bucket per possible value.
-            let width = hi.checked_sub(lo).and_then(|w| w.checked_add(1));
-            match width {
-                Some(w) if !xs.is_empty() && w <= 65_536 => {
-                    let mut counts = vec![0u64; w as usize];
-                    for &v in xs {
-                        counts[(v - lo) as usize] += 1;
-                    }
-                    for (off, &n) in counts.iter().enumerate() {
-                        if n > 0 {
-                            profile.freq.add_count(&Value::Int(lo + off as i64), n);
-                        }
-                    }
-                }
-                _ => {
-                    let mut sorted = xs.to_vec();
-                    sorted.sort_unstable();
-                    let mut i = 0;
-                    while i < sorted.len() {
-                        let v = sorted[i];
-                        let mut j = i + 1;
-                        while j < sorted.len() && sorted[j] == v {
-                            j += 1;
-                        }
-                        profile.freq.add_count(&Value::Int(v), (j - i) as u64);
-                        i = j;
-                    }
-                }
+            profile.add_numbers(xs.iter().map(|&v| v as f64));
+            if count {
+                count_ints(profile, xs);
             }
         }
         _ => {
             for i in 0..batch.rows() {
                 add_row(profile, batch, i);
             }
+        }
+    }
+}
+
+/// One `add_count` per maximal run of `same` keys in a sorted slice.
+fn count_sorted<T>(
+    profile: &mut ColumnProfile,
+    sorted: &[T],
+    same: impl Fn(&T, &T) -> bool,
+    value: impl Fn(&T) -> Value,
+) {
+    for run in sorted.chunk_by(same) {
+        profile.freq.add_count(&value(&run[0]), run.len() as u64);
+    }
+}
+
+/// Frequency-count an all-valid integer lane. Narrow value ranges
+/// (codes, block ids) take a counting pass instead of a sort: one
+/// bucket per possible value.
+fn count_ints(profile: &mut ColumnProfile, xs: &[i64]) {
+    let (lo, hi) = xs
+        .iter()
+        .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let width = hi.checked_sub(lo).and_then(|w| w.checked_add(1));
+    match width {
+        Some(w) if !xs.is_empty() && w <= 65_536 => {
+            let mut counts = vec![0u64; w as usize];
+            for &v in xs {
+                counts[(v - lo) as usize] += 1;
+            }
+            for (off, &n) in counts.iter().enumerate() {
+                if n > 0 {
+                    profile.freq.add_count(&Value::Int(lo + off as i64), n);
+                }
+            }
+        }
+        _ => {
+            let mut sorted = xs.to_vec();
+            sorted.sort_unstable();
+            count_sorted(profile, &sorted, |a, b| a == b, |&v| Value::Int(v));
         }
     }
 }

@@ -14,9 +14,10 @@
 //!
 //! Aggregation state rides in [`ColumnProfile`]: the mergeable
 //! accumulators of `sdbms-stats` (moments, extremes, frequencies) plus
-//! the numeric values gathered *in row order*, so non-mergeable order
-//! statistics (median, quartiles, trimmed means) can reuse the exact
-//! serial quantile code on the concatenated data.
+//! the numeric values gathered *in row order*, so every answer can be
+//! the exact serial slice code over the concatenated data and never
+//! depends on the morsel partition. A scan feeds only the
+//! [`Accumulators`] its caller's statistics read.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -215,8 +216,49 @@ where
     }
 }
 
+/// Which of a [`ColumnProfile`]'s accumulators a scan feeds. Callers
+/// derive the set from the statistics they are about to answer, so a
+/// `Mean` miss builds no frequency table and a `Mode` miss gathers no
+/// numbers. Row counts are always kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Accumulators(u8);
+
+impl Accumulators {
+    /// Nothing beyond the row counts.
+    pub const NONE: Self = Accumulators(0);
+    /// [`ColumnProfile::moments`].
+    pub const MOMENTS: Self = Accumulators(1);
+    /// [`ColumnProfile::minmax`].
+    pub const MINMAX: Self = Accumulators(2);
+    /// [`ColumnProfile::freq`].
+    pub const FREQ: Self = Accumulators(4);
+    /// [`ColumnProfile::numbers`].
+    pub const NUMBERS: Self = Accumulators(8);
+    /// Every accumulator — what [`ColumnProfile::default`] feeds.
+    pub const ALL: Self = Accumulators(15);
+
+    /// Both sets combined.
+    #[must_use]
+    pub const fn union(self, other: Self) -> Self {
+        Accumulators(self.0 | other.0)
+    }
+
+    /// Whether every accumulator of `other` is in this set.
+    #[must_use]
+    pub const fn contains(self, other: Self) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+impl Default for Accumulators {
+    fn default() -> Self {
+        Accumulators::ALL
+    }
+}
+
 /// Single-pass, mergeable summary state for one column — the paper's
-/// "one scan feeds min/max/mean/median-window/frequency" design.
+/// "one scan feeds min/max/mean/median-window/frequency" design, and
+/// the only input of the Summary Database's evaluator.
 ///
 /// Per-morsel profiles are built independently and merged in morsel
 /// order, so a profile is a pure function of (column, morsel size):
@@ -237,9 +279,47 @@ pub struct ColumnProfile {
     /// path hands to the quantile code, so order statistics computed
     /// from a profile are bit-identical to the serial computation.
     pub numbers: Vec<f64>,
+    /// The accumulators this profile feeds; the others stay empty.
+    feeds: Accumulators,
 }
 
 impl ColumnProfile {
+    /// An empty profile that feeds only `feeds`.
+    #[must_use]
+    pub fn feeding(feeds: Accumulators) -> Self {
+        ColumnProfile {
+            feeds,
+            ..ColumnProfile::default()
+        }
+    }
+
+    /// The accumulators this profile feeds.
+    #[must_use]
+    pub fn feeds(&self) -> Accumulators {
+        self.feeds
+    }
+
+    /// Fold numeric values, in order, into the fed numeric
+    /// accumulators. One loop per accumulator keeps each monomorphic.
+    pub(crate) fn add_numbers(&mut self, xs: impl Iterator<Item = f64> + Clone) {
+        if self.feeds.contains(Accumulators::MOMENTS) {
+            xs.clone().for_each(|x| self.moments.add(x));
+        }
+        if self.feeds.contains(Accumulators::MINMAX) {
+            xs.clone().for_each(|x| self.minmax.add(x));
+        }
+        if self.feeds.contains(Accumulators::NUMBERS) {
+            self.numbers.extend(xs);
+        }
+    }
+
+    /// Count one occurrence of `v` if the frequency table is fed.
+    pub(crate) fn count_value(&mut self, v: &Value) {
+        if self.feeds.contains(Accumulators::FREQ) {
+            self.freq.add(v);
+        }
+    }
+
     /// Absorb `n` consecutive rows holding the same value — the
     /// compressed-domain entry point [`kernels::add_batch`] feeds from
     /// a batch's run view (RLE/dictionary segments).
@@ -258,12 +338,20 @@ impl ColumnProfile {
             return;
         }
         self.rows += n;
-        self.freq.add_count(v, n as u64);
+        if self.feeds.contains(Accumulators::FREQ) {
+            self.freq.add_count(v, n as u64);
+        }
         match v.as_f64() {
             Some(x) => {
-                self.moments.add_run(x, n);
-                self.minmax.add_run(x, n);
-                self.numbers.extend(std::iter::repeat_n(x, n));
+                if self.feeds.contains(Accumulators::MOMENTS) {
+                    self.moments.add_run(x, n);
+                }
+                if self.feeds.contains(Accumulators::MINMAX) {
+                    self.minmax.add_run(x, n);
+                }
+                if self.feeds.contains(Accumulators::NUMBERS) {
+                    self.numbers.extend(std::iter::repeat_n(x, n));
+                }
             }
             None => self.non_numeric += n,
         }
@@ -272,28 +360,26 @@ impl ColumnProfile {
     /// Profile one run of values (a morsel's partial state).
     #[must_use]
     pub fn from_values(values: &[Value]) -> Self {
-        let mut p = ColumnProfile {
-            numbers: Vec::with_capacity(values.len()),
-            ..ColumnProfile::default()
-        };
-        for v in values {
-            p.rows += 1;
-            p.freq.add(v);
-            match v.as_f64() {
-                Some(x) => {
-                    p.moments.add(x);
-                    p.minmax.add(x);
-                    p.numbers.push(x);
-                }
-                None => p.non_numeric += 1,
-            }
+        Self::of(values, Accumulators::ALL)
+    }
+
+    /// [`ColumnProfile::from_values`] feeding only `feeds`.
+    #[must_use]
+    pub fn of(values: &[Value], feeds: Accumulators) -> Self {
+        let mut p = ColumnProfile::feeding(feeds);
+        let numbers = values.iter().filter_map(Value::as_f64);
+        p.rows = values.len();
+        p.non_numeric = values.len() - numbers.clone().count();
+        if feeds.contains(Accumulators::FREQ) {
+            values.iter().for_each(|v| p.freq.add(v));
         }
+        p.add_numbers(numbers);
         p
     }
 
-    /// Absorb the partial state of the *following* row range.
-    /// Merging morsel profiles in morsel-index order reconstructs the
-    /// whole-column profile.
+    /// Absorb the partial state of the *following* row range (fed the
+    /// same accumulators). Merging morsel profiles in morsel-index
+    /// order reconstructs the whole-column profile.
     pub fn merge(&mut self, other: ColumnProfile) {
         self.rows += other.rows;
         self.non_numeric += other.non_numeric;
@@ -302,24 +388,6 @@ impl ColumnProfile {
         self.freq.merge(&other.freq);
         self.numbers.extend(other.numbers);
     }
-}
-
-/// Parallel-scan a column supplied by a range reader, merging morsel
-/// profiles in order. `read(start, len)` must return the values of
-/// rows `start..start + len`.
-pub fn profile_with<E, F>(rows: usize, cfg: &ExecConfig, read: F) -> Result<ColumnProfile, E>
-where
-    F: Fn(usize, usize) -> Result<Vec<Value>, E> + Sync,
-    E: Send,
-{
-    let partials = scan_morsels(rows, cfg, |m| {
-        Ok(ColumnProfile::from_values(&read(m.start, m.len)?))
-    })?;
-    let mut profile = ColumnProfile::default();
-    for p in partials {
-        profile.merge(p);
-    }
-    Ok(profile)
 }
 
 /// Parallel column read: morsels are fetched and decoded concurrently,
@@ -353,18 +421,33 @@ where
     })
 }
 
-/// Single-pass parallel profile of one stored column.
+/// Single-pass parallel profile of one stored column, every
+/// accumulator fed.
+pub fn profile_table_column<S>(
+    store: &S,
+    attribute: &str,
+    cfg: &ExecConfig,
+) -> sdbms_columnar::store::Result<ColumnProfile>
+where
+    S: TableStore + Sync + ?Sized,
+{
+    profile_table_column_for(store, attribute, cfg, Accumulators::ALL)
+}
+
+/// Single-pass parallel profile of one stored column, feeding only the
+/// accumulators in `feeds`.
 ///
 /// Each morsel is fetched as a typed [`sdbms_columnar::ColumnBatch`]
 /// — decoded straight from segment bytes on segmented layouts, no
 /// per-row `Value` materialization — and folded by the vectorized
 /// [`kernels::add_batch`] kernel. The result is `==` to the per-cell
-/// oracle ([`profile_values`] of the decoded column) bit for bit, at
-/// every worker count.
-pub fn profile_table_column<S>(
+/// oracle ([`ColumnProfile::of`] the decoded column, merged per
+/// morsel) bit for bit, at every worker count.
+pub fn profile_table_column_for<S>(
     store: &S,
     attribute: &str,
     cfg: &ExecConfig,
+    feeds: Accumulators,
 ) -> sdbms_columnar::store::Result<ColumnProfile>
 where
     S: TableStore + Sync + ?Sized,
@@ -374,21 +457,27 @@ where
         cfg,
         |m| -> sdbms_columnar::store::Result<ColumnProfile> {
             let batch = store.read_column_batch(attribute, m.start, m.len)?;
-            let mut p = ColumnProfile::default();
+            let mut p = ColumnProfile::feeding(feeds);
             kernels::add_batch(&mut p, &batch);
             Ok(p)
         },
     )?;
-    let mut profile = ColumnProfile {
+    Ok(merged(feeds, store.len(), partials))
+}
+
+/// Merge per-morsel partial profiles, in morsel order, into the
+/// profile of the whole `rows`-row column.
+fn merged(feeds: Accumulators, rows: usize, partials: Vec<ColumnProfile>) -> ColumnProfile {
+    let mut profile = ColumnProfile::feeding(feeds);
+    if feeds.contains(Accumulators::NUMBERS) {
         // Upper bound (non-numeric rows contribute nothing); spares
         // the merge loop its reallocation copies.
-        numbers: Vec::with_capacity(store.len()),
-        ..ColumnProfile::default()
-    };
+        profile.numbers.reserve(rows);
+    }
     for p in partials {
         profile.merge(p);
     }
-    Ok(profile)
+    profile
 }
 
 /// Decides whether a scan morsel can be skipped outright.
@@ -418,12 +507,12 @@ impl SegmentPruner for NoPruner {
 /// Profile an in-memory column (morsel-parallel over slices).
 #[must_use]
 pub fn profile_values(values: &[Value], cfg: &ExecConfig) -> ColumnProfile {
-    let result: Result<ColumnProfile, std::convert::Infallible> =
-        profile_with(values.len(), cfg, |start, len| {
-            Ok(values[start..start + len].to_vec())
-        });
-    match result {
-        Ok(p) => p,
+    let partials = scan_morsels(values.len(), cfg, |m| {
+        let morsel = &values[m.start..m.start + m.len];
+        Ok::<_, std::convert::Infallible>(ColumnProfile::from_values(morsel))
+    });
+    match partials {
+        Ok(partials) => merged(Accumulators::ALL, values.len(), partials),
         Err(never) => match never {},
     }
 }

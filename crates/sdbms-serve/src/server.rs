@@ -988,9 +988,9 @@ fn process_query(inner: &Inner, job: &Job, query: &Query) -> Result<Response> {
         BreakerAdmit::Allow | BreakerAdmit::Probe => {}
     }
     // Miss: compute against the pinned snapshot inside a per-request
-    // I/O scope. The snapshot's raw column/row reads are used (not its
-    // memo) so the uncached baseline does the real work every time —
-    // the front cache above is what this layer measures.
+    // I/O scope. Summaries take the engine's miss path past the
+    // snapshot's memo, so the uncached baseline does the real work
+    // every time — the front cache above is what this layer measures.
     let stats = Arc::new(IoStats::default());
     let computed: Result<Payload> = {
         let _scope = IoScope::enter(Arc::clone(&stats));
@@ -1031,12 +1031,9 @@ fn compute_payload(snap: &Snapshot, query: &Query) -> Result<Payload> {
         Query::Summary {
             attribute,
             function,
-        } => {
-            let col = snap.column(attribute)?;
-            Ok(Payload::Summary(
-                function.compute(&col).map_err(CoreError::from)?,
-            ))
-        }
+        } => Ok(Payload::Summary(
+            snap.compute_uncached(attribute, function)?,
+        )),
         Query::Column { attribute } => Ok(Payload::Column(snap.column(attribute)?)),
         Query::Row { index } => Ok(Payload::Row(snap.row(*index)?)),
     }

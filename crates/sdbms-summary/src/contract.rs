@@ -377,9 +377,9 @@ fn lcg_column(seed: u64, n: usize) -> Vec<Value> {
 /// answer against a single computation over the concatenation.
 ///
 /// Histograms get the same treatment the engine gives them
-/// ([`crate::parallel::aux_from_profile`] derives bin edges from the
-/// whole column's profile before partitioning), so both halves are
-/// filled against shared edges.
+/// ([`StatFunction::aux_state`] derives bin edges from the whole
+/// column's profile, never per partition), so both halves are filled
+/// against shared edges.
 #[must_use]
 pub fn verify_merge_law(function: &StatFunction) -> MergeLawStatus {
     let whole = lcg_column(0xA5EE_D001, 96);

@@ -3,14 +3,22 @@
 //! §3.2: "Searching a Summary Database will require using a function
 //! name-attribute name(s) pair as the search argument." A
 //! [`StatFunction`] is the function-name half of that pair, with a
-//! canonical string form (the index key), a batch implementation over
-//! column values, and a *maintenance class* that tells the engine how
-//! the cached result reacts to updates (§4.2's differentiable vs
-//! "difficult" functions).
+//! canonical string form (the index key), a *maintenance class* that
+//! tells the engine how the cached result reacts to updates (§4.2's
+//! differentiable vs "difficult" functions), and the one evaluator:
+//! [`StatFunction::answer`] / [`StatFunction::aux_state`] turn a
+//! column profile into the cached result and its auxiliary state, and
+//! [`StatFunction::accumulators`] / [`StatFunction::aux_accumulators`]
+//! name what that profile must hold.
+//! Every route — miss, stale refresh, maintenance recompute, warm-up,
+//! snapshot, server, scrub — scans typed batches into a profile and
+//! ends here; [`StatFunction::compute`] / [`StatFunction::build_aux`]
+//! profile an in-memory slice and do the same.
 
 use std::fmt;
 
 use sdbms_data::Value;
+use sdbms_exec::{Accumulators, ColumnProfile};
 use sdbms_stats::{descriptive, quantile, FrequencyTable, Histogram, Moments};
 
 use crate::error::Result;
@@ -125,60 +133,104 @@ impl StatFunction {
         !matches!(self, StatFunction::Mode | StatFunction::UniqueCount)
     }
 
-    /// Compute the function over a column of values (missing values
-    /// skipped for numeric functions, counted as a value by Mode /
-    /// UniqueCount only if present).
-    pub fn compute(&self, values: &[Value]) -> Result<SummaryValue> {
-        let nums = || -> Vec<f64> { values.iter().filter_map(Value::as_f64).collect() };
+    /// The profile accumulators [`StatFunction::answer`] reads — what
+    /// a scan that only serves the answer (a snapshot, the server, the
+    /// scrub cross-check) must feed, and nothing more. Count needs only
+    /// the row counts every profile keeps.
+    #[must_use]
+    pub fn accumulators(&self) -> Accumulators {
+        match self {
+            StatFunction::Count => Accumulators::NONE,
+            StatFunction::Mode | StatFunction::UniqueCount => Accumulators::FREQ,
+            _ => Accumulators::NUMBERS,
+        }
+    }
+
+    /// What [`StatFunction::aux_state`] reads on top of that — fed as
+    /// well when the result becomes a Summary Database entry.
+    #[must_use]
+    pub fn aux_accumulators(&self) -> Accumulators {
+        match self {
+            StatFunction::Count
+            | StatFunction::Sum
+            | StatFunction::Mean
+            | StatFunction::Variance
+            | StatFunction::StdDev => Accumulators::MOMENTS,
+            StatFunction::Min | StatFunction::Max => Accumulators::MINMAX,
+            StatFunction::Median | StatFunction::Quantile(500) | StatFunction::Histogram(_) => {
+                Accumulators::NUMBERS
+            }
+            StatFunction::Mode | StatFunction::UniqueCount => Accumulators::FREQ,
+            StatFunction::Quartiles | StatFunction::Quantile(_) | StatFunction::TrimmedMean(..) => {
+                Accumulators::NONE
+            }
+        }
+    }
+
+    /// The function's answer from a column profile — the one
+    /// evaluator. Numeric answers are the `sdbms_stats` slice functions
+    /// over the numeric values in row order (`p.numbers`) and
+    /// Mode / UniqueCount read the frequency table, so the result is a
+    /// pure function of the column: never of the morsel partition, the
+    /// worker count, or the route that built the profile.
+    ///
+    /// # Panics
+    /// If the profile was not fed [`StatFunction::accumulators`] — a
+    /// caller bug that would otherwise cache an answer over no data.
+    pub fn answer(&self, p: &ColumnProfile) -> Result<SummaryValue> {
+        assert!(
+            p.feeds().contains(self.accumulators()),
+            "profile lacks the accumulators {self} reads"
+        );
+        let nums = p.numbers.as_slice();
+        let per_mille = |pm: u16| f64::from(pm) / 1000.0;
         Ok(match self {
-            StatFunction::Count => SummaryValue::Count(nums().len() as u64),
-            StatFunction::Sum => SummaryValue::Scalar(descriptive::sum(&nums())),
-            StatFunction::Mean => SummaryValue::Scalar(descriptive::mean(&nums())?),
-            StatFunction::Variance => SummaryValue::Scalar(descriptive::variance(&nums())?),
-            StatFunction::StdDev => SummaryValue::Scalar(descriptive::std_dev(&nums())?),
-            StatFunction::Min => SummaryValue::Scalar(descriptive::min(&nums())?),
-            StatFunction::Max => SummaryValue::Scalar(descriptive::max(&nums())?),
-            StatFunction::Median => SummaryValue::Scalar(quantile::median(&nums())?),
+            StatFunction::Count => SummaryValue::Count((p.rows - p.non_numeric) as u64),
+            StatFunction::Sum => SummaryValue::Scalar(descriptive::sum(nums)),
+            StatFunction::Mean => SummaryValue::Scalar(descriptive::mean(nums)?),
+            StatFunction::Variance => SummaryValue::Scalar(descriptive::variance(nums)?),
+            StatFunction::StdDev => SummaryValue::Scalar(descriptive::std_dev(nums)?),
+            StatFunction::Min => SummaryValue::Scalar(descriptive::min(nums)?),
+            StatFunction::Max => SummaryValue::Scalar(descriptive::max(nums)?),
+            StatFunction::Median => SummaryValue::Scalar(quantile::median(nums)?),
             StatFunction::Quartiles => {
-                let (q1, q2, q3) = quantile::quartiles(&nums())?;
+                let (q1, q2, q3) = quantile::quartiles(nums)?;
                 SummaryValue::Vector(vec![q1, q2, q3])
             }
             StatFunction::Quantile(pm) => {
-                SummaryValue::Scalar(quantile::quantile(&nums(), f64::from(*pm) / 1000.0)?)
+                SummaryValue::Scalar(quantile::quantile(nums, per_mille(*pm))?)
             }
             StatFunction::Mode => {
-                let t = FrequencyTable::from_values(values.iter());
-                let (v, c) = t.mode()?;
+                let (v, c) = p.freq.mode()?;
                 SummaryValue::ModalValue(v, c)
             }
-            StatFunction::UniqueCount => {
-                let t = FrequencyTable::from_values(values.iter());
-                SummaryValue::Count(t.unique_count() as u64)
-            }
+            StatFunction::UniqueCount => SummaryValue::Count(p.freq.unique_count() as u64),
             StatFunction::Histogram(bins) => {
-                let h = Histogram::from_data(&nums(), usize::from(*bins))?;
-                SummaryValue::Histogram(h)
+                SummaryValue::Histogram(Histogram::from_data(nums, usize::from(*bins))?)
             }
             StatFunction::TrimmedMean(lo, hi) => SummaryValue::Scalar(quantile::trimmed_mean(
-                &nums(),
-                f64::from(*lo) / 1000.0,
-                f64::from(*hi) / 1000.0,
+                nums,
+                per_mille(*lo),
+                per_mille(*hi),
             )?),
         })
     }
 
-    /// Build the auxiliary maintenance state for this function over the
-    /// same column (None for [`MaintenanceClass::NonIncremental`]).
+    /// The auxiliary maintenance state for this function from the same
+    /// profile (None for [`MaintenanceClass::NonIncremental`]). Moments
+    /// and extremes are the profile's own accumulators.
+    ///
+    /// # Panics
+    /// If the profile was not fed [`StatFunction::aux_accumulators`].
     #[must_use]
-    pub fn build_aux(&self, values: &[Value]) -> Option<AuxState> {
-        let nums = || -> Vec<f64> { values.iter().filter_map(Value::as_f64).collect() };
+    pub fn aux_state(&self, p: &ColumnProfile) -> Option<AuxState> {
+        assert!(
+            p.feeds().contains(self.aux_accumulators()),
+            "profile lacks the accumulators {self}'s aux state reads"
+        );
         match self.maintenance_class() {
-            MaintenanceClass::Differentiable => {
-                Some(AuxState::Moments(Moments::from_slice(&nums())))
-            }
-            MaintenanceClass::SemiDifferentiable => Some(AuxState::MinMax(
-                sdbms_stats::MinMaxAcc::from_slice(&nums()),
-            )),
+            MaintenanceClass::Differentiable => Some(AuxState::Moments(p.moments)),
+            MaintenanceClass::SemiDifferentiable => Some(AuxState::MinMax(p.minmax)),
             MaintenanceClass::OrderStatistic => {
                 // The §4.2 window tracks the *median* region only. For
                 // other quantiles (and the Q1/Q3 of Quartiles) it can
@@ -190,26 +242,40 @@ impl StatFunction {
                 }
                 let mut w =
                     crate::median_window::MedianWindow::new(crate::median_window::DEFAULT_WINDOW);
-                w.rebuild(&nums());
+                w.rebuild(&p.numbers);
                 Some(AuxState::Window(w))
             }
             MaintenanceClass::Distributional => match self {
-                StatFunction::Histogram(bins) => Histogram::from_data(&nums(), usize::from(*bins))
-                    .ok()
-                    .map(AuxState::Histo),
-                _ => {
-                    let t = FrequencyTable::from_values(values.iter());
-                    // A frequency table over a near-key column is as
-                    // large as the column itself; persisting it as
-                    // auxiliary state would defeat the cache (even
-                    // though long records could hold it). Beyond this
-                    // bound the entry falls back to the §4.3
-                    // invalidate-and-regenerate policy (aux = None).
-                    (t.unique_count() <= MAX_FREQ_AUX_DISTINCT).then_some(AuxState::Freq(t))
+                StatFunction::Histogram(bins) => {
+                    Histogram::from_data(&p.numbers, usize::from(*bins))
+                        .ok()
+                        .map(AuxState::Histo)
                 }
+                // A frequency table over a near-key column is as
+                // large as the column itself; persisting it as
+                // auxiliary state would defeat the cache (even
+                // though long records could hold it). Beyond this
+                // bound the entry falls back to the §4.3
+                // invalidate-and-regenerate policy (aux = None).
+                _ => (p.freq.unique_count() <= MAX_FREQ_AUX_DISTINCT)
+                    .then(|| AuxState::Freq(p.freq.clone())),
             },
             MaintenanceClass::NonIncremental => None,
         }
+    }
+
+    /// [`StatFunction::answer`] over an in-memory column (missing
+    /// values skipped for numeric functions, counted as a value by
+    /// Mode / UniqueCount only if present) — for data that is not in a
+    /// store: the archive fallback, the contract checker, test oracles.
+    pub fn compute(&self, values: &[Value]) -> Result<SummaryValue> {
+        self.answer(&ColumnProfile::of(values, self.accumulators()))
+    }
+
+    /// [`StatFunction::aux_state`] over an in-memory column.
+    #[must_use]
+    pub fn build_aux(&self, values: &[Value]) -> Option<AuxState> {
+        self.aux_state(&ColumnProfile::of(values, self.aux_accumulators()))
     }
 
     /// Re-derive the cached result from auxiliary state alone (no data
@@ -478,5 +544,107 @@ mod tests {
             StatFunction::Count.compute(&[Value::Missing]).unwrap(),
             SummaryValue::Count(0)
         );
+    }
+
+    fn every_function() -> Vec<StatFunction> {
+        let mut fns = standing_summary_functions();
+        fns.extend([
+            StatFunction::Sum,
+            StatFunction::Variance,
+            StatFunction::StdDev,
+            StatFunction::Quantile(50),
+            StatFunction::Quantile(500),
+            StatFunction::Quantile(950),
+            StatFunction::TrimmedMean(50, 950),
+        ]);
+        fns
+    }
+
+    /// `function` written directly against `sdbms_stats` — the oracle
+    /// the evaluator is pinned to. Deliberately shares no code with
+    /// [`StatFunction::answer`].
+    fn by_hand(f: &StatFunction, col: &[Value]) -> Result<SummaryValue> {
+        let nums: Vec<f64> = col.iter().filter_map(Value::as_f64).collect();
+        let freq = FrequencyTable::from_values(col);
+        Ok(match f {
+            StatFunction::Count => SummaryValue::Count(nums.len() as u64),
+            StatFunction::Sum => SummaryValue::Scalar(descriptive::sum(&nums)),
+            StatFunction::Mean => SummaryValue::Scalar(descriptive::mean(&nums)?),
+            StatFunction::Variance => SummaryValue::Scalar(descriptive::variance(&nums)?),
+            StatFunction::StdDev => SummaryValue::Scalar(descriptive::std_dev(&nums)?),
+            StatFunction::Min => SummaryValue::Scalar(descriptive::min(&nums)?),
+            StatFunction::Max => SummaryValue::Scalar(descriptive::max(&nums)?),
+            StatFunction::Median => SummaryValue::Scalar(quantile::median(&nums)?),
+            StatFunction::Quartiles => {
+                let (a, b, c) = quantile::quartiles(&nums)?;
+                SummaryValue::Vector(vec![a, b, c])
+            }
+            StatFunction::Quantile(pm) => {
+                SummaryValue::Scalar(quantile::quantile(&nums, f64::from(*pm) / 1000.0)?)
+            }
+            StatFunction::Mode => {
+                let (v, c) = freq.mode()?;
+                SummaryValue::ModalValue(v, c)
+            }
+            StatFunction::UniqueCount => SummaryValue::Count(freq.unique_count() as u64),
+            StatFunction::Histogram(b) => {
+                SummaryValue::Histogram(Histogram::from_data(&nums, usize::from(*b))?)
+            }
+            StatFunction::TrimmedMean(lo, hi) => SummaryValue::Scalar(quantile::trimmed_mean(
+                &nums,
+                f64::from(*lo) / 1000.0,
+                f64::from(*hi) / 1000.0,
+            )?),
+        })
+    }
+
+    /// Byte-level equality: `SummaryValue`'s `==` calls 0.0 and -0.0
+    /// equal and NaN unequal to itself; the stored encoding does not.
+    fn same_bytes(a: &Result<SummaryValue>, b: &Result<SummaryValue>) -> bool {
+        match (a, b) {
+            (Ok(a), Ok(b)) => a.encode() == b.encode(),
+            (Err(_), Err(_)) => true,
+            _ => false,
+        }
+    }
+
+    proptest::proptest! {
+        /// The evaluator is the `sdbms_stats` slice functions over the
+        /// numeric values in row order, bit for bit — whichever way the
+        /// profile was built: straight pass, only the accumulators the
+        /// function names, or morsel-merged at any partition.
+        #[test]
+        fn evaluator_is_the_stats_crate_bit_for_bit(
+            parts in proptest::collection::vec((0u8..5, -4_000i64..4_000), 0..400),
+            morsel_rows in 3usize..97,
+        ) {
+            let col: Vec<Value> = parts
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => Value::Missing,
+                    1 => Value::Code(x.unsigned_abs() as u32 % 12),
+                    2 => Value::Float(x as f64 / 8.0),
+                    3 => Value::Float(if x % 2 == 0 { 0.0 } else { -0.0 }),
+                    _ => Value::Int(x % 257),
+                })
+                .collect();
+            let whole = ColumnProfile::from_values(&col);
+            let cfg = sdbms_exec::ExecConfig { workers: 2, morsel_rows };
+            let merged = sdbms_exec::profile_values(&col, &cfg);
+            for f in every_function() {
+                let want = by_hand(&f, &col);
+                proptest::prop_assert!(same_bytes(&f.compute(&col), &want), "{} compute", f);
+                proptest::prop_assert!(same_bytes(&f.answer(&whole), &want), "{} whole", f);
+                proptest::prop_assert!(same_bytes(&f.answer(&merged), &want), "{} merged", f);
+                proptest::prop_assert_eq!(f.build_aux(&col), f.aux_state(&whole), "{} aux", f);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lacks the accumulators")]
+    fn answering_from_an_underfed_profile_is_a_bug() {
+        let p = ColumnProfile::of(&col(), StatFunction::Mode.accumulators());
+        let _ = StatFunction::Mean.answer(&p);
     }
 }

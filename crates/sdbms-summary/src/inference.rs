@@ -158,7 +158,7 @@ pub fn infer(db: &SummaryDb, attribute: &str, function: &StatFunction) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maintain::{get_or_compute, AccuracyPolicy};
+    use crate::maintain::{get_or_compute_resilient, AccuracyPolicy};
     use sdbms_data::Value;
     use sdbms_storage::StorageEnv;
 
@@ -174,7 +174,8 @@ mod tests {
 
     fn seed(db: &SummaryDb, col: &[Value], fns: &[StatFunction]) {
         for f in fns {
-            get_or_compute(db, "X", f, AccuracyPolicy::Exact, &mut || Ok(col.to_vec())).unwrap();
+            let mut source = |feeds| Ok(sdbms_exec::ColumnProfile::of(col, feeds));
+            get_or_compute_resilient(db, "X", f, AccuracyPolicy::Exact, &mut source, None).unwrap();
         }
     }
 

@@ -9,7 +9,8 @@
 //! by invalidation and lazy regeneration (§4.3).
 //!
 //! - [`function`] — the function catalogue with per-function
-//!   maintenance classes and auxiliary state builders.
+//!   maintenance classes and the one evaluator: column profile →
+//!   answer and auxiliary state.
 //! - [`contract`] — per-function maintenance contracts (strategy per
 //!   update kind) and the executable merge-law oracle the static
 //!   soundness checker audits against.
@@ -20,8 +21,8 @@
 //! - [`median_window`] — the §4.2 "histogram with a pointer" for order
 //!   statistics.
 //! - [`maintain`] — the update engine: incremental / invalidate-lazy /
-//!   eager policies, user accuracy tolerances, and the
-//!   compute-on-miss lookup path.
+//!   eager policies, user accuracy tolerances, warm-up, and the one
+//!   compute-on-miss lookup path (batch scan → profile → answer).
 //! - [`inference`] — §5.1's "Database Abstract" rules: derive a missing
 //!   function exactly from other cached entries (mean = sum/count) or
 //!   as a histogram-based estimate.
@@ -38,7 +39,6 @@ pub mod function;
 pub mod inference;
 pub mod maintain;
 pub mod median_window;
-pub mod parallel;
 pub mod value;
 pub mod wal;
 
@@ -52,13 +52,9 @@ pub use error::{Result, SummaryError};
 pub use function::{standing_summary_functions, AuxState, MaintenanceClass, StatFunction};
 pub use inference::{infer, Inferred};
 pub use maintain::{
-    apply_updates, get_or_compute, get_or_compute_resilient, quarantinable, refresh_entry,
-    AccuracyPolicy, ComputeSource, MaintenancePolicy, MaintenanceReport, UpdateDelta,
+    apply_updates, get_or_compute_resilient, quarantinable, warm_attribute, AccuracyPolicy,
+    ComputeSource, MaintenancePolicy, MaintenanceReport, ProfileSource, UpdateDelta,
 };
 pub use median_window::{MedianWindow, DEFAULT_WINDOW};
-pub use parallel::{
-    aux_from_profile, compute_from_profile, refresh_entry_from_profile, regenerate_attribute,
-    warm_attribute,
-};
 pub use value::SummaryValue;
 pub use wal::{Intent, IntentLog};

@@ -14,8 +14,16 @@
 //! sweeps it. [`AccuracyPolicy`] is the user-communicated tolerance of
 //! §3.2 ("the user should have the capability of communicating his
 //! wishes regarding the desired accuracy").
+//!
+//! Whenever an entry must be (re)computed from data — a lookup miss, a
+//! stale refresh, a maintenance recompute, a warm-up — the caller's
+//! [`ProfileSource`] scans the stored column once, feeding exactly the
+//! accumulators the functions at hand read, and
+//! [`StatFunction::answer`] / [`StatFunction::aux_state`] turn that
+//! profile into the entry. There is no other way in.
 
 use sdbms_data::Value;
+use sdbms_exec::{Accumulators, ColumnProfile};
 use sdbms_stats::ExtremeAfterRemove;
 
 use crate::db::{Entry, Freshness, SummaryDb};
@@ -106,37 +114,54 @@ pub fn quarantinable(e: &SummaryError) -> bool {
     }
 }
 
+/// Where recomputes get a stored column from: one batch scan feeding
+/// the requested accumulators (a superset is fine, a subset is not).
+pub type ProfileSource<'a> = dyn FnMut(Accumulators) -> Result<ColumnProfile> + 'a;
+
+/// The accumulators a scan must feed to build entries (answer and
+/// auxiliary state) for all of `functions`.
+fn accumulators_for<'a>(functions: impl IntoIterator<Item = &'a StatFunction>) -> Accumulators {
+    functions.into_iter().fold(Accumulators::NONE, |acc, f| {
+        acc.union(f.accumulators()).union(f.aux_accumulators())
+    })
+}
+
+/// A fresh entry for `function(attribute)` from a column profile.
+fn fresh_entry(
+    db: &SummaryDb,
+    attribute: &str,
+    function: &StatFunction,
+    profile: &ColumnProfile,
+) -> Result<Entry> {
+    let result = function.answer(profile)?;
+    db.note_recompute();
+    Ok(Entry {
+        attribute: attribute.to_string(),
+        function: function.clone(),
+        result,
+        freshness: Freshness::Fresh,
+        aux: function.aux_state(profile),
+        updates_since_refresh: 0,
+    })
+}
+
 /// Apply one batch of updates on `attribute` to every cached entry of
-/// that attribute. `column` supplies the post-update column values and
-/// is called at most once (only when some entry must be recomputed).
+/// that attribute. `profile` scans the post-update column and is called
+/// at most once, for exactly the entries that must be recomputed.
 pub fn apply_updates(
     db: &SummaryDb,
     attribute: &str,
     deltas: &[UpdateDelta],
     policy: MaintenancePolicy,
-    column: &mut dyn FnMut() -> Result<Vec<Value>>,
+    profile: &mut ProfileSource<'_>,
 ) -> Result<MaintenanceReport> {
     let mut report = MaintenanceReport::default();
     if deltas.is_empty() {
         return Ok(report);
     }
-    let entries = db.entries_for_attribute(attribute)?;
-    if entries.is_empty() {
-        return Ok(report);
-    }
-    let mut column_cache: Option<Vec<Value>> = None;
-    let mut fetch_column = |cache: &mut Option<Vec<Value>>| -> Result<Vec<Value>> {
-        match cache {
-            Some(col) => Ok(col.clone()),
-            None => {
-                let col = column()?;
-                *cache = Some(col.clone());
-                Ok(col)
-            }
-        }
-    };
-
-    for mut entry in entries {
+    // Functions whose entries need the data; one scan serves them all.
+    let mut rescan: Vec<StatFunction> = Vec::new();
+    for mut entry in db.entries_for_attribute(attribute)? {
         entry.updates_since_refresh = entry
             .updates_since_refresh
             .saturating_add(deltas.len() as u32);
@@ -147,53 +172,71 @@ pub fn apply_updates(
                 report.invalidated += 1;
                 db.put(&entry)?;
             }
-            MaintenancePolicy::EagerRecompute => {
-                let col = fetch_column(&mut column_cache)?;
-                refresh_entry(db, &mut entry, &col)?;
-                report.recomputed += 1;
-                db.put(&entry)?;
-            }
+            MaintenancePolicy::EagerRecompute => rescan.push(entry.function),
             MaintenancePolicy::Incremental => {
                 // A stale entry stays stale (no aux to maintain).
-                if entry.freshness == Freshness::Stale || entry.aux.is_none() {
+                let (Freshness::Fresh, Some(aux)) = (entry.freshness, entry.aux.as_mut()) else {
                     entry.freshness = Freshness::Stale;
                     entry.aux = None;
                     report.invalidated += 1;
                     db.put(&entry)?;
                     continue;
-                }
-                let ok = match entry.aux.as_mut() {
-                    Some(aux) => apply_deltas_to_aux(aux, deltas),
-                    None => false,
                 };
-                let new_result = if ok {
-                    entry
-                        .aux
-                        .as_ref()
-                        .and_then(|aux| entry.function.result_from_aux(aux))
-                } else {
-                    None
-                };
-                match new_result {
+                let maintained = apply_deltas_to_aux(aux, deltas)
+                    .then(|| entry.function.result_from_aux(aux))
+                    .flatten();
+                match maintained {
                     Some(result) => {
                         entry.result = result;
                         db.note_incremental();
                         report.incremental += 1;
                         db.put(&entry)?;
                     }
-                    None => {
-                        // Aux signalled a rescan (deleted extreme, window
-                        // ran off, or non-derivable result): recompute.
-                        let col = fetch_column(&mut column_cache)?;
-                        refresh_entry(db, &mut entry, &col)?;
-                        report.recomputed += 1;
-                        db.put(&entry)?;
-                    }
+                    // Aux signalled a rescan (deleted extreme, window
+                    // ran off, or non-derivable result): recompute.
+                    None => rescan.push(entry.function),
                 }
             }
         }
     }
+    if !rescan.is_empty() {
+        let p = profile(accumulators_for(&rescan))?;
+        for function in &rescan {
+            db.put(&fresh_entry(db, attribute, function, &p)?)?;
+            report.recomputed += 1;
+        }
+    }
     Ok(report)
+}
+
+/// Warm `functions` for `attribute`: a multi-function miss. Entries
+/// already fresh are kept; the rest are filled from one scan feeding
+/// what they read (no scan at all when nothing is cold). Functions the
+/// column cannot support (e.g. mean of an all-missing column) are
+/// skipped. Returns how many entries are fresh afterwards.
+pub fn warm_attribute(
+    db: &SummaryDb,
+    attribute: &str,
+    functions: &[StatFunction],
+    profile: &mut ProfileSource<'_>,
+) -> Result<usize> {
+    let mut cold = Vec::new();
+    for f in functions {
+        if db.lookup_fresh(attribute, f)?.is_none() {
+            cold.push(f);
+        }
+    }
+    let mut warmed = functions.len() - cold.len();
+    if !cold.is_empty() {
+        let p = profile(accumulators_for(cold.iter().copied()))?;
+        for f in cold {
+            if let Ok(entry) = fresh_entry(db, attribute, f, &p) {
+                db.put(&entry)?;
+                warmed += 1;
+            }
+        }
+    }
+    Ok(warmed)
 }
 
 /// Apply deltas to one auxiliary state. Returns `false` when the state
@@ -260,60 +303,11 @@ fn apply_deltas_to_aux(aux: &mut AuxState, deltas: &[UpdateDelta]) -> bool {
     true
 }
 
-/// Recompute an entry's result and auxiliary state from column data.
-pub fn refresh_entry(db: &SummaryDb, entry: &mut Entry, column: &[Value]) -> Result<()> {
-    entry.result = entry.function.compute(column)?;
-    entry.aux = entry.function.build_aux(column);
-    entry.freshness = Freshness::Fresh;
-    entry.updates_since_refresh = 0;
-    db.note_recompute();
-    Ok(())
-}
-
-/// The lookup path: serve from cache when the accuracy policy allows,
-/// otherwise compute (and cache) from column data. This is the §3.2
-/// search algorithm: "If the desired pair is found, the corresponding
-/// result will be returned. Otherwise, after the function has been
-/// applied… the new information will be inserted into the Summary
-/// Database."
-pub fn get_or_compute(
-    db: &SummaryDb,
-    attribute: &str,
-    function: &StatFunction,
-    accuracy: AccuracyPolicy,
-    column: &mut dyn FnMut() -> Result<Vec<Value>>,
-) -> Result<(SummaryValue, ComputeSource)> {
-    if let Some(entry) = db.lookup(attribute, function)? {
-        match (entry.freshness, accuracy) {
-            (Freshness::Fresh, _) => return Ok((entry.result, ComputeSource::Cache)),
-            (Freshness::Stale, AccuracyPolicy::Tolerate(k)) if entry.updates_since_refresh <= k => {
-                return Ok((entry.result, ComputeSource::CacheTolerated));
-            }
-            (Freshness::Stale, _) => {
-                let col = column()?;
-                let mut entry = entry;
-                refresh_entry(db, &mut entry, &col)?;
-                db.put(&entry)?;
-                return Ok((entry.result, ComputeSource::Computed));
-            }
-        }
-    }
-    // Miss: compute, insert, return.
-    let col = column()?;
-    let mut entry = Entry {
-        attribute: attribute.to_string(),
-        function: function.clone(),
-        result: SummaryValue::Scalar(0.0), // placeholder, refreshed below
-        freshness: Freshness::Fresh,
-        aux: None,
-        updates_since_refresh: 0,
-    };
-    refresh_entry(db, &mut entry, &col)?;
-    db.put(&entry)?;
-    Ok((entry.result, ComputeSource::Computed))
-}
-
-/// [`get_or_compute`] with graceful degradation (§fault tolerance):
+/// The lookup path — the §3.2 search algorithm: "If the desired pair
+/// is found, the corresponding result will be returned. Otherwise,
+/// after the function has been applied… the new information will be
+/// inserted into the Summary Database." With graceful degradation
+/// (§fault tolerance):
 ///
 /// - A damaged cache entry (storage fault or undecodable bytes during
 ///   lookup) is **quarantined** — removed and counted — and the lookup
@@ -321,10 +315,10 @@ pub fn get_or_compute(
 /// - A failure while *writing back* a recomputed entry is tolerated:
 ///   the freshly computed value is still served; only the caching is
 ///   lost.
-/// - If the view column itself cannot be read (damaged concrete view)
-///   and a `fallback` source is given (the raw archive), the answer is
-///   computed from the fallback and served as
-///   [`ComputeSource::Fallback`], without being cached.
+/// - If the view column itself cannot be scanned (damaged concrete
+///   view) and a `fallback` source is given (the raw archive), the
+///   answer is computed from the fallback's in-memory column and served
+///   as [`ComputeSource::Fallback`], without being cached.
 ///
 /// Crashes ([`sdbms_storage::StorageError::Crashed`]) are never
 /// degraded around — they propagate so the caller can restart and
@@ -334,7 +328,7 @@ pub fn get_or_compute_resilient(
     attribute: &str,
     function: &StatFunction,
     accuracy: AccuracyPolicy,
-    column: &mut dyn FnMut() -> Result<Vec<Value>>,
+    profile: &mut ProfileSource<'_>,
     fallback: Option<&mut dyn FnMut() -> Result<Vec<Value>>>,
 ) -> Result<(SummaryValue, ComputeSource)> {
     // Lookup with quarantine: a damaged entry becomes a miss.
@@ -359,27 +353,15 @@ pub fn get_or_compute_resilient(
     }
     // Miss (or stale-needs-refresh): compute from the view column,
     // degrading to the fallback source if the view is damaged.
-    let col = match column() {
-        Ok(col) => col,
+    let p = match profile(accumulators_for([function])) {
+        Ok(p) => p,
         Err(e) if quarantinable(&e) => match fallback {
-            Some(fb) => {
-                let col = fb()?;
-                let result = function.compute(&col)?;
-                return Ok((result, ComputeSource::Fallback));
-            }
+            Some(fb) => return Ok((function.compute(&fb()?)?, ComputeSource::Fallback)),
             None => return Err(e),
         },
         Err(e) => return Err(e),
     };
-    let mut entry = Entry {
-        attribute: attribute.to_string(),
-        function: function.clone(),
-        result: SummaryValue::Scalar(0.0), // placeholder, refreshed below
-        freshness: Freshness::Fresh,
-        aux: None,
-        updates_since_refresh: 0,
-    };
-    refresh_entry(db, &mut entry, &col)?;
+    let entry = fresh_entry(db, attribute, function, &p)?;
     // Cache write-back is best-effort: a fault here loses the caching,
     // not the answer.
     match db.put(&entry) {
@@ -407,6 +389,23 @@ mod tests {
         xs.iter().map(|&x| Value::Int(x)).collect()
     }
 
+    /// An in-memory column as a [`ProfileSource`], fed exactly what is
+    /// asked for so a wrong accumulator set trips the evaluator.
+    fn source(col: &[Value]) -> impl FnMut(Accumulators) -> Result<ColumnProfile> + '_ {
+        |feeds| Ok(ColumnProfile::of(col, feeds))
+    }
+
+    /// The lookup path with no archive fallback.
+    fn look_up(
+        db: &SummaryDb,
+        attr: &str,
+        f: &StatFunction,
+        accuracy: AccuracyPolicy,
+        profile: &mut ProfileSource<'_>,
+    ) -> Result<(SummaryValue, ComputeSource)> {
+        get_or_compute_resilient(db, attr, f, accuracy, profile, None)
+    }
+
     fn delta(old: i64, new: i64) -> UpdateDelta {
         UpdateDelta {
             old: Value::Int(old),
@@ -417,9 +416,7 @@ mod tests {
     /// Seed the cache with a set of functions over `col`.
     fn seed(db: &SummaryDb, attr: &str, col: &[Value], fns: &[StatFunction]) {
         for f in fns {
-            let (_, src) =
-                get_or_compute(db, attr, f, AccuracyPolicy::Exact, &mut || Ok(col.to_vec()))
-                    .unwrap();
+            let (_, src) = look_up(db, attr, f, AccuracyPolicy::Exact, &mut source(col)).unwrap();
             assert_eq!(src, ComputeSource::Computed);
         }
     }
@@ -431,9 +428,9 @@ mod tests {
         let f = StatFunction::Mean;
         seed(&db, "X", &col, std::slice::from_ref(&f));
         let mut calls = 0;
-        let (v, src) = get_or_compute(&db, "X", &f, AccuracyPolicy::Exact, &mut || {
+        let (v, src) = look_up(&db, "X", &f, AccuracyPolicy::Exact, &mut |feeds| {
             calls += 1;
-            Ok(col.clone())
+            source(&col)(feeds)
         })
         .unwrap();
         assert_eq!(src, ComputeSource::Cache);
@@ -465,7 +462,7 @@ mod tests {
             "X",
             &[delta(5, 7)],
             MaintenancePolicy::Incremental,
-            &mut || panic!("incremental maintenance must not read the column"),
+            &mut |_| panic!("incremental maintenance must not read the column"),
         )
         .unwrap();
         assert_eq!(report.incremental, fns.len());
@@ -492,9 +489,10 @@ mod tests {
             "X",
             &[delta(1, 4)], // removes the minimum
             MaintenancePolicy::Incremental,
-            &mut || {
+            &mut |feeds| {
                 fetches += 1;
-                Ok(int_col(&[4, 5, 9]))
+                assert_eq!(feeds, accumulators_for([&StatFunction::Min]), "min only");
+                source(&int_col(&[4, 5, 9]))(feeds)
             },
         )
         .unwrap();
@@ -515,38 +513,38 @@ mod tests {
             "X",
             &[delta(100, 5)],
             MaintenancePolicy::InvalidateLazy,
-            &mut || panic!("lazy policy must not read data"),
+            &mut |_| panic!("lazy policy must not read data"),
         )
         .unwrap();
         // Tolerant read serves the stale value without data access.
-        let (v, src) = get_or_compute(
+        let (v, src) = look_up(
             &db,
             "X",
             &StatFunction::Median,
             AccuracyPolicy::Tolerate(5),
-            &mut || panic!("tolerated read must not read data"),
+            &mut |_| panic!("tolerated read must not read data"),
         )
         .unwrap();
         assert_eq!(src, ComputeSource::CacheTolerated);
         assert_eq!(v, SummaryValue::Scalar(3.0), "old median");
         // Exact read recomputes.
-        let (v, src) = get_or_compute(
+        let (v, src) = look_up(
             &db,
             "X",
             &StatFunction::Median,
             AccuracyPolicy::Exact,
-            &mut || Ok(int_col(&[1, 2, 3, 4, 5])),
+            &mut source(&int_col(&[1, 2, 3, 4, 5])),
         )
         .unwrap();
         assert_eq!(src, ComputeSource::Computed);
         assert_eq!(v, SummaryValue::Scalar(3.0));
         // Now fresh again.
-        let (_, src) = get_or_compute(
+        let (_, src) = look_up(
             &db,
             "X",
             &StatFunction::Median,
             AccuracyPolicy::Exact,
-            &mut || panic!("fresh"),
+            &mut |_| panic!("fresh"),
         )
         .unwrap();
         assert_eq!(src, ComputeSource::Cache);
@@ -564,15 +562,15 @@ mod tests {
             "X",
             &deltas,
             MaintenancePolicy::InvalidateLazy,
-            &mut || unreachable!(),
+            &mut |_| unreachable!(),
         )
         .unwrap();
-        let (_, src) = get_or_compute(
+        let (_, src) = look_up(
             &db,
             "X",
             &StatFunction::Mean,
             AccuracyPolicy::Tolerate(2),
-            &mut || Ok(int_col(&[10, 11, 12])),
+            &mut source(&int_col(&[10, 11, 12])),
         )
         .unwrap();
         assert_eq!(src, ComputeSource::Computed, "3 updates > tolerance 2");
@@ -589,9 +587,9 @@ mod tests {
             "X",
             &[delta(1, 9)],
             MaintenancePolicy::EagerRecompute,
-            &mut || {
+            &mut |feeds| {
                 fetches += 1;
-                Ok(int_col(&[9, 2, 3, 4]))
+                source(&int_col(&[9, 2, 3, 4]))(feeds)
             },
         )
         .unwrap();
@@ -611,7 +609,7 @@ mod tests {
             "X",
             &[delta(50, 51)],
             MaintenancePolicy::Incremental,
-            &mut || panic!("should invalidate, not recompute"),
+            &mut |_| panic!("should invalidate, not recompute"),
         )
         .unwrap();
         assert_eq!(report.invalidated, 1);
@@ -645,7 +643,7 @@ mod tests {
                 new: Value::Missing,
             }],
             MaintenancePolicy::Incremental,
-            &mut || unreachable!(),
+            &mut |_| unreachable!(),
         )
         .unwrap();
         let count = db.lookup_fresh("X", &StatFunction::Count).unwrap().unwrap();
@@ -663,7 +661,7 @@ mod tests {
                 new: Value::Int(35),
             }],
             MaintenancePolicy::Incremental,
-            &mut || unreachable!(),
+            &mut |_| unreachable!(),
         )
         .unwrap();
         let sum = db.lookup_fresh("X", &StatFunction::Sum).unwrap().unwrap();
@@ -678,9 +676,108 @@ mod tests {
             "NEVER_CACHED",
             &[delta(1, 2)],
             MaintenancePolicy::Incremental,
-            &mut || unreachable!(),
+            &mut |_| unreachable!(),
         )
         .unwrap();
         assert_eq!(report, MaintenanceReport::default());
+    }
+
+    fn mixed_col() -> Vec<Value> {
+        (0..500i64)
+            .map(|i| match i % 7 {
+                0 => Value::Missing,
+                1 | 2 => Value::Int(i % 23),
+                _ => Value::Int((i * 37) % 101),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn eager_pass_refreshes_stale_entries_of_every_class() {
+        let db = db();
+        let col = mixed_col();
+        let mut fns = crate::function::standing_summary_functions();
+        fns.extend([
+            StatFunction::Sum,
+            StatFunction::Variance,
+            StatFunction::Quantile(250),
+            StatFunction::TrimmedMean(100, 900),
+        ]);
+        seed(&db, "X", &col, &fns);
+        let change = [UpdateDelta {
+            old: col[1].clone(),
+            new: Value::Int(2),
+        }];
+        // Stale everything via the lazy policy…
+        apply_updates(
+            &db,
+            "X",
+            &change,
+            MaintenancePolicy::InvalidateLazy,
+            &mut |_| unreachable!("lazy policy reads no data"),
+        )
+        .unwrap();
+        // …then one eager pass regenerates all of them from one scan.
+        let mut new_col = col.clone();
+        new_col[1] = Value::Int(2);
+        let mut fetches = 0;
+        let report = apply_updates(
+            &db,
+            "X",
+            &change,
+            MaintenancePolicy::EagerRecompute,
+            &mut |feeds| {
+                fetches += 1;
+                assert_eq!(
+                    feeds,
+                    Accumulators::ALL,
+                    "the standing set reads everything"
+                );
+                source(&new_col)(feeds)
+            },
+        )
+        .unwrap();
+        assert_eq!((report.recomputed, fetches), (fns.len(), 1));
+        for f in &fns {
+            let entry = db
+                .lookup_fresh("X", f)
+                .unwrap()
+                .unwrap_or_else(|| panic!("{f} should be fresh after regeneration"));
+            assert_eq!(entry.updates_since_refresh, 0);
+            assert_eq!(entry.result, f.compute(&new_col).unwrap(), "{f}");
+            assert_eq!(entry.aux, f.build_aux(&new_col), "{f}");
+        }
+    }
+
+    #[test]
+    fn warm_populates_and_respects_fresh_entries() {
+        let db = db();
+        let col = mixed_col();
+        let fns = crate::function::standing_summary_functions();
+        let warmed = warm_attribute(&db, "X", &fns, &mut source(&col)).unwrap();
+        assert_eq!(warmed, fns.len());
+        let recomputes = db.stats().recomputes;
+        // Second warm: everything fresh already — no scan, no new
+        // computation.
+        let again = warm_attribute(&db, "X", &fns, &mut |_| panic!("nothing is cold")).unwrap();
+        assert_eq!(again, fns.len());
+        assert_eq!(db.stats().recomputes, recomputes);
+    }
+
+    #[test]
+    fn warm_skips_unsupported_functions() {
+        let db = db();
+        // All-missing column: numeric functions cannot be computed.
+        let col = vec![Value::Missing; 10];
+        let warmed = warm_attribute(
+            &db,
+            "X",
+            &[StatFunction::Mean, StatFunction::Mode, StatFunction::Count],
+            &mut source(&col),
+        )
+        .unwrap();
+        // Mode (missing counts as a value) and Count (0) succeed.
+        assert_eq!(warmed, 2);
+        assert!(db.lookup_fresh("X", &StatFunction::Mean).unwrap().is_none());
     }
 }

@@ -771,15 +771,10 @@ fn slow_fault_schedules_trip_deadlines_but_never_change_served_bytes() {
     }
 }
 
-#[test]
-fn corrupted_summary_pages_are_quarantined_and_recomputed() {
-    let mut dbms = setup();
-    let expected_col = dbms.column("v", "INCOME").expect("column");
-    let expected = StatFunction::Mean.compute(&expected_col).expect("mean");
-
-    // Silently flip a bit in every disk page except the intent log —
-    // summary store and view store alike — then restart so the next
-    // reads hit the damaged disk instead of clean pool frames.
+/// Silently flip a bit in every disk page except the intent log —
+/// summary store and view store alike — then restart so the next
+/// reads hit the damaged disk instead of clean pool frames.
+fn corrupt_all_but_the_wal_and_restart(dbms: &mut StatDbms) {
     let wal_pages = dbms
         .view("v")
         .expect("view")
@@ -795,6 +790,14 @@ fn corrupted_summary_pages_are_quarantined_and_recomputed() {
     }
     let report = dbms.recover().expect("restart");
     assert!(report.views_recovered.is_empty(), "no intent was pending");
+}
+
+#[test]
+fn corrupted_summary_pages_are_quarantined_and_recomputed() {
+    let mut dbms = setup();
+    let expected_col = dbms.column("v", "INCOME").expect("column");
+    let expected = StatFunction::Mean.compute(&expected_col).expect("mean");
+    corrupt_all_but_the_wal_and_restart(&mut dbms);
 
     // The cache entry and the view column are both unreadable now, so
     // the lookup quarantines the damaged entry and the answer comes
@@ -810,6 +813,36 @@ fn corrupted_summary_pages_are_quarantined_and_recomputed() {
     assert!(
         dbms.cache_stats("v").expect("stats").quarantined > 0,
         "damaged entries were quarantined"
+    );
+}
+
+/// The archive fallback of a view still marked healthy replays the
+/// cleaning history, exactly as the degraded route does: an analyst's
+/// edits are not lost with the concrete view's pages.
+#[test]
+fn archive_fallback_of_a_healthy_view_keeps_the_analysts_edits() {
+    let mut dbms = setup();
+    let before = dbms.column("v", "INCOME").expect("column");
+    let mut s = 0xED17_5EED;
+    for _ in 0..3 {
+        seeded_income_update(&mut s)
+            .apply(&mut dbms, "v")
+            .expect("edit");
+    }
+    let edited = dbms.column("v", "INCOME").expect("column");
+    assert_ne!(edited, before, "the edits changed INCOME");
+    let expected = StatFunction::Mean.compute(&edited).expect("mean");
+    dbms.env().pool.flush_all().expect("flush");
+    corrupt_all_but_the_wal_and_restart(&mut dbms);
+
+    assert_eq!(dbms.health("v").expect("health"), ViewHealth::Healthy);
+    let (served, source) = dbms
+        .compute("v", "INCOME", &StatFunction::Mean, AccuracyPolicy::Exact)
+        .expect("resilient compute");
+    assert_eq!(source, ComputeSource::Fallback);
+    assert!(
+        served.approx_eq(&expected, 1e-9),
+        "fallback answer {served} is not the post-edit mean {expected}"
     );
 }
 

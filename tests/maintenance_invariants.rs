@@ -6,11 +6,27 @@
 use proptest::prelude::*;
 
 use sdbms::data::Value;
+use sdbms::exec::{Accumulators, ColumnProfile};
 use sdbms::storage::StorageEnv;
 use sdbms::summary::{
-    apply_updates, get_or_compute, AccuracyPolicy, ComputeSource, MaintenancePolicy, StatFunction,
-    SummaryDb, UpdateDelta,
+    apply_updates, get_or_compute_resilient, AccuracyPolicy, ComputeSource, MaintenancePolicy,
+    StatFunction, SummaryDb, SummaryValue, UpdateDelta,
 };
+
+/// An in-memory column as the Summary DB's profile source.
+fn source(col: &[Value]) -> impl FnMut(Accumulators) -> sdbms::summary::Result<ColumnProfile> + '_ {
+    |feeds| Ok(ColumnProfile::of(col, feeds))
+}
+
+/// The lookup path with no archive fallback.
+fn look_up(
+    db: &SummaryDb,
+    f: &StatFunction,
+    accuracy: AccuracyPolicy,
+    col: &[Value],
+) -> (SummaryValue, ComputeSource) {
+    get_or_compute_resilient(db, "C", f, accuracy, &mut source(col), None).unwrap()
+}
 
 fn all_functions() -> Vec<StatFunction> {
     vec![
@@ -40,8 +56,7 @@ proptest! {
         let db = SummaryDb::create(env.pool).unwrap();
         let mut data: Vec<Value> = base.iter().map(|&x| Value::Int(x)).collect();
         for f in all_functions() {
-            get_or_compute(&db, "C", &f, AccuracyPolicy::Exact, &mut || Ok(data.clone()))
-                .unwrap();
+            look_up(&db, &f, AccuracyPolicy::Exact, &data);
         }
         for (idx, new_raw, make_missing) in updates {
             let i = idx.index(data.len());
@@ -50,13 +65,12 @@ proptest! {
             if old == new {
                 continue;
             }
-            let snapshot = data.clone();
             apply_updates(
                 &db,
                 "C",
                 &[UpdateDelta { old, new }],
                 MaintenancePolicy::Incremental,
-                &mut || Ok(snapshot.clone()),
+                &mut source(&data),
             )
             .unwrap();
             // Every FRESH entry must equal direct recomputation; stale
@@ -70,7 +84,7 @@ proptest! {
                     // original bin edges (values outside land in the
                     // overflow counters — §3.2's fixed "two vectors"),
                     // so only the total is comparable to a recompute.
-                    if let sdbms::summary::SummaryValue::Histogram(h) = &entry.result {
+                    if let SummaryValue::Histogram(h) = &entry.result {
                         let live = data.iter().filter(|v| v.as_f64().is_some()).count();
                         prop_assert_eq!(h.total(), live as u64, "histogram total");
                         continue;
@@ -97,8 +111,7 @@ proptest! {
         let env = StorageEnv::new(128);
         let db = SummaryDb::create(env.pool).unwrap();
         let data: Vec<Value> = base.iter().map(|&x| Value::Int(x)).collect();
-        get_or_compute(&db, "C", &StatFunction::Mean, AccuracyPolicy::Exact,
-            &mut || Ok(data.clone())).unwrap();
+        look_up(&db, &StatFunction::Mean, AccuracyPolicy::Exact, &data);
         let mut absorbed = 0u32;
         for batch in batches {
             let deltas: Vec<UpdateDelta> = (0..batch)
@@ -110,16 +123,14 @@ proptest! {
             // Note: deltas here are synthetic (we don't mutate `data`),
             // which is fine under InvalidateLazy — nothing reads them.
             apply_updates(&db, "C", &deltas, MaintenancePolicy::InvalidateLazy,
-                &mut || Ok(data.clone())).unwrap();
+                &mut source(&data)).unwrap();
             absorbed += batch as u32;
-            let (_, src) = get_or_compute(
+            let (_, src) = look_up(
                 &db,
-                "C",
                 &StatFunction::Mean,
                 AccuracyPolicy::Tolerate(budget),
-                &mut || Ok(data.clone()),
-            )
-            .unwrap();
+                &data,
+            );
             if absorbed <= budget {
                 prop_assert_eq!(src, ComputeSource::CacheTolerated);
             } else {

@@ -27,7 +27,6 @@ use sdbms::data::{dataset::DataSet, schema::Attribute, schema::Schema, DataType,
 use sdbms::exec::{profile_values, ExecConfig};
 use sdbms::relational::ops;
 use sdbms::storage::StorageEnv;
-use sdbms::summary::compute_from_profile;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -49,16 +48,6 @@ fn all_functions() -> Vec<StatFunction> {
         StatFunction::Histogram(8),
         StatFunction::TrimmedMean(100, 900),
     ]
-}
-
-/// Functions whose profile-based result must equal the serial result
-/// bit-for-bit (they are computed from the row-order value sequence or
-/// from exactly-mergeable accumulators, not from merged moments).
-fn is_exact_family(f: &StatFunction) -> bool {
-    !matches!(
-        f,
-        StatFunction::Sum | StatFunction::Mean | StatFunction::Variance | StatFunction::StdDev
-    )
 }
 
 /// A mixed column: integers, floats, missing values, and codes.
@@ -93,19 +82,12 @@ proptest! {
             prop_assert_eq!(&p, &reference, "profile at {} workers", workers);
         }
         for f in all_functions() {
-            let from_profile = compute_from_profile(&f, &reference);
+            let from_profile = f.answer(&reference);
             let direct = f.compute(&col);
             match (from_profile, direct) {
-                (Ok(a), Ok(b)) => {
-                    if is_exact_family(&f) {
-                        prop_assert_eq!(&a, &b, "{} must be bit-identical", f);
-                    } else {
-                        prop_assert!(
-                            a.approx_eq(&b, 1e-12),
-                            "{}: profile {:?} vs serial {:?}", f, a, b
-                        );
-                    }
-                }
+                // One evaluator over the row-order values: the answer
+                // never depends on how the profile was partitioned.
+                (Ok(a), Ok(b)) => prop_assert_eq!(&a, &b, "{} must be bit-identical", f),
                 (Err(_), Err(_)) => {} // degenerate column: both refuse
                 (a, b) => {
                     prop_assert!(false, "{}: answerability diverged: {:?} vs {:?}", f, a, b);
@@ -209,13 +191,7 @@ fn full_stack_summaries_bit_identical_across_worker_counts() {
             let direct = f.compute(&col);
             let served = dbms.compute("v", a, &f, AccuracyPolicy::Exact);
             match (served, direct) {
-                (Ok((got, _)), Ok(want)) => {
-                    if is_exact_family(&f) {
-                        assert_eq!(got, want, "{f}({a})");
-                    } else {
-                        assert!(got.approx_eq(&want, 1e-12), "{f}({a}): {got} vs {want}");
-                    }
-                }
+                (Ok((got, _)), Ok(want)) => assert_eq!(got, want, "{f}({a})"),
                 (Err(_), Err(_)) => {}
                 (s, d) => panic!("{f}({a}): answerability diverged: {s:?} vs {d:?}"),
             }

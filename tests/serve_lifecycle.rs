@@ -151,6 +151,66 @@ fn client_cancellation_is_typed_and_neutral_to_the_breaker() {
     server.query(session, q_mean()).expect("view unharmed");
 }
 
+/// The paper's metadata rule lives in the one miss path, so a pinned
+/// snapshot and a served query refuse a numeric summary of a coded
+/// attribute exactly as `StatDbms::compute` does — a client mistake:
+/// typed, neutral to the breaker, never admitted to the front cache.
+#[test]
+fn metadata_rule_applies_to_snapshots_and_served_queries() {
+    use sdbms::core::{AccuracyPolicy, CoreError, SummaryValue};
+    let not_summarizable = |e: &CoreError| matches!(e, CoreError::NotSummarizable { attribute } if attribute == "AGE_GROUP");
+    let mut dbms = CensusFixture::new().build().expect("fixture");
+    let snap = dbms.snapshot(CENSUS_VIEW).expect("snapshot");
+    for f in [StatFunction::Count, StatFunction::Median] {
+        let engine = dbms
+            .compute(CENSUS_VIEW, "AGE_GROUP", &f, AccuracyPolicy::Exact)
+            .expect_err("engine refuses");
+        assert!(not_summarizable(&engine), "{f}: {engine}");
+        let pinned = snap.compute("AGE_GROUP", &f).expect_err("snapshot refuses");
+        assert!(not_summarizable(&pinned), "{f}: {pinned}");
+    }
+    // Value-based functions on coded attributes keep working.
+    let (mode, _) = snap
+        .compute("AGE_GROUP", &StatFunction::Mode)
+        .expect("mode of codes");
+    assert!(matches!(mode, SummaryValue::ModalValue(..)), "{mode}");
+    drop(snap);
+
+    let server = Server::start(
+        dbms,
+        ServeConfig {
+            // A hair-trigger breaker: one failure would open it.
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                open_ticks: 10,
+                half_open_probes: 1,
+            },
+            ..ServeConfig::default()
+        },
+    );
+    let session = server.open_session("t", CENSUS_VIEW).expect("session");
+    for f in [StatFunction::Count, StatFunction::Median] {
+        let err = server
+            .query(session, Query::summary("AGE_GROUP", f.clone()))
+            .expect_err("served query refuses");
+        assert!(!err.is_breaker_failure(), "{f}: {err}");
+        assert!(
+            matches!(&err, ServeError::Core(e) if not_summarizable(e)),
+            "{f}: {err}"
+        );
+    }
+    assert_eq!(server.breaker_state(CENSUS_VIEW), BreakerState::Closed);
+    assert_eq!(server.cache_stats().insertions, 0, "errors are not cached");
+    let unique = server
+        .query(
+            session,
+            Query::summary("AGE_GROUP", StatFunction::UniqueCount),
+        )
+        .expect("unique count of codes");
+    assert_eq!(unique.served, Served::Computed);
+    server.query(session, q_mean()).expect("view unharmed");
+}
+
 #[test]
 fn breaker_opens_on_consecutive_engine_failures_fast_fails_then_recovers() {
     let server = Server::start(
