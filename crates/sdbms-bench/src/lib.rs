@@ -1,7 +1,6 @@
-//! Shared infrastructure for the experiment harness and Criterion
-//! benches: deterministic workload builders and plain-text table
-//! rendering (every experiment prints the table EXPERIMENTS.md
-//! records).
+//! Shared infrastructure for the experiment harness: deterministic
+//! workload builders and plain-text table rendering (every experiment
+//! prints the table EXPERIMENTS.md records).
 
 #![forbid(unsafe_code)]
 

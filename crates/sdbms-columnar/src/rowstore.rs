@@ -128,15 +128,7 @@ impl TableStore for RowStore {
     }
 
     fn set_cell(&mut self, row: usize, attribute: &str, value: Value) -> Result<Value> {
-        let col = self.schema.require(attribute)?;
-        let attr = self.schema.attribute_at(col);
-        if !value.conforms_to(attr.dtype) {
-            return Err(DataError::TypeMismatch {
-                attribute: attr.name.clone(),
-                expected: "declared attribute type",
-                got: value.type_name(),
-            });
-        }
+        let col = self.schema.check_cell(attribute, &value)?;
         let mut vals = self.read_row(row)?;
         let old = std::mem::replace(&mut vals[col], value);
         let rid = self.rid(row)?;

@@ -486,15 +486,7 @@ impl TableStore for TransposedFile {
     }
 
     fn set_cell(&mut self, row: usize, attribute: &str, value: Value) -> Result<Value> {
-        let ci = self.schema.require(attribute)?;
-        let attr = self.schema.attribute_at(ci);
-        if !value.conforms_to(attr.dtype) {
-            return Err(DataError::TypeMismatch {
-                attribute: attr.name.clone(),
-                expected: "declared attribute type",
-                got: value.type_name(),
-            });
-        }
+        let ci = self.schema.check_cell(attribute, &value)?;
         if row >= self.rows {
             return Err(DataError::NoSuchRow(row));
         }

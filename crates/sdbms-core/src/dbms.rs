@@ -20,18 +20,17 @@ use sdbms_management::{
 };
 use sdbms_relational::{Expr, Predicate, ViewDefinition};
 use sdbms_repair::{CursorStore, HealthRegistry};
-use sdbms_stats::regression;
 use sdbms_storage::{IoSnapshot, StorageEnv};
 use sdbms_summary::{
-    apply_updates, get_or_compute_resilient, quarantinable, AccuracyPolicy, CacheStats,
-    ComputeSource, Intent, IntentLog, MaintenancePolicy, StatFunction, SummaryDb, SummaryError,
-    SummaryValue, UpdateDelta,
+    get_or_compute_resilient, AccuracyPolicy, CacheStats, ComputeSource, Intent, IntentLog,
+    MaintenancePolicy, StatFunction, SummaryDb, SummaryError, SummaryValue,
 };
 use sdbms_txn::{EpochRegistry, LockTable};
 
+use crate::edit::{cell_updates, column_scans, derived_column, Edit, Plan, WriteIntent};
 use crate::error::{CoreError, Result};
 use crate::repair::archive_column;
-use crate::session::{BatchId, PendingBatch};
+use crate::session::{BatchId, BatchOp, PendingBatch};
 use crate::view::{AccessTracker, ConcreteView, UpdateReport};
 
 /// How hard the DBMS works to keep Summary Databases consistent with
@@ -346,12 +345,7 @@ impl StatDbms {
             });
         }
         let ds = def.execute(&mut |name| resolve_source(&self.codebooks, &self.raw, name))?;
-        let store: Arc<dyn TableStore + Send + Sync> = match layout {
-            Layout::Row => Arc::new(RowStore::from_dataset(self.env.pool.clone(), &ds)?),
-            Layout::Transposed => {
-                Arc::new(TransposedFile::from_dataset(self.env.pool.clone(), &ds)?)
-            }
-        };
+        let store = Arc::from(self.build_store(layout, &ds)?);
         let summary = SummaryDb::create(self.env.pool.clone())?;
         let wal = match self.durability {
             DurabilityPolicy::CrashConsistent => Some(IntentLog::create(self.env.disk.clone())?),
@@ -382,6 +376,19 @@ impl StatDbms {
             self.env.pool.flush_all()?;
         }
         Ok(())
+    }
+
+    /// A fresh store holding `ds` in `layout`.
+    pub(crate) fn build_store(
+        &self,
+        layout: Layout,
+        ds: &DataSet,
+    ) -> Result<Box<dyn TableStore + Send + Sync>> {
+        let pool = self.env.pool.clone();
+        Ok(match layout {
+            Layout::Row => Box::new(RowStore::from_dataset(pool, ds)?),
+            Layout::Transposed => Box::new(TransposedFile::from_dataset(pool, ds)?),
+        })
     }
 
     /// Names of all materialized views, sorted.
@@ -640,11 +647,19 @@ impl StatDbms {
     }
 
     // ---- updates -----------------------------------------------------------
+    //
+    // Every writer is lock → intent → plan → apply → record, each step
+    // in `crate::edit`; what is left here is what a statement *is*:
+    // its intent, its plan, and the epilogue it takes.
 
     /// Update cells by predicate (§4.1): for every row satisfying
     /// `predicate`, assign each `(attribute, expression)`. Records
     /// history, maintains every affected Summary Database entry under
     /// the view's policy, and fires derived-attribute rules.
+    ///
+    /// All-or-nothing short of a device error: every assignment is
+    /// evaluated and type-checked for every matching row before the
+    /// first write, so a statement that fails leaves no trace.
     ///
     /// Under [`DurabilityPolicy::CrashConsistent`] the update follows
     /// the write-ahead intent protocol: the affected attributes
@@ -658,152 +673,15 @@ impl StatDbms {
         predicate: &Predicate,
         assignments: &[(&str, Expr)],
     ) -> Result<UpdateReport> {
-        self.view(view)?;
-        // Writers exclude each other (and scrubs/repairs) per view; a
-        // held lock surfaces immediately as `CoreError::Lock`.
-        let session = self.locks.session();
-        let _lock = self.locks.acquire(session, &[view])?;
-        let intent =
-            self.intent_attributes(view, assignments.iter().map(|(a, _)| (*a).to_string()));
-        self.durable_section(view, &intent, |dbms| {
-            dbms.update_where_inner(view, predicate, assignments)
-        })
-    }
-
-    fn update_where_inner(
-        &mut self,
-        view: &str,
-        predicate: &Predicate,
-        assignments: &[(&str, Expr)],
-    ) -> Result<UpdateReport> {
-        let mut report = UpdateReport::default();
-        let exec = self.exec;
-        // Phase 1: locate matching rows and apply base assignments.
-        let mut deltas: HashMap<String, Vec<UpdateDelta>> = HashMap::new();
-        let matching: Vec<usize>;
-        {
-            let v = self.view_mut(view)?;
-            let schema = v.store.schema().clone();
-            let bound: Vec<(String, sdbms_relational::BoundExpr, DataType)> = assignments
-                .iter()
-                .map(|(attr, expr)| {
-                    let a = schema.attribute(attr)?;
-                    Ok((a.name.clone(), expr.bind(&schema)?, a.dtype))
-                })
-                .collect::<Result<_>>()?;
-            // Evaluate the predicate column-wise with zone-map pruning:
-            // each morsel reads only the referenced columns, and morsels
-            // whose per-segment statistics refute the predicate are
-            // skipped without decoding a page. Matches come back in
-            // ascending row order regardless of worker count, identical
-            // to an unpruned scan.
-            v.tracker.column_reads += predicate.referenced_columns().len() as u64;
-            matching = sdbms_relational::filter_table_rows(&*v.store, predicate, &exec)?;
-            report.rows_matched = matching.len();
-            let mut records: Vec<ChangeRecord> = Vec::new();
-            let store = v.store_mut()?;
-            for &i in &matching {
-                let row = store.read_row(i)?;
-                for (attr, bexpr, dtype) in &bound {
-                    let new = coerce(bexpr.eval(&row), *dtype);
-                    let old = store.set_cell(i, attr, new.clone())?;
-                    if old != new {
-                        report.cells_changed += 1;
-                        deltas.entry(attr.clone()).or_default().push(UpdateDelta {
-                            old: old.clone(),
-                            new: new.clone(),
-                        });
-                        records.push(ChangeRecord::CellUpdate {
-                            row: i,
-                            attribute: attr.clone(),
-                            old,
-                            new,
-                        });
-                    }
-                }
-            }
-            let history = &mut self.catalog.view_mut(view)?.history;
-            for r in records {
-                history.record(r);
-            }
-        }
-        // Phase 2: fire derived-attribute rules.
-        self.fire_derived_rules(view, &matching, &mut deltas, &mut report)?;
-        // Phase 3: Summary Database maintenance per affected attribute.
-        self.maintain_summaries(view, deltas, &mut report)?;
-        Ok(report)
-    }
-
-    /// The attributes an update to `base_attrs` can touch: the
-    /// attributes themselves plus every derived column their rules
-    /// trigger. This is what the intent log records.
-    fn intent_attributes(
-        &self,
-        view: &str,
-        base_attrs: impl IntoIterator<Item = String>,
-    ) -> Vec<String> {
-        let mut attrs: Vec<String> = base_attrs.into_iter().collect();
-        let mut derived: Vec<String> = Vec::new();
-        for attr in &attrs {
-            for (d, _) in self.rules.triggered_by(view, attr) {
-                derived.push(d.to_string());
-            }
-        }
-        attrs.extend(derived);
-        attrs.sort_unstable();
-        attrs.dedup();
-        attrs
-    }
-
-    /// Run `body` under the write-ahead intent protocol if the view has
-    /// an intent log; plain passthrough otherwise.
-    ///
-    /// Protocol: `begin(intent)` durably → body (cells + summary
-    /// maintenance, all buffered) → `flush_all` → `clear()`. On a
-    /// non-crash error the summaries of the intent attributes are
-    /// invalidated before the intent is retired, so the cache is left
-    /// cleanly invalidated rather than possibly stale. On a crash the
-    /// intent stays pending for [`StatDbms::recover`].
-    fn durable_section<T>(
-        &mut self,
-        view: &str,
-        intent: &[String],
-        body: impl FnOnce(&mut Self) -> Result<T>,
-    ) -> Result<T> {
-        let Some(wal) = self.views.get(view).and_then(|v| v.wal.as_ref()) else {
-            return body(self);
-        };
-        wal.begin(intent)?;
-        let result = body(self);
-        match &result {
-            Ok(_) => {
-                match self.commit_intent(view) {
-                    Ok(()) => {}
-                    // A crash while committing must surface: the update
-                    // may not be durable and the intent stays pending.
-                    Err(e) if error_is_crash(&e) => return Err(e),
-                    // Other trouble committing: the pending intent is
-                    // conservative (recovery will invalidate), so the
-                    // successful update still reports success.
-                    Err(_) => {}
-                }
-            }
-            Err(e) if !error_is_crash(e) => {
-                // The update failed mid-flight without a crash. Leave
-                // the cache cleanly invalidated, then retire the
-                // intent — all best-effort; a pending intent is safe.
-                if let Some(v) = self.views.get(view) {
-                    for a in intent {
-                        // lint: allow(swallowed-error): invalidation failure only widens the recompute set; the pending intent already guards correctness
-                        let _ = v.summary.invalidate_attribute(a);
-                    }
-                }
-                // lint: allow(swallowed-error): retiring the intent is best-effort on this path — a pending intent is safe and recovery replays it
-                let _ = self.commit_intent(view);
-            }
-            Err(_) => {} // crash: intent stays pending
-        }
-        result
+        let op = BatchOp::update_where(predicate, assignments);
+        let intent = assignments.iter().map(|(a, _)| (*a).to_string()).collect();
+        self.write(
+            view,
+            None,
+            WriteIntent::Attributes(intent),
+            |dbms| Plan::op(&*dbms.view(view)?.store, &op, &dbms.exec),
+            |dbms, plan| dbms.edit_in_place(view, plan),
+        )
     }
 
     /// Flush everything buffered, then durably clear the view's intent.
@@ -928,12 +806,7 @@ impl StatDbms {
                     let _ = wal.compact();
                 }
             }
-            self.catalog
-                .view_mut(&name)?
-                .history
-                .record(ChangeRecord::Recovery {
-                    detail: detail.clone(),
-                });
+            self.record(&name, [ChangeRecord::Recovery { detail }])?;
             report.views_recovered.push(name);
         }
         Ok(report)
@@ -953,179 +826,24 @@ impl StatDbms {
         )
     }
 
-    fn fire_derived_rules(
-        &mut self,
-        view: &str,
-        affected_rows: &[usize],
-        deltas: &mut HashMap<String, Vec<UpdateDelta>>,
-        report: &mut UpdateReport,
-    ) -> Result<()> {
-        let updated_attrs: Vec<String> = deltas.keys().cloned().collect();
-        let mut fired: Vec<(String, DerivedRule)> = Vec::new();
-        for attr in &updated_attrs {
-            for (derived, rule) in self.rules.triggered_by(view, attr) {
-                if !fired.iter().any(|(d, _)| d == derived) {
-                    fired.push((derived.to_string(), rule.clone()));
-                }
-            }
-        }
-        for (derived, rule) in fired {
-            report
-                .derived_updates
-                .push((derived.clone(), rule.cost_class()));
-            match rule {
-                DerivedRule::Local { expr } => {
-                    let mut records: Vec<ChangeRecord> = Vec::new();
-                    {
-                        let v = self.view_mut(view)?;
-                        let schema = v.store.schema().clone();
-                        let bexpr = expr.bind(&schema)?;
-                        let dtype = schema.attribute(&derived)?.dtype;
-                        let store = v.store_mut()?;
-                        for &i in affected_rows {
-                            let row = store.read_row(i)?;
-                            let new = coerce(bexpr.eval(&row), dtype);
-                            let old = store.set_cell(i, &derived, new.clone())?;
-                            if old != new {
-                                deltas
-                                    .entry(derived.clone())
-                                    .or_default()
-                                    .push(UpdateDelta {
-                                        old: old.clone(),
-                                        new: new.clone(),
-                                    });
-                                records.push(ChangeRecord::CellUpdate {
-                                    row: i,
-                                    attribute: derived.clone(),
-                                    old,
-                                    new,
-                                });
-                            }
-                        }
-                    }
-                    let history = &mut self.catalog.view_mut(view)?.history;
-                    for r in records {
-                        history.record(r);
-                    }
-                }
-                DerivedRule::Regenerate { ref generator } => {
-                    self.regenerate_vector(view, &derived, generator)?;
-                    self.catalog
-                        .view_mut(view)?
-                        .history
-                        .record(ChangeRecord::Annotation {
-                            text: format!("regenerated derived column {derived}"),
-                        });
-                    // The whole column changed: invalidate its summaries.
-                    let v = self.view(view)?;
-                    v.summary.invalidate_attribute(&derived)?;
-                }
-                DerivedRule::MarkStale { .. } => {
-                    let v = self.view_mut(view)?;
-                    v.stale_columns.insert(derived.clone());
-                    v.summary.invalidate_attribute(&derived)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn regenerate_vector(
-        &mut self,
-        view: &str,
-        derived: &str,
-        generator: &VectorGenerator,
-    ) -> Result<()> {
-        let values: Vec<Value> = match generator {
-            VectorGenerator::Residuals { x, y } => {
-                let v = self.view_mut(view)?;
-                v.tracker.column_reads += 2;
-                let xs_raw = v.store.read_column(x)?;
-                let ys_raw = v.store.read_column(y)?;
-                residual_column(&xs_raw, &ys_raw)?
-            }
-            VectorGenerator::Expression(expr) => {
-                let v = self.view(view)?;
-                let schema = v.store.schema().clone();
-                let bexpr = expr.bind(&schema)?;
-                let dtype = schema.attribute(derived)?.dtype;
-                (0..v.store.len())
-                    .map(|i| {
-                        let row = v.store.read_row(i)?;
-                        Ok(coerce(bexpr.eval(&row), dtype))
-                    })
-                    .collect::<Result<_>>()?
-            }
-        };
-        let v = self.view_mut(view)?;
-        let store = v.store_mut()?;
-        for (i, val) in values.into_iter().enumerate() {
-            store.set_cell(i, derived, val)?;
-        }
-        v.stale_columns.remove(derived);
-        Ok(())
-    }
-
-    /// Regenerate a derived column on demand (for
-    /// [`DerivedRule::MarkStale`] columns).
+    /// Regenerate a derived column on demand from its rule (for
+    /// columns a [`DerivedRule::MarkStale`] rule or a batch commit left
+    /// out of date). A writer like any other: view lock, write-ahead
+    /// intent, annotated in history, the column's summaries retired.
     pub fn regenerate_column(&mut self, view: &str, derived: &str) -> Result<()> {
-        let rule = self.rules.rule(view, derived)?.clone();
-        match rule {
-            DerivedRule::Local { expr } => {
-                self.regenerate_vector(view, derived, &VectorGenerator::Expression(expr))
-            }
-            DerivedRule::Regenerate { generator } => {
-                self.regenerate_vector(view, derived, &generator)
-            }
-            DerivedRule::MarkStale { .. } => {
-                // MarkStale columns carry no generator; re-deriving is
-                // the analyst's job. Clear the flag only.
-                self.view_mut(view)?.stale_columns.remove(derived);
-                Ok(())
-            }
-        }
-    }
-
-    fn maintain_summaries(
-        &mut self,
-        view: &str,
-        deltas: HashMap<String, Vec<UpdateDelta>>,
-        report: &mut UpdateReport,
-    ) -> Result<()> {
-        let pool = self.env.pool.clone();
-        let exec = self.exec;
-        let v = self.view_mut(view)?;
-        let policy = v.policy;
-        for (attr, ds) in deltas {
-            // One batch scan feeds every entry the policy recomputes.
-            let mut profile = summary_scan(&*v.store, &mut v.tracker, &attr, &exec);
-            let r = match apply_updates(&v.summary, &attr, &ds, policy, &mut profile) {
-                Ok(r) => r,
-                // Degrade gracefully: if maintenance hit damage (bad
-                // cache bytes, a dead page) rather than a crash, fall
-                // back to invalidating this attribute's entries — and
-                // if even that fails, rebuild the cache. Either way the
-                // update itself succeeds and nothing stale survives.
-                Err(e) if quarantinable(&e) => {
-                    v.summary.note_quarantine();
-                    match v.summary.invalidate_attribute(&attr) {
-                        Ok(n) => {
-                            report.maintenance.invalidated += n;
-                            continue;
-                        }
-                        Err(_) => {
-                            v.summary = SummaryDb::create(pool.clone())?;
-                            continue;
-                        }
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            };
-            report.maintenance.incremental += r.incremental;
-            report.maintenance.recomputed += r.recomputed;
-            report.maintenance.invalidated += r.invalidated;
-        }
-        Ok(())
+        let Some(generator) = self.rules.rule(view, derived)?.generator() else {
+            // A mark-stale rule carries no generator; re-deriving is
+            // the analyst's job. Clear the flag only.
+            self.view_mut(view)?.stale_columns.remove(derived);
+            return Ok(());
+        };
+        self.write(
+            view,
+            None,
+            WriteIntent::Attributes(vec![derived.to_string()]),
+            |dbms| Plan::column(&*dbms.view(view)?.store, derived, &generator),
+            |dbms, plan| dbms.regenerate(view, derived, plan),
+        )
     }
 
     // ---- derived columns ----------------------------------------------------
@@ -1139,60 +857,51 @@ impl StatDbms {
         dtype: DataType,
         expr: Expr,
     ) -> Result<()> {
-        let values = {
-            let v = self.view(view)?;
-            let schema = v.store.schema().clone();
-            let bexpr = expr.bind(&schema)?;
-            (0..v.store.len())
-                .map(|i| {
-                    let row = v.store.read_row(i)?;
-                    Ok(coerce(bexpr.eval(&row), dtype))
-                })
-                .collect::<Result<Vec<Value>>>()?
-        };
-        let v = self.view_mut(view)?;
-        v.store_mut()?
-            .add_column(Attribute::derived(name, dtype), values)?;
-        self.rules.register(view, name, DerivedRule::Local { expr });
-        self.catalog
-            .view_mut(view)?
-            .history
-            .record(ChangeRecord::ColumnAppended {
-                attribute: name.to_string(),
-            });
-        Ok(())
+        self.add_column_with_rule(view, name, dtype, DerivedRule::Local { expr })
     }
 
     /// Add a regression-residual column `y ~ x` with the
     /// regenerate-whole-vector rule (§3.2's residuals example).
     pub fn add_residuals_column(&mut self, view: &str, name: &str, x: &str, y: &str) -> Result<()> {
-        let values = {
-            let v = self.view_mut(view)?;
-            v.tracker.column_reads += 2;
-            let xs_raw = v.store.read_column(x)?;
-            let ys_raw = v.store.read_column(y)?;
-            residual_column(&xs_raw, &ys_raw)?
+        let generator = VectorGenerator::Residuals {
+            x: x.to_string(),
+            y: y.to_string(),
         };
-        let v = self.view_mut(view)?;
-        v.store_mut()?
-            .add_column(Attribute::derived(name, DataType::Float), values)?;
-        self.rules.register(
+        self.add_column_with_rule(
             view,
             name,
-            DerivedRule::Regenerate {
-                generator: VectorGenerator::Residuals {
-                    x: x.to_string(),
-                    y: y.to_string(),
-                },
+            DataType::Float,
+            DerivedRule::Regenerate { generator },
+        )
+    }
+
+    /// Append the derived column `name`, filled from `rule`, and
+    /// register the rule. Under the view lock; no cached summary
+    /// depends on a column that did not exist, so no intent is logged.
+    fn add_column_with_rule(
+        &mut self,
+        view: &str,
+        name: &str,
+        dtype: DataType,
+        rule: DerivedRule,
+    ) -> Result<()> {
+        let generator = rule.generator();
+        self.write(
+            view,
+            None,
+            WriteIntent::LockOnly,
+            |dbms| derived_column(&*dbms.view(view)?.store, generator.as_ref(), dtype),
+            |dbms, values| {
+                let v = dbms.view_mut(view)?;
+                v.tracker.column_reads += generator.as_ref().map_or(0, column_scans);
+                v.store_mut()?
+                    .add_column(Attribute::derived(name, dtype), values)?;
+                dbms.rules.register(view, name, rule);
+                let attribute = name.to_string();
+                dbms.record(view, [ChangeRecord::ColumnAppended { attribute }])?;
+                Ok(())
             },
-        );
-        self.catalog
-            .view_mut(view)?
-            .history
-            .record(ChangeRecord::ColumnAppended {
-                attribute: name.to_string(),
-            });
-        Ok(())
+        )
     }
 
     /// Override the maintenance rule of an existing derived column
@@ -1227,25 +936,15 @@ impl StatDbms {
     /// Record a named checkpoint in a view's history.
     pub fn checkpoint(&mut self, view: &str, label: &str) -> Result<Version> {
         self.view(view)?; // existence check
-        Ok(self
-            .catalog
-            .view_mut(view)?
-            .history
-            .record(ChangeRecord::Checkpoint {
-                label: label.to_string(),
-            }))
+        let label = label.to_string();
+        self.record(view, [ChangeRecord::Checkpoint { label }])
     }
 
     /// Append a free-text annotation (data-checking notes).
     pub fn annotate(&mut self, view: &str, text: &str) -> Result<Version> {
         self.view(view)?;
-        Ok(self
-            .catalog
-            .view_mut(view)?
-            .history
-            .record(ChangeRecord::Annotation {
-                text: text.to_string(),
-            }))
+        let text = text.to_string();
+        self.record(view, [ChangeRecord::Annotation { text }])
     }
 
     /// Current history version of a view.
@@ -1256,76 +955,25 @@ impl StatDbms {
     /// Roll a view back to an earlier version (§3.2 "roll a view back
     /// to a previous state"). The rollback itself is recorded, so the
     /// history stays append-only and an undo can itself be undone.
+    /// The inverses are known before anything is applied, so a
+    /// rollback is an ordinary in-place edit: same lock and intent, and
+    /// restoring base attributes re-derives dependent columns and
+    /// maintains the Summary DB exactly as a forward update would.
     pub fn rollback_to(&mut self, view: &str, version: Version) -> Result<usize> {
-        self.view(view)?;
-        let session = self.locks.session();
-        let _lock = self.locks.acquire(session, &[view])?;
-        // The inverse records are known before anything is applied, so
-        // a rollback can follow the same write-ahead intent protocol as
-        // a forward update.
-        let base_attrs: Vec<String> = self
-            .catalog
-            .view(view)?
-            .history
-            .undo_to(version)?
-            .iter()
-            .filter_map(|inv| match inv {
-                ChangeRecord::CellUpdate { attribute, .. } => Some(attribute.clone()),
-                _ => None,
-            })
-            .collect();
-        let intent = self.intent_attributes(view, base_attrs);
-        self.durable_section(view, &intent, |dbms| dbms.rollback_inner(view, version))
-    }
-
-    fn rollback_inner(&mut self, view: &str, version: Version) -> Result<usize> {
         let inverses = self.catalog.view(view)?.history.undo_to(version)?;
-        let mut deltas: HashMap<String, Vec<UpdateDelta>> = HashMap::new();
-        {
-            let v = self.view_mut(view)?;
-            let store = v.store_mut()?;
-            for inv in &inverses {
-                if let ChangeRecord::CellUpdate {
-                    row,
-                    attribute,
-                    new,
-                    ..
-                } = inv
-                {
-                    let old = store.set_cell(*row, attribute, new.clone())?;
-                    deltas
-                        .entry(attribute.clone())
-                        .or_default()
-                        .push(UpdateDelta {
-                            old,
-                            new: new.clone(),
-                        });
-                }
-            }
-        }
-        let n = inverses.len();
-        // Rows whose base attributes changed, for derived-rule firing.
-        let affected_rows: Vec<usize> = {
-            let mut rows: Vec<usize> = inverses
-                .iter()
-                .filter_map(|inv| match inv {
-                    ChangeRecord::CellUpdate { row, .. } => Some(*row),
-                    _ => None,
-                })
-                .collect();
-            rows.sort_unstable();
-            rows.dedup();
-            rows
-        };
-        for inv in inverses {
-            self.catalog.view_mut(view)?.history.record(inv);
-        }
-        let mut report = UpdateReport::default();
-        // Restoring base attributes must also re-derive dependent
-        // columns (residuals etc.), exactly as a forward update would.
-        self.fire_derived_rules(view, &affected_rows, &mut deltas, &mut report)?;
-        self.maintain_summaries(view, deltas, &mut report)?;
-        Ok(n)
+        let cells = || cell_updates(&inverses);
+        let intent = cells().map(|(_, a, ..)| a.to_string()).collect();
+        self.write(
+            view,
+            None,
+            WriteIntent::Attributes(intent),
+            |dbms| {
+                let edits = cells().map(|(row, a, _, new)| Edit::Cell(row, a, new.clone()));
+                Plan::resolved(&*dbms.view(view)?.store, edits.collect())
+            },
+            |dbms, plan| dbms.edit_in_place(view, plan),
+        )?;
+        Ok(inverses.len())
     }
 
     /// Roll back to the most recent checkpoint with this label.
@@ -1387,22 +1035,22 @@ impl StatDbms {
     /// Rebuild a view's store in a different layout. Summary entries
     /// stay valid (the data is unchanged); only the storage moves.
     pub fn reorganize(&mut self, view: &str, layout: Layout) -> Result<()> {
-        let v = self.view(view)?;
-        if v.layout == layout {
+        if self.view(view)?.layout == layout {
             return Ok(());
         }
-        let ds = v.store.to_dataset(view)?;
-        let store: Arc<dyn TableStore + Send + Sync> = match layout {
-            Layout::Row => Arc::new(RowStore::from_dataset(self.env.pool.clone(), &ds)?),
-            Layout::Transposed => {
-                Arc::new(TransposedFile::from_dataset(self.env.pool.clone(), &ds)?)
-            }
-        };
-        let v = self.view_mut(view)?;
-        v.install_store(store);
-        v.layout = layout;
-        v.tracker = Default::default();
-        Ok(())
+        self.write(
+            view,
+            None,
+            WriteIntent::LockOnly,
+            |dbms| dbms.build_store(layout, &dbms.view(view)?.store.to_dataset(view)?),
+            |dbms, store| {
+                let v = dbms.view_mut(view)?;
+                v.install_store(Arc::from(store));
+                v.layout = layout;
+                v.tracker = Default::default();
+                Ok(())
+            },
+        )
     }
 
     /// Reorganize if the access pattern recommends a different layout
@@ -1435,7 +1083,7 @@ pub(crate) fn resolve_source(
 
 /// The Summary Database's view of a stored column: a tracked batch
 /// scan feeding the accumulators it is asked for.
-fn summary_scan<'a>(
+pub(crate) fn summary_scan<'a>(
     store: &'a (dyn TableStore + Send + Sync),
     tracker: &'a mut AccessTracker,
     attribute: &'a str,
@@ -1475,38 +1123,6 @@ pub(crate) fn error_is_crash(e: &CoreError) -> bool {
         CoreError::Data(sdbms_data::DataError::Storage(se)) => se.is_crash(),
         _ => false,
     }
-}
-
-/// Coerce expression results to the column type where lossless
-/// (arithmetic yields floats; integer columns take integral floats).
-pub(crate) fn coerce(v: Value, dtype: DataType) -> Value {
-    match (&v, dtype) {
-        (Value::Float(x), DataType::Int) if x.fract() == 0.0 && x.is_finite() => {
-            Value::Int(*x as i64)
-        }
-        _ => v,
-    }
-}
-
-/// Residuals of `y ~ x` as a value column; rows where either input is
-/// missing get a missing residual.
-fn residual_column(xs_raw: &[Value], ys_raw: &[Value]) -> Result<Vec<Value>> {
-    let pairs: Vec<(f64, f64)> = xs_raw
-        .iter()
-        .zip(ys_raw)
-        .filter_map(|(x, y)| Some((x.as_f64()?, y.as_f64()?)))
-        .collect();
-    let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-    let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-    let fit = regression::linear_fit(&xs, &ys)?;
-    Ok(xs_raw
-        .iter()
-        .zip(ys_raw)
-        .map(|(x, y)| match (x.as_f64(), y.as_f64()) {
-            (Some(xv), Some(yv)) => Value::Float(fit.residual(xv, yv)),
-            _ => Value::Missing,
-        })
-        .collect())
 }
 
 /// Convenience: build a DBMS pre-loaded with the paper's running

@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod dbms;
+mod edit;
 pub mod error;
 pub mod repair;
 pub mod session;

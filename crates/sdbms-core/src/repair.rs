@@ -39,7 +39,7 @@
 
 use std::collections::HashMap;
 
-use sdbms_columnar::{Layout, RowStore, TableStore, TransposedFile};
+use sdbms_columnar::TableStore;
 use sdbms_data::{
     codebook::CodeBook, rawdb::RawDatabase, schema::Attribute, schema::Schema, value::DataType,
     value::Value, DataError,
@@ -54,7 +54,8 @@ use sdbms_summary::{
     quarantinable, ComputeSource, Freshness, StatFunction, SummaryDb, SummaryValue,
 };
 
-use crate::dbms::{coerce, error_is_crash, resolve_source, summarizable, StatDbms};
+use crate::dbms::{error_is_crash, resolve_source, summarizable, StatDbms};
+use crate::edit::{apply, derived_column, Edit, Plan};
 use crate::error::{CoreError, Result};
 
 /// Every `SUMMARY_SAMPLE_EVERY`-th Summary-DB entry a scrub pass walks
@@ -373,10 +374,7 @@ impl StatDbms {
                 report.history_replayed,
                 report.summary_reset,
             );
-            self.catalog
-                .view_mut(view)?
-                .history
-                .record(ChangeRecord::Recovery { detail });
+            self.record(view, [ChangeRecord::Recovery { detail }])?;
             Ok(report)
         } else {
             let now = self.env.injector.ops();
@@ -495,10 +493,11 @@ impl StatDbms {
 
     /// Regenerate the view's store from the raw archive (authority:
     /// the Management-DB view definition over the raw database), then
-    /// replay the view's recorded update history onto it — restoring
-    /// the analyst's cleaning edits so the repaired view matches the
-    /// pre-damage one byte for byte. An archive failure here is
-    /// terminal: there is no sound source left.
+    /// replay the view's recorded update history onto it — every
+    /// record an edit through the same planner and applier that wrote
+    /// it the first time — restoring the analyst's cleaning edits so
+    /// the repaired view matches the pre-damage one byte for byte. An
+    /// archive failure here is terminal: there is no sound source left.
     fn regenerate_store(&mut self, view: &str, report: &mut RepairReport) -> Result<()> {
         let def = self.catalog.view(view)?.definition.clone();
         let ds = match def.execute(&mut |name| resolve_source(&self.codebooks, &self.raw, name)) {
@@ -513,59 +512,50 @@ impl StatDbms {
                 });
             }
         };
-        let layout = self.view(view)?.layout;
-        let mut store: Box<dyn TableStore + Send + Sync> = match layout {
-            Layout::Row => Box::new(RowStore::from_dataset(self.env.pool.clone(), &ds)?),
-            Layout::Transposed => {
-                Box::new(TransposedFile::from_dataset(self.env.pool.clone(), &ds)?)
-            }
-        };
-        // Replay the recorded history in order. Cell updates re-apply
+        let mut store = self.build_store(self.view(view)?.layout, &ds)?;
+        // Replay the recorded history in order, each record one
+        // statement through the edit pipeline. Cell updates re-apply
         // directly (rollbacks recorded their inverses, so replaying
         // the whole stream reproduces them too); column appends
         // re-derive from the column's maintenance rule; whole-vector
         // (Regenerate) columns are filled at the end, from the final
         // base data, exactly as live maintenance would have left them.
-        let records: Vec<ChangeRecord> = self
-            .catalog
-            .view(view)?
-            .history
-            .records()
-            .iter()
-            .map(|(_, r)| r.clone())
-            .collect();
         let mut regenerate_at_end: Vec<(String, VectorGenerator)> = Vec::new();
-        for rec in &records {
-            match rec {
+        for (_, rec) in self.catalog.view(view)?.history.records() {
+            let edit = match rec {
                 ChangeRecord::CellUpdate {
                     row,
                     attribute,
                     new,
                     ..
                 } if store.schema().require(attribute).is_ok() && *row < store.len() => {
-                    store.set_cell(*row, attribute, new.clone())?;
-                    report.history_replayed += 1;
+                    Edit::Cell(*row, attribute, new.clone())
                 }
-                ChangeRecord::ColumnAppended { attribute } => {
-                    if store.schema().require(attribute).is_ok() {
-                        continue; // already present (defensive)
-                    }
+                ChangeRecord::RowAppended { values } => Edit::Row(values),
+                // (A column already present is skipped: defensive.)
+                ChangeRecord::ColumnAppended { attribute }
+                    if store.schema().require(attribute).is_err() =>
+                {
                     self.replay_column_append(view, &mut store, attribute, &mut regenerate_at_end)?;
                     report.history_replayed += 1;
+                    continue;
                 }
-                ChangeRecord::RowAppended { values } => {
-                    store.append_row(values.clone())?;
-                    report.history_replayed += 1;
-                }
-                _ => {}
-            }
+                _ => continue,
+            };
+            let plan = Plan::resolved(&*store, vec![edit])?;
+            apply(&mut *store, plan, None)?;
+            report.history_replayed += 1;
+        }
+        for (attr, generator) in &regenerate_at_end {
+            let plan = Plan::column(&*store, attr, generator)?;
+            apply(&mut *store, plan, None)?;
         }
         let v = self.view_mut(view)?;
         v.install_store(std::sync::Arc::from(store));
-        report.store_regenerated = true;
-        for (attr, generator) in regenerate_at_end {
-            self.regenerate_vector(view, &attr, &generator)?;
+        for (attr, _) in &regenerate_at_end {
+            v.stale_columns.remove(attr);
         }
+        report.store_regenerated = true;
         Ok(())
     }
 
@@ -590,25 +580,15 @@ impl StatDbms {
             .get(view)
             .and_then(|v| v.store.schema().attribute(attribute).ok().cloned())
             .unwrap_or_else(|| Attribute::derived(attribute, DataType::Float));
-        let n = store.len();
-        let rule = self.rules.rule(view, attribute).ok().cloned();
-        let values: Vec<Value> = match &rule {
-            Some(DerivedRule::Local { expr }) => {
-                let schema = store.schema().clone();
-                let bexpr = expr.bind(&schema)?;
-                (0..n)
-                    .map(|i| {
-                        let row = store.read_row(i)?;
-                        Ok(coerce(bexpr.eval(&row), attr.dtype))
-                    })
-                    .collect::<Result<_>>()?
-            }
+        let rule = self.rules.rule(view, attribute).ok();
+        let now = match rule {
             Some(DerivedRule::Regenerate { generator }) => {
                 regenerate_at_end.push((attribute.to_string(), generator.clone()));
-                vec![Value::Missing; n]
+                None
             }
-            Some(DerivedRule::MarkStale { .. }) | None => vec![Value::Missing; n],
+            _ => rule.and_then(DerivedRule::generator),
         };
+        let values = derived_column(&**store, now.as_ref(), attr.dtype)?;
         store.add_column(attr, values)?;
         Ok(())
     }

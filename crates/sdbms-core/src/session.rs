@@ -16,27 +16,31 @@
 //! - [`StatDbms::begin_batch`] / [`StatDbms::commit_batch`] — a writer
 //!   session staging [`BatchOp`]s against a view, holding the view's
 //!   exclusive lock from begin to commit/abort. Commit is shadowed:
-//!   the staged ops apply to a copy-on-write clone, the clone is made
-//!   durable, and only then is it installed in memory — one pointer
-//!   swap, so readers see the whole batch or none of it. Under
+//!   each staged op is planned and applied against a copy-on-write
+//!   clone through the one edit pipeline (`edit.rs` — the same
+//!   prologue, planner and applier as every in-place writer; only the
+//!   epilogue differs), the clone is made durable, and only then is
+//!   it installed in memory — one pointer swap, so readers see the
+//!   whole batch or none of it. Under
 //!   [`crate::DurabilityPolicy::CrashConsistent`] the commit runs
 //!   inside a durable `Txn` WAL intent; a crash at any point recovers
 //!   to the full pre-batch or full post-batch state, idempotently.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use sdbms_columnar::TableStore;
 use sdbms_data::{schema::Schema, value::Value};
-use sdbms_management::ChangeRecord;
+use sdbms_management::{ChangeRecord, DerivedRule};
 use sdbms_relational::{Expr, Predicate};
 use sdbms_storage::{IoScope, IoSnapshot, IoStats};
 use sdbms_summary::{ComputeSource, StatFunction, SummaryValue};
 use sdbms_txn::{EpochPin, LockGuard};
 
-use crate::dbms::{coerce, error_is_crash, summarizable, StatDbms};
+use crate::dbms::{summarizable, StatDbms};
+use crate::edit::{apply, cell_updates, Plan, WriteIntent};
 use crate::error::{CoreError, Result};
 use crate::view::UpdateReport;
 
@@ -71,12 +75,23 @@ pub enum BatchOp {
     },
 }
 
+impl BatchOp {
+    /// The statement `update_where(predicate, assignments)` makes.
+    pub(crate) fn update_where(predicate: &Predicate, assignments: &[(&str, Expr)]) -> Self {
+        let own = |(a, e): &(&str, Expr)| ((*a).to_string(), e.clone());
+        BatchOp::UpdateWhere {
+            predicate: predicate.clone(),
+            assignments: assignments.iter().map(own).collect(),
+        }
+    }
+}
+
 /// A writer session: staged ops plus the view lock held from begin to
 /// commit/abort (the guard's drop releases it).
 pub(crate) struct PendingBatch {
     pub(crate) view: String,
     pub(crate) ops: Vec<BatchOp>,
-    _guard: LockGuard,
+    guard: LockGuard,
 }
 
 /// A pinned, non-blocking read session on one version of one view.
@@ -273,16 +288,10 @@ impl StatDbms {
             PendingBatch {
                 view: view.to_string(),
                 ops: Vec::new(),
-                _guard: guard,
+                guard,
             },
         );
         Ok(session)
-    }
-
-    fn batch_mut(&mut self, batch: BatchId) -> Result<&mut PendingBatch> {
-        self.batches
-            .get_mut(&batch)
-            .ok_or(CoreError::NoSuchBatch(batch))
     }
 
     /// Stage a predicate update in a batch. Nothing is applied yet.
@@ -292,15 +301,7 @@ impl StatDbms {
         predicate: &Predicate,
         assignments: &[(&str, Expr)],
     ) -> Result<()> {
-        let op = BatchOp::UpdateWhere {
-            predicate: predicate.clone(),
-            assignments: assignments
-                .iter()
-                .map(|(a, e)| ((*a).to_string(), e.clone()))
-                .collect(),
-        };
-        self.batch_mut(batch)?.ops.push(op);
-        Ok(())
+        self.batch_stage(batch, BatchOp::update_where(predicate, assignments))
     }
 
     /// Stage one cell overwrite in a batch.
@@ -311,20 +312,18 @@ impl StatDbms {
         attribute: &str,
         value: Value,
     ) -> Result<()> {
+        let attribute = attribute.to_string();
         let op = BatchOp::SetCell {
             row,
-            attribute: attribute.to_string(),
+            attribute,
             value,
         };
-        self.batch_mut(batch)?.ops.push(op);
-        Ok(())
+        self.batch_stage(batch, op)
     }
 
     /// Stage one row append in a batch.
     pub fn batch_append_row(&mut self, batch: BatchId, values: Vec<Value>) -> Result<()> {
-        let op = BatchOp::AppendRow { values };
-        self.batch_mut(batch)?.ops.push(op);
-        Ok(())
+        self.batch_stage(batch, BatchOp::AppendRow { values })
     }
 
     /// Stage an already-constructed [`BatchOp`]. The serving layer's
@@ -332,7 +331,8 @@ impl StatDbms {
     /// `batch_update_where` / `batch_set_cell` / `batch_append_row`
     /// helpers all reduce to it.
     pub fn batch_stage(&mut self, batch: BatchId, op: BatchOp) -> Result<()> {
-        self.batch_mut(batch)?.ops.push(op);
+        let pending = self.batches.get_mut(&batch);
+        pending.ok_or(CoreError::NoSuchBatch(batch))?.ops.push(op);
         Ok(())
     }
 
@@ -382,33 +382,15 @@ impl StatDbms {
             .batches
             .remove(&batch)
             .ok_or(CoreError::NoSuchBatch(batch))?;
-        let view = pending.view.clone();
-        if let Some(wal) = self.views.get(&view).and_then(|v| v.wal.as_ref()) {
-            wal.begin_txn()?;
-        }
-        let result = self.apply_batch(&view, &pending.ops);
-        match &result {
-            Ok(_) => match self.commit_intent(&view) {
-                Ok(()) => {}
-                // A crash while committing must surface: the intent
-                // stays pending for recovery.
-                Err(e) if error_is_crash(&e) => return Err(e),
-                // Non-crash trouble clearing the intent: a pending
-                // Txn intent is conservative (recovery rebuilds the
-                // cache), so the committed batch still reports success.
-                Err(_) => {}
-            },
-            Err(e) if !error_is_crash(e) => {
-                // The shadow apply failed without a crash: the live
-                // version was never touched, so just retire the
-                // intent. Best-effort — pending is safe.
-                // lint: allow(swallowed-error): a pending intent is safe (recovery replays it); the apply error is the one to surface
-                let _ = self.commit_intent(&view);
-            }
-            Err(_) => {} // crash: intent stays pending
-        }
-        // The lock guard (inside `pending`) drops here.
-        result
+        // The batch's lock guard moves into the writer section and
+        // drops when it ends.
+        self.write(
+            &pending.view,
+            Some(pending.guard),
+            WriteIntent::Txn,
+            |_| Ok(()),
+            |dbms, ()| dbms.apply_batch(&pending.view, &pending.ops),
+        )
     }
 
     /// Apply staged ops to a shadow clone and install it. Only called
@@ -417,70 +399,16 @@ impl StatDbms {
         let exec = self.exec;
         let mut report = UpdateReport::default();
         let mut records: Vec<ChangeRecord> = Vec::new();
-        let mut touched: Vec<String> = Vec::new();
         let mut new_store = {
             let v = self.view(view)?;
             v.store.boxed_clone()?
         };
+        // Each op is planned against the shadow as the ops before it
+        // left it. A bad op fails its plan and the shadow is dropped.
         for op in ops {
-            match op {
-                BatchOp::UpdateWhere {
-                    predicate,
-                    assignments,
-                } => {
-                    let schema = new_store.schema().clone();
-                    let bound: Vec<(String, sdbms_relational::BoundExpr, _)> = assignments
-                        .iter()
-                        .map(|(attr, expr)| {
-                            let a = schema.attribute(attr)?;
-                            Ok((a.name.clone(), expr.bind(&schema)?, a.dtype))
-                        })
-                        .collect::<Result<_>>()?;
-                    let matching =
-                        sdbms_relational::filter_table_rows(&*new_store, predicate, &exec)?;
-                    report.rows_matched += matching.len();
-                    for &i in &matching {
-                        let row = new_store.read_row(i)?;
-                        for (attr, bexpr, dtype) in &bound {
-                            let new = coerce(bexpr.eval(&row), *dtype);
-                            let old = new_store.set_cell(i, attr, new.clone())?;
-                            if old != new {
-                                report.cells_changed += 1;
-                                touched.push(attr.clone());
-                                records.push(ChangeRecord::CellUpdate {
-                                    row: i,
-                                    attribute: attr.clone(),
-                                    old,
-                                    new,
-                                });
-                            }
-                        }
-                    }
-                }
-                BatchOp::SetCell {
-                    row,
-                    attribute,
-                    value,
-                } => {
-                    let old = new_store.set_cell(*row, attribute, value.clone())?;
-                    if old != *value {
-                        report.cells_changed += 1;
-                        touched.push(attribute.clone());
-                        records.push(ChangeRecord::CellUpdate {
-                            row: *row,
-                            attribute: attribute.clone(),
-                            old,
-                            new: value.clone(),
-                        });
-                    }
-                }
-                BatchOp::AppendRow { values } => {
-                    new_store.append_row(values.clone())?;
-                    records.push(ChangeRecord::RowAppended {
-                        values: values.clone(),
-                    });
-                }
-            }
+            let plan = Plan::op(&*new_store, op, &exec)?;
+            report.rows_matched += plan.rows_matched;
+            apply(&mut *new_store, plan, Some(&mut records))?;
         }
         // Durability point: every shadow page reaches disk before the
         // in-memory swap makes the version reachable.
@@ -496,15 +424,15 @@ impl StatDbms {
         // Derived columns triggered by the touched attributes are not
         // recomputed inside a batch — they are marked stale for
         // on-demand regeneration, the cheapest sound rule.
-        touched.sort_unstable();
-        touched.dedup();
+        report.cells_changed = cell_updates(&records).count();
+        let touched: BTreeSet<&str> = cell_updates(&records).map(|(_, a, ..)| a).collect();
         let mut stale: Vec<String> = Vec::new();
-        for attr in &touched {
-            for (d, rule) in self.rules.triggered_by(view, attr) {
+        for attr in touched {
+            for (d, _) in self.rules.triggered_by(view, attr) {
                 if !stale.contains(&d.to_string()) {
                     report
                         .derived_updates
-                        .push((d.to_string(), rule.cost_class()));
+                        .push((d.to_string(), DerivedRule::DEFERRED));
                     stale.push(d.to_string());
                 }
             }
@@ -520,10 +448,7 @@ impl StatDbms {
         for d in stale {
             v.stale_columns.insert(d);
         }
-        let history = &mut self.catalog.view_mut(view)?.history;
-        for r in records {
-            history.record(r);
-        }
+        self.record(view, records)?;
         Ok(report)
     }
 }

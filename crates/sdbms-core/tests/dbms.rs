@@ -1,9 +1,9 @@
 //! End-to-end tests of the DBMS façade: the full Figure 3 lifecycle.
 
 use sdbms_core::{
-    paper_demo_dbms, AccuracyPolicy, AggFunc, Aggregate, CmpOp, ComputeSource, CoreError, Expr,
-    Layout, MaintenancePolicy, Predicate, ScalarFunc, StatDbms, StatFunction, SummaryValue,
-    ViewDefinition,
+    paper_demo_dbms, AccuracyPolicy, AggFunc, Aggregate, BinOp, CmpOp, ComputeSource, CoreError,
+    DurabilityPolicy, Expr, Layout, MaintenancePolicy, Predicate, ScalarFunc, StatDbms,
+    StatFunction, SummaryValue, ViewDefinition,
 };
 use sdbms_data::census::{microdata_census, CensusConfig};
 use sdbms_data::{DataType, Value};
@@ -672,4 +672,206 @@ fn rollback_rederives_dependent_columns() {
         let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
         assert!((x - y).abs() < 1e-6, "{x} vs {y}");
     }
+}
+
+/// A 2 000-row census view with the standing summaries warm.
+fn warmed(policy: DurabilityPolicy) -> StatDbms {
+    let mut dbms = micro_dbms(2_000);
+    dbms.materialize(ViewDefinition::scan("v", "census_microdata"), "a")
+        .unwrap();
+    dbms.set_durability(policy).unwrap();
+    dbms.warm_standing_summaries("v").unwrap();
+    dbms
+}
+
+/// `AGE := AGE / 2` — a float for every odd age, which the integer
+/// column rejects.
+fn halve_age() -> (&'static str, Expr) {
+    ("AGE", Expr::col("AGE").binary(BinOp::Div, Expr::lit(2i64)))
+}
+
+fn double_income() -> (&'static str, Expr) {
+    let doubled = Expr::col("INCOME").binary(BinOp::Mul, Expr::lit(2i64));
+    ("INCOME", doubled)
+}
+
+fn is_type_mismatch(e: &CoreError) -> bool {
+    matches!(
+        e,
+        CoreError::Data(sdbms_data::DataError::TypeMismatch { .. })
+    )
+}
+
+/// Everything a failed statement must leave alone: both columns, the
+/// history, the warm summaries, and the intent log.
+fn assert_untouched(dbms: &mut StatDbms, age: &[Value], income: &[Value], what: &str) {
+    // `assert!`, not `assert_eq!`: a failure should not print 2 000 cells.
+    assert!(dbms.column("v", "AGE").unwrap() == age, "{what}: AGE");
+    assert!(
+        dbms.column("v", "INCOME").unwrap() == income,
+        "{what}: INCOME"
+    );
+    assert_eq!(dbms.history_version("v").unwrap(), 0, "{what}: history");
+    for (attr, column) in [("AGE", age), ("INCOME", income)] {
+        for f in sdbms_summary::standing_summary_functions() {
+            let (value, source) = dbms.compute("v", attr, &f, AccuracyPolicy::Exact).unwrap();
+            assert_eq!(source, ComputeSource::Cache, "{what}: {f}({attr})");
+            assert_eq!(value, f.compute(column).unwrap(), "{what}: {f}({attr})");
+        }
+    }
+    if let Some(wal) = &dbms.view("v").unwrap().wal {
+        assert_eq!(wal.pending().unwrap(), None, "{what}: intent retired");
+    }
+}
+
+#[test]
+fn a_failed_statement_leaves_no_trace() {
+    for policy in [
+        DurabilityPolicy::Volatile,
+        DurabilityPolicy::CrashConsistent,
+    ] {
+        let mut dbms = warmed(policy);
+        let age = dbms.column("v", "AGE").unwrap();
+        let income = dbms.column("v", "INCOME").unwrap();
+        assert!(age.iter().any(|v| v.as_f64().unwrap() % 2.0 == 1.0));
+
+        let err = dbms
+            .update_where("v", &Predicate::True, &[halve_age()])
+            .unwrap_err();
+        assert!(is_type_mismatch(&err), "{err}");
+        assert_untouched(&mut dbms, &age, &income, "one bad assignment");
+
+        // The bad assignment is the second one: the first must not
+        // have been written by the time it is found.
+        let err = dbms
+            .update_where("v", &Predicate::True, &[double_income(), halve_age()])
+            .unwrap_err();
+        assert!(is_type_mismatch(&err), "{err}");
+        assert_untouched(&mut dbms, &age, &income, "second assignment bad");
+
+        // Control: the same statements staged in a batch.
+        let batch = dbms.begin_batch("v").unwrap();
+        dbms.batch_update_where(batch, &Predicate::True, &[double_income()])
+            .unwrap();
+        dbms.batch_update_where(batch, &Predicate::True, &[halve_age()])
+            .unwrap();
+        let err = dbms.commit_batch(batch).unwrap_err();
+        assert!(is_type_mismatch(&err), "{err}");
+        assert_untouched(&mut dbms, &age, &income, "batch");
+
+        // And the view is still writable.
+        let report = dbms
+            .update_where("v", &Predicate::True, &[double_income()])
+            .unwrap();
+        assert_eq!(report.cells_changed, 2_000);
+    }
+}
+
+fn log_income() -> Expr {
+    Expr::col("INCOME").apply(ScalarFunc::Ln)
+}
+
+fn mean_of(dbms: &mut StatDbms, attr: &str) -> (SummaryValue, ComputeSource) {
+    dbms.compute("v", attr, &StatFunction::Mean, AccuracyPolicy::Exact)
+        .unwrap()
+}
+
+#[test]
+fn regenerate_column_is_a_writer_like_any_other() {
+    let mut dbms = warmed(DurabilityPolicy::CrashConsistent);
+    dbms.add_derived_column("v", "LOG_INCOME", DataType::Float, log_income())
+        .unwrap();
+    // A batch edits INCOME: LOG_INCOME is only marked stale, and the
+    // report says so whatever the column's rule would have cost.
+    let batch = dbms.begin_batch("v").unwrap();
+    dbms.batch_update_where(
+        batch,
+        &Predicate::cmp(Expr::col("AGE"), CmpOp::Gt, Expr::lit(30i64)),
+        &[double_income()],
+    )
+    .unwrap();
+    let report = dbms.commit_batch(batch).unwrap();
+    assert_eq!(
+        report.derived_updates,
+        vec![("LOG_INCOME".to_string(), "deferred")]
+    );
+    assert_eq!(dbms.stale_columns("v").unwrap(), vec!["LOG_INCOME"]);
+    let (stale_mean, source) = mean_of(&mut dbms, "LOG_INCOME");
+    assert_eq!(source, ComputeSource::Computed);
+
+    let before = dbms.history_version("v").unwrap();
+    dbms.regenerate_column("v", "LOG_INCOME").unwrap();
+    assert!(dbms.stale_columns("v").unwrap().is_empty());
+    // The cache never disagrees with a recompute: the entry computed
+    // over the stale column must not survive the regeneration.
+    let column = dbms.column("v", "LOG_INCOME").unwrap();
+    let fresh = StatFunction::Mean.compute(&column).unwrap();
+    assert!(!fresh.approx_eq(&stale_mean, 1e-6), "the column moved");
+    let (served, _) = mean_of(&mut dbms, "LOG_INCOME");
+    assert_eq!(served, fresh);
+    // Annotated in history, as the rule-firing route does.
+    let history = &dbms.catalog().view("v").unwrap().history;
+    let added: Vec<String> = history
+        .records_since(before)
+        .iter()
+        .map(|(_, r)| r.to_string())
+        .collect();
+    assert_eq!(added.len(), 1, "{added:?}");
+    assert!(added[0].contains("regenerated derived column LOG_INCOME"));
+    let wal = dbms.view("v").unwrap().wal.as_ref().unwrap();
+    assert_eq!(wal.pending().unwrap(), None);
+}
+
+#[test]
+fn every_writer_respects_an_open_batch() {
+    let mut dbms = warmed(DurabilityPolicy::Volatile);
+    assert_eq!(dbms.checkpoint("v", "t0").unwrap(), 1);
+    dbms.add_derived_column("v", "LOG_INCOME", DataType::Float, log_income())
+        .unwrap();
+    dbms.update_where(
+        "v",
+        &Predicate::col_eq("PERSON_ID", 7i64),
+        &[("INCOME", Expr::lit(54_321.0))],
+    )
+    .unwrap();
+    let state = |dbms: &StatDbms| {
+        let v = dbms.view("v").unwrap();
+        (
+            dbms.dataset("v").unwrap(),
+            dbms.history_version("v").unwrap(),
+            v.version,
+            v.layout,
+            v.tracker,
+        )
+    };
+    let before = state(&dbms);
+
+    type Writer = (&'static str, fn(&mut StatDbms) -> Result<(), CoreError>);
+    let writers: [Writer; 5] = [
+        ("regenerate_column", |d| {
+            d.regenerate_column("v", "LOG_INCOME")
+        }),
+        ("add_derived_column", |d| {
+            d.add_derived_column("v", "LOG2", DataType::Float, log_income())
+        }),
+        ("add_residuals_column", |d| {
+            d.add_residuals_column("v", "RESID", "AGE", "INCOME")
+        }),
+        ("reorganize", |d| d.reorganize("v", Layout::Row)),
+        ("rollback_to", |d| d.rollback_to("v", 1).map(|_| ())),
+    ];
+
+    let batch = dbms.begin_batch("v").unwrap();
+    for (name, write) in &writers {
+        let err = write(&mut dbms).unwrap_err();
+        assert!(matches!(err, CoreError::Lock(_)), "{name}: {err}");
+        assert!(state(&dbms) == before, "{name} changed the view");
+    }
+    dbms.abort_batch(batch).unwrap();
+    for (name, write) in &writers {
+        write(&mut dbms).unwrap_or_else(|e| panic!("{name} after abort: {e}"));
+    }
+    let v = dbms.view("v").unwrap();
+    assert_eq!(v.layout, Layout::Row);
+    assert_eq!(v.store.schema().len(), before.0.schema().len() + 2);
 }

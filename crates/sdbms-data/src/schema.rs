@@ -193,6 +193,22 @@ impl Schema {
         self.attributes.iter().map(|a| a.name.as_str()).collect()
     }
 
+    /// Check one cell value against this schema: the attribute must
+    /// exist and the value conform to its declared type (missing
+    /// conforms to anything). Returns the attribute's position.
+    pub fn check_cell(&self, name: &str, value: &Value) -> Result<usize> {
+        let position = self.require(name)?;
+        let attr = &self.attributes[position];
+        if !value.conforms_to(attr.dtype) {
+            return Err(DataError::TypeMismatch {
+                attribute: attr.name.clone(),
+                expected: "declared attribute type",
+                got: value.type_name(),
+            });
+        }
+        Ok(position)
+    }
+
     /// Check a row against this schema: arity and per-value type
     /// conformance (missing conforms to anything).
     pub fn check_row(&self, row: &[Value]) -> Result<()> {

@@ -1,7 +1,7 @@
 //! A minimal hand-written Rust lexer.
 //!
 //! `sdbms-lint` deliberately carries no external dependencies (same
-//! vendoring discipline as `vendor/criterion`), so instead of `syn` it
+//! vendoring discipline as `vendor/proptest`), so instead of `syn` it
 //! lexes Rust source into a flat token stream that is just rich enough
 //! for the pattern-based lints in [`crate::source_lints`]: identifiers,
 //! punctuation, literals, and doc comments, each tagged with its source

@@ -83,6 +83,11 @@ impl DerivedRule {
         }
     }
 
+    /// Cost class of a column that was only marked out of date —
+    /// what [`DerivedRule::MarkStale`] reports, and what a batch commit
+    /// reports for every column it triggers whatever the rule.
+    pub const DEFERRED: &'static str = "deferred";
+
     /// Cost class, for reporting: 1 = one row, n = whole column,
     /// 0 = nothing now.
     #[must_use]
@@ -90,7 +95,19 @@ impl DerivedRule {
         match self {
             DerivedRule::Local { .. } => "local(1 row)",
             DerivedRule::Regenerate { .. } => "regenerate(n rows)",
-            DerivedRule::MarkStale { .. } => "deferred",
+            DerivedRule::MarkStale { .. } => Self::DEFERRED,
+        }
+    }
+
+    /// How the whole column is produced from scratch: a row-local
+    /// expression re-evaluated on every row, or the rule's own
+    /// generator. A mark-stale rule carries no definition.
+    #[must_use]
+    pub fn generator(&self) -> Option<VectorGenerator> {
+        match self {
+            DerivedRule::Local { expr } => Some(VectorGenerator::Expression(expr.clone())),
+            DerivedRule::Regenerate { generator } => Some(generator.clone()),
+            DerivedRule::MarkStale { .. } => None,
         }
     }
 }
