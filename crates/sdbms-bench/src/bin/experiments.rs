@@ -1055,7 +1055,6 @@ fn e13_zone_map_pruning() {
     // 99% of all zone maps.
     const BLOCK_ROWS: i64 = 2_048;
     const BLOCKS: i64 = 100;
-    let n_rows = (BLOCKS * BLOCK_ROWS) as usize;
     let schema = Schema::new(vec![
         Attribute::measured("BLOCK", DataType::Int),
         Attribute::measured("X", DataType::Int),
@@ -1120,7 +1119,6 @@ fn e13_zone_map_pruning() {
         ("100%", Predicate::True),
     ];
     let mut table = Vec::new();
-    let mut scan_json = Vec::new();
     for workers in [1usize, 4] {
         let cfg = ExecConfig {
             workers,
@@ -1133,7 +1131,6 @@ fn e13_zone_map_pruning() {
             let t_pruned = time_us(&mut || {
                 filter_table_rows(&store, pred, &cfg).expect("pruned scan");
             });
-            let speedup = t_naive as f64 / t_pruned.max(1) as f64;
             table.push(vec![
                 (*label).to_string(),
                 workers.to_string(),
@@ -1141,11 +1138,6 @@ fn e13_zone_map_pruning() {
                 us(t_pruned),
                 ratio(t_naive as f64, t_pruned.max(1) as f64),
             ]);
-            scan_json.push(format!(
-                "    {{\"selectivity\": \"{label}\", \"workers\": {workers}, \
-                 \"naive_us\": {t_naive}, \"pruned_us\": {t_pruned}, \
-                 \"speedup\": {speedup:.2}}}"
-            ));
         }
     }
     println!(
@@ -1161,16 +1153,6 @@ fn e13_zone_map_pruning() {
             &table
         )
     );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e13_zone_map_pruning\",\n  \"rows\": {n_rows},\n  \
-         \"scan\": [\n{}\n  ]\n}}\n",
-        scan_json.join(",\n"),
-    );
-    match std::fs::write("BENCH_scan.json", &json) {
-        Ok(()) => println!("wrote BENCH_scan.json"),
-        Err(e) => println!("could not write BENCH_scan.json: {e}"),
-    }
 }
 
 fn e14_serving() {
@@ -1199,7 +1181,6 @@ fn e14_serving() {
     };
 
     let mut table = Vec::new();
-    let mut entries = Vec::new();
     for sessions in [2usize, 4, 8] {
         // The same deterministic closed-loop Zipfian mix (reads plus a
         // writer analyst committing an update batch mid-run) against a
@@ -1234,7 +1215,6 @@ fn e14_serving() {
             reports.push(report);
         }
         let (cached, uncached) = (&reports[0], &reports[1]);
-        let speedup = uncached.wall_us as f64 / cached.wall_us.max(1) as f64;
         for (label, r) in [("cached", cached), ("uncached", uncached)] {
             table.push(vec![
                 sessions.to_string(),
@@ -1253,22 +1233,6 @@ fn e14_serving() {
             ratio(uncached.wall_us as f64, cached.wall_us.max(1) as f64),
             String::new(),
         ]);
-        entries.push(format!(
-            "    {{\"sessions\": {sessions}, \
-             \"cached\": {{\"p50_us\": {}, \"p99_us\": {}, \
-             \"throughput_rps\": {:.1}, \"hit_rate\": {:.3}}}, \
-             \"uncached\": {{\"p50_us\": {}, \"p99_us\": {}, \
-             \"throughput_rps\": {:.1}, \"hit_rate\": {:.3}}}, \
-             \"speedup\": {speedup:.2}}}",
-            cached.latency_us(50.0),
-            cached.latency_us(99.0),
-            cached.throughput_rps,
-            cached.hit_rate(),
-            uncached.latency_us(50.0),
-            uncached.latency_us(99.0),
-            uncached.throughput_rps,
-            uncached.hit_rate(),
-        ));
     }
     println!(
         "{}",
@@ -1277,16 +1241,6 @@ fn e14_serving() {
             &table
         )
     );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e14_serving\",\n  \"rows\": {ROWS},\n  \
-         \"requests_per_analyst\": {REQUESTS},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    match std::fs::write("BENCH_serve.json", &json) {
-        Ok(()) => println!("wrote BENCH_serve.json"),
-        Err(e) => println!("could not write BENCH_serve.json: {e}"),
-    }
 }
 
 fn e15_vectorized_kernels() {
@@ -1311,7 +1265,6 @@ fn e15_vectorized_kernels() {
     // and the kernels' typed lanes show.
     const BLOCK_ROWS: i64 = 2_048;
     const BLOCKS: i64 = 100;
-    let n_rows = (BLOCKS * BLOCK_ROWS) as usize;
     let schema = Schema::new(vec![
         Attribute::measured("BLOCK", DataType::Int),
         Attribute::measured("X", DataType::Int),
@@ -1424,7 +1377,6 @@ fn e15_vectorized_kernels() {
         ),
     ];
     let mut table = Vec::new();
-    let mut scan_json = Vec::new();
     for workers in [1usize, 4, 8] {
         let cfg = ExecConfig {
             workers,
@@ -1442,7 +1394,6 @@ fn e15_vectorized_kernels() {
             let t_batch = time_us(&mut || {
                 filter_table_rows(&store, pred, &cfg).expect("batch scan");
             });
-            let speedup = t_cell as f64 / t_batch.max(1) as f64;
             table.push(vec![
                 (*label).to_string(),
                 workers.to_string(),
@@ -1450,11 +1401,6 @@ fn e15_vectorized_kernels() {
                 us(t_batch),
                 ratio(t_cell as f64, t_batch.max(1) as f64),
             ]);
-            scan_json.push(format!(
-                "    {{\"selectivity\": \"{label}\", \"workers\": {workers}, \
-                 \"percell_us\": {t_cell}, \"batch_us\": {t_batch}, \
-                 \"speedup\": {speedup:.2}}}"
-            ));
         }
     }
     println!(
@@ -1472,7 +1418,6 @@ fn e15_vectorized_kernels() {
     );
 
     let mut table = Vec::new();
-    let mut agg_json = Vec::new();
     for workers in [1usize, 4, 8] {
         let cfg = ExecConfig {
             workers,
@@ -1485,7 +1430,6 @@ fn e15_vectorized_kernels() {
             let t_batch = time_us(&mut || {
                 profile_table_column(&store, attr, &cfg).expect("batch profile");
             });
-            let speedup = t_cell as f64 / t_batch.max(1) as f64;
             table.push(vec![
                 label.to_string(),
                 workers.to_string(),
@@ -1493,11 +1437,6 @@ fn e15_vectorized_kernels() {
                 us(t_batch),
                 ratio(t_cell as f64, t_batch.max(1) as f64),
             ]);
-            agg_json.push(format!(
-                "    {{\"column\": \"{attr}\", \"workers\": {workers}, \
-                 \"percell_us\": {t_cell}, \"batch_us\": {t_batch}, \
-                 \"speedup\": {speedup:.2}}}"
-            ));
         }
     }
     println!(
@@ -1513,16 +1452,6 @@ fn e15_vectorized_kernels() {
             &table
         )
     );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e15_vectorized_kernels\",\n  \"rows\": {n_rows},\n  \
-         \"scan\": [\n{}\n  ]\n}}\n",
-        scan_json.join(",\n"),
-    );
-    match std::fs::write("BENCH_scan.json", &json) {
-        Ok(()) => println!("wrote BENCH_scan.json"),
-        Err(e) => println!("could not write BENCH_scan.json: {e}"),
-    }
 }
 
 fn e16_lifecycle() {
@@ -1586,7 +1515,6 @@ fn e16_lifecycle() {
     };
 
     let mut table = Vec::new();
-    let mut entries = Vec::new();
     for guarded in [false, true] {
         let mut cfg = ServeConfig {
             workers: 4,
@@ -1626,7 +1554,6 @@ fn e16_lifecycle() {
             total,
             "every request is served or typed-rejected"
         );
-        let metrics = server.metrics();
         drop(server.shutdown());
 
         let label = if guarded { "guarded" } else { "unguarded" };
@@ -1641,25 +1568,6 @@ fn e16_lifecycle() {
             report.shed.to_string(),
             max_backoff(&report).to_string(),
         ]);
-        entries.push(format!(
-            "    {{\"mode\": \"{label}\", \"p50_us\": {}, \"p99_us\": {}, \
-             \"p999_us\": {}, \"throughput_rps\": {:.1}, \
-             \"completed\": {}, \"good_tenant_completed\": {}, \
-             \"deadline_tripped\": {}, \"breaker_or_brownout_shed\": {}, \
-             \"backoffs_honored\": {}, \"breaker_opened\": {}, \
-             \"max_completed_backoff_units\": {}}}",
-            report.latency_us(50.0),
-            report.latency_us(99.0),
-            report.latency_us(99.9),
-            report.throughput_rps,
-            report.completed,
-            good_completed(&report),
-            report.budget_tripped,
-            report.shed,
-            report.backoffs_honored,
-            metrics.breaker.opened,
-            max_backoff(&report),
-        ));
     }
     println!(
         "{}",
@@ -1678,17 +1586,6 @@ fn e16_lifecycle() {
             &table
         )
     );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e16_lifecycle\",\n  \"rows\": {ROWS},\n  \
-         \"requests_per_analyst\": {REQUESTS},\n  \"slow_read\": 0.05,\n  \
-         \"slow_read_units\": {SLOW_UNITS},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    match std::fs::write("BENCH_lifecycle.json", &json) {
-        Ok(()) => println!("wrote BENCH_lifecycle.json"),
-        Err(e) => println!("could not write BENCH_lifecycle.json: {e}"),
-    }
 }
 
 // Silence the unused-import warning for CmpOp/Layout which are used

@@ -68,23 +68,6 @@ pub trait TableStore {
         ))
     }
 
-    /// Seal the store for scanning: capture CRC-verified page images
-    /// so subsequent batch reads bypass the buffer pool entirely (the
-    /// simulated-mmap read path). Returns `true` if the layout
-    /// supports sealing and the seal is now in place; the default
-    /// layout does not. Any mutation unseals. Errors (corrupt pages,
-    /// injected faults during the capture) leave the store unsealed —
-    /// callers degrade to the buffer-pool path.
-    fn seal_for_scan(&mut self) -> Result<bool> {
-        Ok(false)
-    }
-
-    /// True while a scan seal from [`TableStore::seal_for_scan`] is in
-    /// place (reads are served from the mapped images).
-    fn scan_sealed(&self) -> bool {
-        false
-    }
-
     /// Read one full row (the *informational* access pattern: every
     /// column, one row).
     fn read_row(&self, row: usize) -> Result<Vec<Value>>;

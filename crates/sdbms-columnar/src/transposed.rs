@@ -8,11 +8,10 @@
 //! [`crate::segment`] records in its own heap file; a small in-memory
 //! directory maps row ranges to segment records.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use sdbms_data::{DataError, DataSet, DataType, Schema, Value};
-use sdbms_storage::{BufferPool, HeapFile, MmapSegmentSource, PageId, Rid};
+use sdbms_storage::{BufferPool, HeapFile, PageId, Rid};
 
 use crate::batch::{decode_batch_range, ColumnBatch};
 use crate::segment::{
@@ -55,14 +54,6 @@ pub struct TransposedFile {
     /// a retired store version — or from before a rebuild — can never
     /// prune this version's scans.
     generation: u64,
-    /// Scan seal: CRC-verified images of the data pages, captured by
-    /// [`TableStore::seal_for_scan`]. While present, every segment
-    /// read is served zero-copy from the images instead of the buffer
-    /// pool. Every mutator clears it (mutation unseals); the seal dies
-    /// with the store, so MVCC-lite epoch retirement of a superseded
-    /// store version is what finally "unmaps" it — never under a
-    /// pinned snapshot.
-    mmap: Option<MmapSegmentSource>,
 }
 
 impl std::fmt::Debug for TransposedFile {
@@ -70,7 +61,6 @@ impl std::fmt::Debug for TransposedFile {
         f.debug_struct("TransposedFile")
             .field("rows", &self.rows)
             .field("columns", &self.columns.len())
-            .field("sealed", &self.mmap.is_some())
             .finish()
     }
 }
@@ -127,7 +117,6 @@ impl TransposedFile {
             columns,
             rows: 0,
             generation: 0,
-            mmap: None,
         })
     }
 
@@ -158,7 +147,6 @@ impl TransposedFile {
         if ds.schema() != &self.schema {
             return Err(DataError::Decode("bulk_append schema mismatch"));
         }
-        self.mmap = None; // mutation unseals
         let generation = self.generation;
         for (ci, attr) in self.schema.attributes().iter().enumerate() {
             let values: Vec<Value> = ds.column(&attr.name)?.cloned().collect();
@@ -285,24 +273,6 @@ impl TransposedFile {
         Ok(bytes)
     }
 
-    /// Fetch one segment's raw record for a read path, serving it
-    /// zero-copy from the scan seal when one is in place and from the
-    /// buffer pool otherwise. Both sides verify the stored row count
-    /// against the directory, so the bytes handed to decoders are
-    /// interchangeable.
-    fn segment_bytes_view<'a>(&'a self, col: &'a Column, si: usize) -> Result<Cow<'a, [u8]>> {
-        if let Some(m) = &self.mmap {
-            let info = col.segments[si];
-            let bytes = m.record_bytes(info.rid).map_err(DataError::Storage)?;
-            let n = crate::read_u16(bytes, 0, "segment header truncated")? as usize;
-            if n != info.len {
-                return Err(DataError::Decode("segment directory out of sync"));
-            }
-            return Ok(Cow::Borrowed(bytes));
-        }
-        Self::segment_bytes(col, si).map(Cow::Owned)
-    }
-
     fn store_segment(col: &mut Column, si: usize, values: &[Value], generation: u64) -> Result<()> {
         // Invalidate-first: drop the old zone map before the data
         // changes so a failure between the two writes leaves the
@@ -385,7 +355,7 @@ impl TableStore for TransposedFile {
         let col = &self.columns[ci];
         let mut out = Vec::with_capacity(self.rows);
         for si in 0..col.segments.len() {
-            let bytes = self.segment_bytes_view(col, si)?;
+            let bytes = Self::segment_bytes(col, si)?;
             let vals = decode_segment(&bytes)?;
             if vals.len() != col.segments[si].len {
                 return Err(DataError::Decode("segment directory out of sync"));
@@ -398,7 +368,7 @@ impl TableStore for TransposedFile {
     fn read_column_range(&self, attribute: &str, start: usize, len: usize) -> Result<Vec<Value>> {
         let mut out = Vec::with_capacity(len.min(self.rows));
         self.for_each_overlap(attribute, start, len, |col, si, lo, hi| {
-            let bytes = self.segment_bytes_view(col, si)?;
+            let bytes = Self::segment_bytes(col, si)?;
             out.extend(decode_segment_range(&bytes, lo, hi)?);
             Ok(())
         })?;
@@ -411,25 +381,10 @@ impl TableStore for TransposedFile {
         // decode primitive payloads directly into the lane.
         let mut out = ColumnBatch::new();
         self.for_each_overlap(attribute, start, len, |col, si, lo, hi| {
-            let bytes = self.segment_bytes_view(col, si)?;
+            let bytes = Self::segment_bytes(col, si)?;
             decode_batch_range(&bytes, lo, hi, &mut out)
         })?;
         Ok(out)
-    }
-
-    fn seal_for_scan(&mut self) -> Result<bool> {
-        if self.mmap.is_some() {
-            return Ok(true);
-        }
-        let pages = self.data_page_ids();
-        // lint: allow(mmap-seam-bypass): the one sanctioned door — map() flushes the pool and CRC-verifies every data page before any zero-copy read is served
-        let src = MmapSegmentSource::map(&self.pool, &pages).map_err(DataError::Storage)?;
-        self.mmap = Some(src);
-        Ok(true)
-    }
-
-    fn scan_sealed(&self) -> bool {
-        self.mmap.is_some()
     }
 
     fn range_stats(&self, attribute: &str, start: usize, len: usize) -> Option<ZoneMap> {
@@ -460,7 +415,7 @@ impl TableStore for TransposedFile {
             let si = Self::segment_index_for_row(col, row)
                 .ok_or(DataError::Decode("segment directory out of sync"))?;
             let off = row - col.segments[si].start_row;
-            let bytes = self.segment_bytes_view(col, si)?;
+            let bytes = Self::segment_bytes(col, si)?;
             let mut vals = decode_segment_range(&bytes, off, off + 1)?;
             out.push(
                 vals.pop()
@@ -479,7 +434,7 @@ impl TableStore for TransposedFile {
         let si = Self::segment_index_for_row(col, row)
             .ok_or(DataError::Decode("segment directory out of sync"))?;
         let off = row - col.segments[si].start_row;
-        let bytes = self.segment_bytes_view(col, si)?;
+        let bytes = Self::segment_bytes(col, si)?;
         decode_segment_range(&bytes, off, off + 1)?
             .pop()
             .ok_or(DataError::Decode("segment directory out of sync"))
@@ -490,7 +445,6 @@ impl TableStore for TransposedFile {
         if row >= self.rows {
             return Err(DataError::NoSuchRow(row));
         }
-        self.mmap = None; // mutation unseals
         let generation = self.generation;
         let col = &mut self.columns[ci];
         let si = Self::segment_index_for_row(col, row)
@@ -509,7 +463,6 @@ impl TableStore for TransposedFile {
                 got: values.len(),
             });
         }
-        self.mmap = None; // mutation unseals
         let compression = default_compression(attr.dtype);
         let new_schema = self.schema.with_appended(attr)?;
         // A new column file — no existing data moves (the transposed
@@ -550,7 +503,6 @@ impl TableStore for TransposedFile {
     }
 
     fn rebuild_zone_maps(&mut self) -> Result<usize> {
-        self.mmap = None; // mutation unseals
         let pool = self.pool.clone();
         // Move to the next generation before writing anything: even if
         // an abandoned pre-rebuild map page were somehow consulted
@@ -612,7 +564,6 @@ impl TableStore for TransposedFile {
 
     fn append_row(&mut self, row: Vec<Value>) -> Result<()> {
         self.schema.check_row(&row)?;
-        self.mmap = None; // mutation unseals
         let generation = self.generation;
         for (ci, v) in row.into_iter().enumerate() {
             let col = &mut self.columns[ci];
@@ -953,74 +904,32 @@ mod tests {
     }
 
     #[test]
-    fn sealed_reads_byte_identical_to_pool_reads() {
-        let env = StorageEnv::new(256);
-        let ds = micro(900);
-        let mut t = TransposedFile::from_dataset(env.pool, &ds).unwrap();
-        assert!(!t.scan_sealed());
-        let attrs = ["AGE", "INCOME", "SEX", "REGION"];
-        let before: Vec<Vec<Value>> = attrs.iter().map(|a| t.read_column(a).unwrap()).collect();
-        assert!(t.seal_for_scan().unwrap());
-        assert!(t.scan_sealed());
-        // Sealing is idempotent.
-        assert!(t.seal_for_scan().unwrap());
-        for (a, want) in attrs.iter().zip(&before) {
-            assert_eq!(&t.read_column(a).unwrap(), want, "{a}");
-            let batch = t.read_column_batch(a, 100, 500).unwrap();
-            assert_eq!(batch.to_values(), want[100..600], "{a} batch");
-        }
-        assert_eq!(t.read_row(456).unwrap(), ds.rows()[456]);
-        // Encoded segments compare byte-for-byte across the two paths.
-        let sealed_seg = t.encoded_segment("AGE", 1).unwrap().unwrap();
-        let info_bytes = t
-            .segment_bytes_view(&t.columns[t.schema.require("AGE").unwrap()], 1)
-            .unwrap();
-        assert_eq!(&sealed_seg[..], &info_bytes[..]);
-    }
-
-    #[test]
-    fn sealed_scans_do_no_io_and_mutation_unseals() {
-        let env = StorageEnv::new(8); // tiny pool: unsealed scans must fault
-        let ds = micro(2000);
-        let mut t = TransposedFile::from_dataset(env.pool.clone(), &ds).unwrap();
-        t.seal_for_scan().unwrap();
-        env.pool.discard_frames().unwrap();
-        env.tracker.reset();
-        let sealed_col = t.read_column("INCOME").unwrap();
-        assert_eq!(
-            env.tracker.snapshot().page_reads,
-            0,
-            "sealed scan bypasses the pool entirely"
-        );
-        // Mutation unseals; the same scan now reads through the pool.
-        t.set_cell(0, "INCOME", Value::Float(1.5)).unwrap();
-        assert!(!t.scan_sealed());
-        env.tracker.reset();
-        let unsealed_col = t.read_column("INCOME").unwrap();
-        assert!(env.tracker.snapshot().page_reads > 0);
-        assert_eq!(sealed_col[1..], unsealed_col[1..]);
-    }
-
-    #[test]
-    fn corrupt_data_page_fails_seal_and_pool_path_still_reports_it() {
+    fn corrupt_data_page_reads_fail_cleanly_or_return_the_original_values() {
         let env = StorageEnv::new(64);
         let ds = micro(700);
-        let mut t = TransposedFile::from_dataset(env.pool.clone(), &ds).unwrap();
+        let t = TransposedFile::from_dataset(env.pool.clone(), &ds).unwrap();
         env.pool.flush_all().unwrap();
         env.pool.discard_frames().unwrap();
         let victim = t.data_page_ids()[0];
         env.disk.corrupt_page(victim, 21).unwrap();
-        // The seal CRC-verifies at map time: corruption surfaces as an
-        // error and the store stays unsealed (degrades to pool path).
-        let err = t.seal_for_scan().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                DataError::Storage(sdbms_storage::StorageError::ChecksumMismatch { .. })
-            ),
-            "{err:?}"
-        );
-        assert!(!t.scan_sealed());
+        // A read that touches the flipped page is a typed checksum
+        // error; one that does not returns exactly what was loaded —
+        // never silently different data.
+        let mut failed = 0;
+        for attr in ds.schema().attributes() {
+            match t.read_column(&attr.name) {
+                Ok(col) => {
+                    let want: Vec<Value> = ds.column(&attr.name).unwrap().cloned().collect();
+                    assert_eq!(col, want, "{}", attr.name);
+                }
+                Err(DataError::Storage(
+                    sdbms_storage::StorageError::ChecksumMismatch { .. }
+                    | sdbms_storage::StorageError::Corrupt(_),
+                )) => failed += 1,
+                Err(e) => panic!("{}: unexpected error {e:?}", attr.name),
+            }
+        }
+        assert!(failed >= 1, "the victim page backs at least one column");
     }
 
     #[test]

@@ -65,17 +65,6 @@ pub struct RecoveryReport {
     pub views_recovered: Vec<String>,
 }
 
-/// Environment variable opting scans into the sealed-segment mmap
-/// read path (`SDBMS_MMAP=1`). Unset, or any other value, keeps the
-/// buffer-pool read path — the default, and the only path fault
-/// schedules exercise.
-pub const MMAP_ENV: &str = "SDBMS_MMAP";
-
-/// Parse the `SDBMS_MMAP` opt-in from the environment.
-fn mmap_from_env() -> bool {
-    std::env::var(MMAP_ENV).is_ok_and(|v| matches!(v.trim(), "1" | "true" | "on"))
-}
-
 /// The statistical database management system.
 pub struct StatDbms {
     pub(crate) env: StorageEnv,
@@ -93,10 +82,6 @@ pub struct StatDbms {
     durability: DurabilityPolicy,
     /// Morsel-driven executor configuration for parallel column scans.
     pub(crate) exec: sdbms_exec::ExecConfig,
-    /// Whether summary warm-up/regeneration scans may seal stores for
-    /// zero-copy mmap reads (`SDBMS_MMAP=1` opt-in; buffer pool is the
-    /// default).
-    mmap_scans: bool,
     /// Per-view health states driving the self-healing subsystem.
     pub(crate) health: HealthRegistry,
     /// Durable scrub-resume cursor, created lazily on the first scrub.
@@ -145,7 +130,6 @@ impl StatDbms {
             default_layout: Layout::Transposed,
             durability: DurabilityPolicy::Volatile,
             exec: sdbms_exec::ExecConfig::from_env(),
-            mmap_scans: mmap_from_env(),
             health: HealthRegistry::new(),
             scrub_cursor: None,
             epochs: Arc::new(EpochRegistry::new()),
@@ -172,45 +156,6 @@ impl StatDbms {
     /// guaranteed between runs sharing a morsel size.
     pub fn set_exec_config(&mut self, cfg: sdbms_exec::ExecConfig) {
         self.exec = cfg;
-    }
-
-    /// Whether warm-up/regeneration scans may use the sealed-segment
-    /// mmap read path (the [`MMAP_ENV`] opt-in).
-    #[must_use]
-    pub fn mmap_scans(&self) -> bool {
-        self.mmap_scans
-    }
-
-    /// Opt scans in or out of the sealed-segment mmap read path at
-    /// runtime, overriding the [`MMAP_ENV`] default. Enabling only
-    /// permits future seals; disabling does not unseal an already
-    /// sealed store (the next mutation does).
-    pub fn set_mmap_scans(&mut self, enabled: bool) {
-        self.mmap_scans = enabled;
-    }
-
-    /// Try to seal a view's store for zero-copy scanning: flush and
-    /// CRC-verify its data pages into a point-in-time capture served
-    /// without buffer-pool I/O (the simulated `mmap` path). Returns
-    /// `false` — leaving the buffer-pool path in effect — when the
-    /// layout does not support sealing or when the current store
-    /// version is shared with a pinned snapshot (a seal must never
-    /// touch a pinned version; the snapshot keeps its store alive
-    /// through the epoch registry, so reclamation can never unmap
-    /// under it). A page that fails CRC verification during the
-    /// capture surfaces as a corruption error and the store stays
-    /// unsealed.
-    pub fn seal_view_for_scan(&mut self, view: &str) -> Result<bool> {
-        let v = self.view_mut(view)?;
-        match Arc::get_mut(&mut v.store) {
-            Some(store) => Ok(store.seal_for_scan()?),
-            None => Ok(false),
-        }
-    }
-
-    /// True while `view`'s store serves reads from a scan seal.
-    pub fn view_scan_sealed(&self, view: &str) -> Result<bool> {
-        Ok(self.view(view)?.store.scan_sealed())
     }
 
     /// The current durability policy.
@@ -599,14 +544,6 @@ impl StatDbms {
         };
         let exec = self.exec;
         let fns = sdbms_summary::standing_summary_functions();
-        if self.mmap_scans {
-            // Best-effort seal: the whole warm-up then scans zero-copy
-            // page captures instead of going through the buffer pool.
-            // A failed seal (unsupported layout, pinned snapshot, a
-            // page failing CRC verification) degrades to the pool
-            // path without affecting a single result.
-            let _ = self.seal_view_for_scan(view);
-        }
         let mut warmed = 0;
         for attr in names {
             // One parallel batch scan answers whatever part of the

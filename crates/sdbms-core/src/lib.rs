@@ -32,7 +32,7 @@ pub mod repair;
 pub mod session;
 pub mod view;
 
-pub use dbms::{paper_demo_dbms, DurabilityPolicy, RecoveryReport, StatDbms, MMAP_ENV};
+pub use dbms::{paper_demo_dbms, DurabilityPolicy, RecoveryReport, StatDbms};
 pub use error::{CoreError, Result};
 pub use repair::RepairReport;
 pub use session::{BatchId, BatchOp, Snapshot};

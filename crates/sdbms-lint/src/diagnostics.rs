@@ -75,15 +75,6 @@ pub const SNAPSHOT_BYPASS: Lint = Lint {
     description: "direct mutation of a view's store bypasses snapshot isolation; route through store_mut()/install_store",
 };
 
-/// `mmap-seam-bypass`: library code outside `sdbms-columnar` must not
-/// construct or map an `MmapSegmentSource` directly — zero-copy reads
-/// are sealed through `TableStore::seal_for_scan`, which flushes the
-/// buffer pool and CRC-verifies every page before a byte is served.
-pub const MMAP_SEAM_BYPASS: Lint = Lint {
-    id: "mmap-seam-bypass",
-    description: "MmapSegmentSource constructed outside the sealed-scan seam; route through TableStore::seal_for_scan",
-};
-
 /// `rule-missing-strategy`: a `(function, update-kind)` pair in the
 /// summary registry has no declared maintenance strategy.
 pub const RULE_MISSING_STRATEGY: Lint = Lint {
@@ -177,7 +168,6 @@ pub const ALL_LINTS: &[Lint] = &[
     UNJUSTIFIED_ALLOW,
     TXN_LOCK_ORDER,
     SNAPSHOT_BYPASS,
-    MMAP_SEAM_BYPASS,
     LOCK_CYCLE,
     LOCK_ORDER_DIVERGENCE,
     BLOCKING_UNDER_LOCK,

@@ -10,9 +10,8 @@
 //! audited.
 
 use crate::diagnostics::{
-    Diagnostic, Lint, DEADLINE_BYPASS, FAULT_SEAM_BYPASS, LOSSY_CAST, MISSING_DOCS,
-    MMAP_SEAM_BYPASS, NO_PANIC, RELAXED_ORDERING, SNAPSHOT_BYPASS, TXN_LOCK_ORDER,
-    UNJUSTIFIED_ALLOW,
+    Diagnostic, Lint, DEADLINE_BYPASS, FAULT_SEAM_BYPASS, LOSSY_CAST, MISSING_DOCS, NO_PANIC,
+    RELAXED_ORDERING, SNAPSHOT_BYPASS, TXN_LOCK_ORDER, UNJUSTIFIED_ALLOW,
 };
 use crate::tokenizer::{Tok, TokKind, TokenStream};
 
@@ -45,8 +44,6 @@ pub struct FileLintSet {
     pub txn_lock_order: bool,
     /// `snapshot-bypass` applies (only `sdbms-core`, which owns views).
     pub snapshot_bypass: bool,
-    /// `mmap-seam-bypass` applies.
-    pub mmap_seam: bool,
     /// `deadline-bypass` applies (only `sdbms-serve`, where every
     /// request carries a budget).
     pub deadline_bypass: bool,
@@ -85,9 +82,6 @@ pub fn lint_file(file: &str, ts: &TokenStream, set: &FileLintSet) -> Vec<Diagnos
         }
         if set.snapshot_bypass {
             snapshot_bypass_at(file, toks, i, &mut raw);
-        }
-        if set.mmap_seam {
-            mmap_seam_at(file, toks, i, &mut raw);
         }
     }
 
@@ -199,30 +193,6 @@ fn seam_at(file: &str, toks: &[Tok], i: usize, out: &mut Vec<Diagnostic>) {
             format!(
                 "{}::new bypasses the fault-injection seam; construct through with_faults or the hierarchy builder",
                 toks[i].text
-            ),
-        );
-    }
-}
-
-/// `mmap-seam-bypass`: `MmapSegmentSource::map` / `MmapSegmentSource::new`.
-/// Zero-copy reads must be sealed through `TableStore::seal_for_scan`,
-/// which flushes the buffer pool and CRC-verifies every page before a
-/// byte is served; a directly-constructed source sees neither.
-fn mmap_seam_at(file: &str, toks: &[Tok], i: usize, out: &mut Vec<Diagnostic>) {
-    if i + 3 < toks.len()
-        && toks[i].is_ident("MmapSegmentSource")
-        && toks[i + 1].is_punct(':')
-        && toks[i + 2].is_punct(':')
-        && (toks[i + 3].is_ident("map") || toks[i + 3].is_ident("new"))
-    {
-        push(
-            out,
-            MMAP_SEAM_BYPASS,
-            file,
-            toks[i].line,
-            format!(
-                "MmapSegmentSource::{} bypasses the sealed-scan seam; go through TableStore::seal_for_scan",
-                toks[i + 3].text
             ),
         );
     }
@@ -573,7 +543,6 @@ pub fn lints_for(class: FileClass, crate_name: &str) -> FileLintSet {
         txn_lock_order: lib && crate_name != "sdbms-txn",
         // Only sdbms-core owns views (and so can bypass their stores).
         snapshot_bypass: lib && crate_name == "sdbms-core",
-        mmap_seam: lib,
         // Only the serving layer threads a budget through every
         // request; engine code may meter I/O without one.
         deadline_bypass: lib && crate_name == "sdbms-serve",
@@ -594,7 +563,6 @@ mod tests {
             missing_docs: true,
             txn_lock_order: true,
             snapshot_bypass: true,
-            mmap_seam: true,
             deadline_bypass: true,
         }
     }
@@ -649,14 +617,6 @@ mod tests {
         let src =
             "fn f() { let d = DiskManager::new(t); let a = ArchiveStore::with_faults(t, i, r); }\n";
         assert_eq!(ids(src), vec![("fault-seam-bypass".into(), 1)]);
-    }
-
-    #[test]
-    fn mmap_seam_bypass_flagged_sanctioned_allow_not() {
-        let src = "fn f(t: &mut T) { t.mmap = Some(MmapSegmentSource::map(d, p)?); }\n";
-        assert_eq!(ids(src), vec![("mmap-seam-bypass".into(), 1)]);
-        let src = "// lint: allow(mmap-seam-bypass): the one sanctioned door\nfn f(t: &mut T) { t.mmap = Some(MmapSegmentSource::map(d, p)?); }\n";
-        assert!(ids(src).is_empty());
     }
 
     #[test]

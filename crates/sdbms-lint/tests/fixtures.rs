@@ -23,7 +23,6 @@ fn all_lints() -> FileLintSet {
         missing_docs: true,
         txn_lock_order: true,
         snapshot_bypass: true,
-        mmap_seam: true,
         deadline_bypass: true,
     }
 }
@@ -92,17 +91,6 @@ fn txn_and_snapshot_fixture_fires_at_expected_lines() {
 }
 
 #[test]
-fn mmap_seam_fixture_fires_at_expected_lines() {
-    assert_eq!(
-        findings("mmap_seam.rs"),
-        vec![
-            ("mmap-seam-bypass".to_string(), 10),
-            ("mmap-seam-bypass".to_string(), 15),
-        ]
-    );
-}
-
-#[test]
 fn deadline_bypass_fixture_fires_at_expected_lines() {
     assert_eq!(
         findings("deadline_bypass.rs"),
@@ -122,7 +110,6 @@ fn fixture_headers_agree_with_findings() {
         "relaxed_and_seam.rs",
         "lossy_and_docs.rs",
         "txn_and_snapshot.rs",
-        "mmap_seam.rs",
         "deadline_bypass.rs",
     ] {
         let src = fixture(name);

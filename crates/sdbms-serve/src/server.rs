@@ -141,18 +141,6 @@ impl ServeConfig {
         self
     }
 
-    /// Worker count from the `SDBMS_WORKERS` environment variable
-    /// (the same knob the executor and CI matrix use), else `default`.
-    #[must_use]
-    pub fn workers_from_env(mut self, default: usize) -> Self {
-        self.workers = std::env::var("SDBMS_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&w| w > 0)
-            .unwrap_or(default);
-        self
-    }
-
     /// Set the default per-request deadline, in op-budget units.
     #[must_use]
     pub fn deadline_ops(mut self, ops: u64) -> Self {

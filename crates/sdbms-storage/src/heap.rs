@@ -82,29 +82,19 @@ fn set_slot(p: &mut Page, i: u16, offset: u16, len: u16) {
     p.put_u16(off + 2, len);
 }
 
-/// Borrow the record at `rid.slot` from a slotted page image without
-/// copying it out.
-///
-/// This is the zero-copy counterpart of [`HeapFile::get`] for callers
-/// that already hold the page bytes (the sealed-segment scan source
-/// keeps verified page images outside the buffer pool and parses
-/// records in place). The error behaviour matches `HeapFile::get`:
-/// an out-of-range or vacant slot is `InvalidRid`.
-pub fn record_in_page(p: &Page, rid: Rid) -> Result<&[u8]> {
-    if rid.slot >= slot_count(p) {
-        return Err(StorageError::InvalidRid {
-            page: rid.page,
-            slot: rid.slot,
-        });
+/// The `(offset, len)` of the live record at `rid.slot`; an
+/// out-of-range or vacant slot is `InvalidRid`.
+fn live_slot(p: &Page, rid: Rid) -> Result<(u16, u16)> {
+    if rid.slot < slot_count(p) {
+        let (off, len) = slot(p, rid.slot);
+        if off != 0 {
+            return Ok((off, len));
+        }
     }
-    let (off, len) = slot(p, rid.slot);
-    if off == 0 {
-        return Err(StorageError::InvalidRid {
-            page: rid.page,
-            slot: rid.slot,
-        });
-    }
-    Ok(p.slice(off as usize, len as usize))
+    Err(StorageError::InvalidRid {
+        page: rid.page,
+        slot: rid.slot,
+    })
 }
 
 /// Initialize raw bytes as an empty slotted page.
@@ -308,19 +298,7 @@ impl HeapFile {
     pub fn get(&self, rid: Rid) -> Result<Vec<u8>> {
         let guard = self.pool.fetch(rid.page)?;
         guard.with(|p| {
-            if rid.slot >= slot_count(p) {
-                return Err(StorageError::InvalidRid {
-                    page: rid.page,
-                    slot: rid.slot,
-                });
-            }
-            let (off, len) = slot(p, rid.slot);
-            if off == 0 {
-                return Err(StorageError::InvalidRid {
-                    page: rid.page,
-                    slot: rid.slot,
-                });
-            }
+            let (off, len) = live_slot(p, rid)?;
             Ok(p.slice(off as usize, len as usize).to_vec())
         })
     }
@@ -328,16 +306,7 @@ impl HeapFile {
     /// Delete the record at `rid`, vacating its slot.
     pub fn delete(&self, rid: Rid) -> Result<()> {
         let guard = self.pool.fetch(rid.page)?;
-        guard.with_mut(|p| {
-            if rid.slot >= slot_count(p) || slot(p, rid.slot).0 == 0 {
-                return Err(StorageError::InvalidRid {
-                    page: rid.page,
-                    slot: rid.slot,
-                });
-            }
-            set_slot(p, rid.slot, 0, 0);
-            Ok(())
-        })?;
+        guard.with_mut(|p| live_slot(p, rid).map(|_| set_slot(p, rid.slot, 0, 0)))?;
         self.state.lock().records -= 1;
         Ok(())
     }
@@ -356,14 +325,8 @@ impl HeapFile {
             });
         }
         let guard = self.pool.fetch(rid.page)?;
-        let in_place = guard.with_mut(|p| {
-            if rid.slot >= slot_count(p) || slot(p, rid.slot).0 == 0 {
-                return Err(StorageError::InvalidRid {
-                    page: rid.page,
-                    slot: rid.slot,
-                });
-            }
-            let (off, len) = slot(p, rid.slot);
+        let in_place = guard.with_mut(|p| -> Result<bool> {
+            let (off, len) = live_slot(p, rid)?;
             if bytes.len() <= len as usize {
                 // Overwrite in place, shrinking the slot.
                 let new_off = off as usize + (len as usize - bytes.len());

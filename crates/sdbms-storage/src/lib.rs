@@ -29,8 +29,6 @@
 //!   composite string keys.
 //! - [`archive`] — the sequential "tape" store holding the raw
 //!   database, where repositioning is the dominant cost.
-//! - [`mmap`] — CRC-verified point-in-time page captures backing the
-//!   zero-copy sealed-segment scan path (the simulated `mmap(2)`).
 //!
 //! ## Quick tour
 //!
@@ -66,7 +64,6 @@ pub mod fault;
 pub mod heap;
 pub mod keyenc;
 pub mod longrec;
-pub mod mmap;
 pub mod page;
 pub mod retry;
 
@@ -84,7 +81,6 @@ pub use fault::{
 };
 pub use heap::{HeapFile, Rid, MAX_RECORD};
 pub use longrec::{LongRecordFile, CHUNK_PAYLOAD};
-pub use mmap::MmapSegmentSource;
 pub use page::{Page, PageId, INVALID_PAGE, PAGE_SIZE};
 pub use retry::{with_retries, RetryPolicy};
 

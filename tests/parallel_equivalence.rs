@@ -495,16 +495,14 @@ fn zone_maps_stay_fresh_across_update_where() {
     }
 }
 
-// ---- vectorized batch kernels & zero-copy mmap reads -----------------------
+// ---- vectorized batch kernels ----------------------------------------------
 //
 // The typed-batch kernel path (`read_column_batch` + fused
 // filter/aggregate loops) carries the same contract as everything
 // above: bit-identical to the per-cell Value path at every worker
 // count, including the adversarial float inputs (NaN, signed zero)
-// that a fast path is most likely to get wrong. And a scan-sealed
-// mmap read must serve exactly the bytes the buffer pool serves.
+// that a fast path is most likely to get wrong.
 
-use sdbms::columnar::TableStore;
 use sdbms::exec::ColumnProfile;
 
 /// `==` on profiles is too strict once NaN is in play: derived float
@@ -646,137 +644,6 @@ fn batch_filters_with_nan_floats_match_scalar_oracle() {
             assert_eq!(got, want, "{label} at {workers} workers");
         }
     }
-}
-
-/// A scan-sealed mmap image serves byte-identical data to the buffer
-/// pool: every column, every encoding, both the Value read path and the
-/// typed batch path. Mutation drops the seal and the next read sees the
-/// new bytes through the pool again.
-#[test]
-fn mmap_reads_byte_identical_to_buffer_pool_reads() {
-    let ds = pruning_dataset(2148, 64);
-    let mut store = pruning_store(&ds);
-    let attrs = ["BLOCK", "X", "F", "TAG"];
-    let pool_cols: Vec<Vec<Value>> = attrs
-        .iter()
-        .map(|a| {
-            store
-                .read_column_range(a, 0, store.len())
-                .expect("pool read")
-        })
-        .collect();
-    assert!(
-        store.seal_for_scan().expect("seal"),
-        "transposed file seals"
-    );
-    assert!(store.scan_sealed());
-    for (i, attr) in attrs.iter().enumerate() {
-        let sealed_vals = store
-            .read_column_range(attr, 0, store.len())
-            .expect("sealed read");
-        assert_eq!(sealed_vals, pool_cols[i], "{attr}: sealed read diverged");
-        let batch = store
-            .read_column_batch(attr, 0, store.len())
-            .expect("sealed batch");
-        assert_eq!(
-            batch.to_values(),
-            pool_cols[i],
-            "{attr}: sealed batch diverged"
-        );
-    }
-    // Sealing is idempotent and survives repeated reads.
-    assert!(store.seal_for_scan().expect("re-seal"));
-    // Mutation unseals; the write is immediately visible via the pool.
-    let old = store.set_cell(0, "X", Value::Int(777)).expect("set_cell");
-    assert_ne!(old, Value::Int(777));
-    assert!(!store.scan_sealed(), "mutation must drop the seal");
-    assert_eq!(
-        store.read_column_range("X", 0, 1).expect("post-write read")[0],
-        Value::Int(777)
-    );
-}
-
-/// Full stack: with mmap scans enabled and the view sealed, every
-/// summary function returns exactly what the buffer-pool path returns,
-/// at every worker count.
-#[test]
-fn mmap_scans_serve_identical_summaries_at_every_worker_count() {
-    let attrs = ["AGE", "INCOME", "HOURS_WORKED"];
-    let mut reference: Option<Vec<String>> = None;
-    for mmap in [false, true] {
-        for workers in WORKER_COUNTS {
-            let mut dbms = census_dbms(
-                3000,
-                ExecConfig {
-                    workers,
-                    morsel_rows: 256,
-                },
-            );
-            dbms.set_mmap_scans(mmap);
-            if mmap {
-                assert!(dbms.seal_view_for_scan("v").expect("seal"));
-                assert!(dbms.view_scan_sealed("v").expect("sealed?"));
-            }
-            let mut out = Vec::new();
-            for a in attrs {
-                for f in all_functions() {
-                    let served = dbms
-                        .compute("v", a, &f, AccuracyPolicy::Exact)
-                        .map(|(value, _)| format!("{value:?}"))
-                        .unwrap_or_else(|e| format!("error: {e}"));
-                    out.push(format!("{f}({a}) = {served}"));
-                }
-            }
-            match &reference {
-                None => reference = Some(out),
-                Some(want) => {
-                    assert_eq!(&out, want, "mmap={mmap} workers={workers} diverged")
-                }
-            }
-        }
-    }
-}
-
-/// Epoch safety: while a snapshot pins the view's store, sealing is
-/// refused (the mmap image can never be installed under a reader);
-/// once the snapshot drops, the seal succeeds, and a subsequent write
-/// unseals again.
-#[test]
-fn mmap_seal_refused_while_snapshot_pinned() {
-    let mut dbms = census_dbms(
-        1500,
-        ExecConfig {
-            workers: 4,
-            morsel_rows: 256,
-        },
-    );
-    let snap = dbms.snapshot("v").expect("snapshot");
-    assert!(
-        !dbms.seal_view_for_scan("v").expect("seal attempt"),
-        "seal must be refused while a snapshot pins the store"
-    );
-    assert!(!dbms.view_scan_sealed("v").expect("sealed?"));
-    // The pinned snapshot still reads its version undisturbed.
-    assert_eq!(snap.column("AGE").expect("snapshot read").len(), 1500);
-    drop(snap);
-    assert!(
-        dbms.seal_view_for_scan("v").expect("seal"),
-        "seal must succeed once the pin drains"
-    );
-    assert!(dbms.view_scan_sealed("v").expect("sealed?"));
-    // A write through the DBMS drops the seal before touching bytes.
-    let report = dbms
-        .update_where(
-            "v",
-            &Predicate::cmp(Expr::col("AGE"), CmpOp::Ge, Expr::lit(80i64)),
-            &[("INCOME", Expr::lit(0.0f64))],
-        )
-        .expect("update");
-    assert!(report.rows_matched > 0, "test needs rows with AGE >= 80");
-    assert!(
-        !dbms.view_scan_sealed("v").expect("sealed?"),
-        "writes must unseal the view"
-    );
 }
 
 /// A view materialized through a relational pipeline (select + project)

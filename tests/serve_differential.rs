@@ -19,10 +19,9 @@ use sdbms::serve::{
 use sdbms_testkit::{CensusFixture, CENSUS_VIEW};
 
 fn workers_from_env(default: usize) -> usize {
-    std::env::var("SDBMS_WORKERS")
+    std::env::var(sdbms::exec::WORKERS_ENV)
         .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&w| w > 0)
+        .and_then(|v| sdbms::exec::parse_workers(&v))
         .unwrap_or(default)
 }
 
