@@ -7,14 +7,15 @@
 //! slices, which is what lets the compiler auto-vectorize filter and
 //! aggregate scans.
 //!
-//! Batches are produced directly from encoded segment bytes by
-//! [`decode_batch_range`] — the RLE and dictionary paths never
-//! materialize one `Value` per row (a run becomes one `Value` plus a
-//! length), and the raw path decodes primitive payloads straight into
-//! the lane. The contract, tested below, is exact equivalence:
-//! expanding a batch with [`ColumnBatch::to_values`] yields the same
-//! `Vec<Value>` as [`crate::segment::decode_segment_range`] on the
-//! same bytes, bit for bit (NaN payloads included).
+//! Batches are produced directly from encoded segment bytes: a batch
+//! is one of the two sinks of the segment decoder in
+//! [`crate::segment`] ([`decode_batch_range`] is that decoder with a
+//! batch behind it). RLE and dictionary segments never materialize one
+//! `Value` per row (a run becomes one `Value` plus a length), and raw
+//! segments deliver primitive payloads straight into the lane. The
+//! contract, tested below against the encoder's input, is that
+//! expanding a decoded batch with [`ColumnBatch::to_values`] yields the
+//! values that were encoded, bit for bit (NaN payloads included).
 //!
 //! ## Lane semantics
 //!
@@ -45,7 +46,7 @@
 
 use sdbms_data::{DataError, Value};
 
-use crate::rle;
+use crate::segment::{self, SegmentSink};
 
 /// The typed storage behind a batch. Private: callers go through
 /// [`BatchValues`] so the invariants stay inside this module.
@@ -79,7 +80,12 @@ pub struct ColumnBatch {
     missing: usize,
     lane: Lane,
     validity: Vec<u64>,
-    run_lens: Option<Vec<usize>>,
+    /// Lengths of the runs pushed while every row so far had arrived by
+    /// run, and the rows they cover. The run view is live exactly while
+    /// `run_rows == rows`: a row-level push grows `rows` alone, and
+    /// nothing closes the gap afterwards.
+    run_lens: Vec<usize>,
+    run_rows: usize,
 }
 
 impl Default for ColumnBatch {
@@ -89,7 +95,8 @@ impl Default for ColumnBatch {
             missing: 0,
             lane: Lane::F64(Vec::new()),
             validity: Vec::new(),
-            run_lens: Some(Vec::new()),
+            run_lens: Vec::new(),
+            run_rows: 0,
         }
     }
 }
@@ -159,7 +166,7 @@ impl ColumnBatch {
     /// one validity state. `None` after any row-level push.
     #[must_use]
     pub fn run_lens(&self) -> Option<&[usize]> {
-        self.run_lens.as_deref()
+        (self.run_rows == self.rows).then_some(&self.run_lens)
     }
 
     /// Reconstruct the exact `Value` at row `i < rows()`.
@@ -185,8 +192,13 @@ impl ColumnBatch {
 
     /// Append one value, dropping the run view.
     pub fn push_value(&mut self, v: &Value) {
-        self.run_lens = None;
-        self.push_value_lane(v);
+        match v {
+            Value::Missing => self.lane_push_missing(),
+            Value::Float(x) => self.lane_push_f64(*x),
+            Value::Int(i) => self.lane_push_i64(*i),
+            Value::Code(c) => self.lane_push_code(*c),
+            Value::Str(_) => self.lane_push_other(v.clone()),
+        }
     }
 
     /// Append `n` copies of `v`, extending the run view if still live.
@@ -194,10 +206,11 @@ impl ColumnBatch {
         if n == 0 {
             return;
         }
+        let live = self.run_rows == self.rows;
         // The first row settles lane typing (re-laning or demotion);
         // the rest of the run then extends the settled lane wholesale
         // instead of re-dispatching per row.
-        self.push_value_lane(v);
+        self.push_value(v);
         let rest = n - 1;
         if rest > 0 {
             #[derive(PartialEq)]
@@ -241,27 +254,18 @@ impl ColumnBatch {
                 Note::Missing => self.note_missing_run(rest),
                 Note::PerRow => {
                     for _ in 0..rest {
-                        self.push_value_lane(v);
+                        self.push_value(v);
                     }
                 }
             }
         }
-        if let Some(runs) = &mut self.run_lens {
-            runs.push(n);
+        if live {
+            self.run_lens.push(n);
+            self.run_rows += n;
         }
     }
 
     // ---- internal lane machinery -------------------------------------
-
-    fn push_value_lane(&mut self, v: &Value) {
-        match v {
-            Value::Missing => self.lane_push_missing(),
-            Value::Float(x) => self.lane_push_f64(*x),
-            Value::Int(i) => self.lane_push_i64(*i),
-            Value::Code(c) => self.lane_push_code(*c),
-            Value::Str(_) => self.lane_push_other(v.clone()),
-        }
-    }
 
     fn note_valid(&mut self) {
         let i = self.rows;
@@ -401,178 +405,62 @@ impl ColumnBatch {
         }
         self.note_valid();
     }
+}
 
-    /// Row-level pushes from the raw decode path: invalidate the run
-    /// view once, up front.
-    fn drop_run_view(&mut self) {
-        self.run_lens = None;
+/// The typed sink of the segment decoder: a raw segment's rows go
+/// straight into the lane (row-level pushes, so the run view lapses);
+/// run-length and dictionary segments arrive as whole runs.
+impl SegmentSink for ColumnBatch {
+    #[inline]
+    fn missing(&mut self) {
+        self.lane_push_missing();
+    }
+    #[inline]
+    fn int(&mut self, x: i64) {
+        self.lane_push_i64(x);
+    }
+    #[inline]
+    fn float(&mut self, x: f64) {
+        self.lane_push_f64(x);
+    }
+    #[inline]
+    fn code(&mut self, c: u32) {
+        self.lane_push_code(c);
+    }
+    #[inline]
+    fn str(&mut self, s: &str) {
+        self.lane_push_other(Value::Str(s.to_string()));
+    }
+    #[inline]
+    fn run(&mut self, v: &Value, n: usize) {
+        self.push_run(v, n);
     }
 }
 
-// ---- decoding straight from segment bytes ----------------------------
-
-fn take_n<'a>(body: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], DataError> {
-    let s = body
-        .get(*pos..*pos + n)
-        .ok_or(DataError::Decode("value payload truncated"))?;
-    *pos += n;
-    Ok(s)
-}
-
-fn take_arr<const N: usize>(body: &[u8], pos: &mut usize) -> Result<[u8; N], DataError> {
-    take_n(body, pos, N)?
-        .try_into()
-        .map_err(|_| DataError::Decode("value payload truncated"))
-}
-
 /// Decode rows `[lo, hi)` of an encoded segment record into `out`,
-/// appending. Mirrors [`crate::segment::decode_segment_range`] exactly
-/// — same clamping, same error strings — but builds a typed batch with
-/// no per-row `Value` materialization on the RLE and dictionary paths.
-/// A window that reaches the stored row count must also consume the
-/// body exactly, as [`crate::segment::decode_segment`] requires: every
-/// production scan decodes through here, so trailing bytes are damage
-/// here too.
+/// appending: [`crate::segment`]'s one decoder with the batch as its
+/// sink, so the window clamp and every damage rule are the scalar
+/// readers' too.
 pub fn decode_batch_range(
     buf: &[u8],
     lo: usize,
     hi: usize,
     out: &mut ColumnBatch,
 ) -> Result<(), DataError> {
-    let n = crate::read_u16(buf, 0, "segment header truncated")? as usize;
-    let tag = *buf.get(2).ok_or(DataError::Decode("segment tag missing"))?;
-    let body = &buf[3..];
-    let lo = lo.min(n);
-    let hi = hi.min(n);
-    let to_end = hi == n;
-    if lo >= hi && !to_end {
-        return Ok(());
-    }
-    match tag {
-        0 => {
-            // Raw rows arrive one by one: no run structure to keep.
-            out.drop_run_view();
-            let mut pos = 0usize;
-            for i in 0..hi {
-                let vtag = *body
-                    .get(pos)
-                    .ok_or(DataError::Decode("value tag missing"))?;
-                pos += 1;
-                match vtag {
-                    0 => {
-                        if i >= lo {
-                            out.lane_push_missing();
-                        }
-                    }
-                    1 => {
-                        let b = take_arr::<8>(body, &mut pos)?;
-                        if i >= lo {
-                            out.lane_push_i64(i64::from_le_bytes(b));
-                        }
-                    }
-                    2 => {
-                        let b = take_arr::<8>(body, &mut pos)?;
-                        if i >= lo {
-                            out.lane_push_f64(f64::from_bits(u64::from_le_bytes(b)));
-                        }
-                    }
-                    3 => {
-                        let len = u16::from_le_bytes(take_arr::<2>(body, &mut pos)?) as usize;
-                        let sb = take_n(body, &mut pos, len)?;
-                        let s = std::str::from_utf8(sb)
-                            .map_err(|_| DataError::Decode("string not UTF-8"))?;
-                        if i >= lo {
-                            out.lane_push_other(Value::Str(s.to_string()));
-                        }
-                    }
-                    4 => {
-                        let b = take_arr::<4>(body, &mut pos)?;
-                        if i >= lo {
-                            out.lane_push_code(u32::from_le_bytes(b));
-                        }
-                    }
-                    _ => return Err(DataError::Decode("unknown value tag")),
-                }
-            }
-            if to_end && pos != body.len() {
-                return Err(DataError::Decode("trailing bytes in raw segment"));
-            }
-            Ok(())
-        }
-        1 => {
-            let mut row = 0usize;
-            let mut pushed = 0usize;
-            for run in rle::RunCursor::new(body)? {
-                let (v, len) = run?;
-                let start = row;
-                row += len;
-                if row <= lo {
-                    continue;
-                }
-                // Zero past `hi`: reading to the end keeps walking so
-                // the cursor reports trailing bytes and surplus runs.
-                let take = row.min(hi).saturating_sub(start.max(lo));
-                out.push_run(&v, take);
-                pushed += take;
-                if row >= hi && !to_end {
-                    break;
-                }
-            }
-            if pushed != hi - lo {
-                return Err(DataError::Decode("rle segment shorter than header count"));
-            }
-            if to_end && row != n {
-                return Err(DataError::Decode("segment count mismatch"));
-            }
-            Ok(())
-        }
-        2 => {
-            let dict_size = crate::read_u16(body, 0, "dict size truncated")? as usize;
-            let mut pos = 2usize;
-            let mut dict = Vec::with_capacity(dict_size);
-            for _ in 0..dict_size {
-                dict.push(Value::decode(body, &mut pos)?);
-            }
-            // Codes are fixed-width: jump straight into the window and
-            // coalesce equal adjacent codes into runs (2-byte compares,
-            // never value compares).
-            let mut i = lo;
-            while i < hi {
-                let code = crate::read_u16(body, pos + 2 * i, "dict code truncated")? as usize;
-                let mut j = i + 1;
-                while j < hi
-                    && crate::read_u16(body, pos + 2 * j, "dict code truncated")? as usize == code
-                {
-                    j += 1;
-                }
-                let v = dict
-                    .get(code)
-                    .ok_or(DataError::Decode("dict code out of range"))?;
-                out.push_run(v, j - i);
-                i = j;
-            }
-            if to_end && pos + 2 * n != body.len() {
-                return Err(DataError::Decode("trailing bytes in dict segment"));
-            }
-            Ok(())
-        }
-        _ => Err(DataError::Decode("unknown segment encoding tag")),
-    }
+    segment::decode(buf, lo, hi, out)
 }
 
-/// Decode a whole segment record as a fresh batch. Equivalent to
-/// [`decode_batch_range`] over `[0, count)`.
+/// Decode a whole segment record as a fresh batch.
 pub fn decode_batch(buf: &[u8]) -> Result<ColumnBatch, DataError> {
-    let n = crate::read_u16(buf, 0, "segment header truncated")? as usize;
     let mut out = ColumnBatch::new();
-    decode_batch_range(buf, 0, n, &mut out)?;
+    segment::decode(buf, 0, usize::MAX, &mut out)?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{decode_segment, decode_segment_range, encode_segment, Compression};
+    use crate::segment::{encode_segment, Compression};
 
     const ALL: [Compression; 3] = [Compression::None, Compression::Rle, Compression::Dictionary];
 
@@ -581,6 +469,13 @@ mod tests {
     /// derived `PartialEq`, under which NaN != NaN.
     fn bit_eq(a: &[Value], b: &[Value]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.group_eq(y))
+    }
+
+    /// `vals[lo..hi]` under the decoder's clamp: the window the encoder's
+    /// input defines.
+    fn clip(vals: &[Value], lo: usize, hi: usize) -> &[Value] {
+        let hi = hi.min(vals.len());
+        &vals[lo.min(hi)..hi]
     }
 
     fn mixed() -> Vec<Value> {
@@ -696,21 +591,18 @@ mod tests {
     }
 
     #[test]
-    fn decode_batch_equals_decode_segment() {
+    fn decode_batch_returns_what_was_encoded() {
         for vals in [mixed(), floats_with_gaps(), blocky_codes(), Vec::new()] {
             for c in ALL {
                 let buf = encode_segment(&vals, c);
                 let batch = decode_batch(&buf).unwrap();
-                assert!(
-                    bit_eq(&batch.to_values(), &decode_segment(&buf).unwrap()),
-                    "{c:?}"
-                );
+                assert!(bit_eq(&batch.to_values(), &vals), "{c:?}");
             }
         }
     }
 
     #[test]
-    fn decode_batch_range_equals_decode_segment_range() {
+    fn decode_batch_range_returns_the_encoded_window() {
         let vals = blocky_codes();
         for c in ALL {
             let buf = encode_segment(&vals, c);
@@ -724,11 +616,7 @@ mod tests {
             ] {
                 let mut b = ColumnBatch::new();
                 decode_batch_range(&buf, lo, hi, &mut b).unwrap();
-                assert_eq!(
-                    b.to_values(),
-                    decode_segment_range(&buf, lo, hi).unwrap(),
-                    "{c:?} [{lo}, {hi})"
-                );
+                assert_eq!(b.to_values(), clip(&vals, lo, hi), "{c:?} [{lo}, {hi})");
             }
         }
     }
@@ -736,14 +624,14 @@ mod tests {
     #[test]
     fn batches_accumulate_across_segments() {
         // One batch built from three segments of different encodings
-        // must equal the concatenation of their scalar decodes.
+        // must equal the concatenation of what was encoded.
         let parts = [mixed(), blocky_codes(), floats_with_gaps()];
         let mut b = ColumnBatch::new();
         let mut want = Vec::new();
         for (vals, c) in parts.iter().zip(ALL) {
             let buf = encode_segment(vals, c);
             decode_batch_range(&buf, 0, vals.len(), &mut b).unwrap();
-            want.extend(decode_segment(&buf).unwrap());
+            want.extend(vals.iter().cloned());
         }
         assert!(bit_eq(&b.to_values(), &want));
     }
@@ -781,14 +669,12 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_damage_like_scalar_path() {
+    fn decode_rejects_a_bad_tag_and_a_short_header() {
         for c in ALL {
-            let buf = encode_segment(&mixed(), c);
-            let mut bad = buf.clone();
+            let mut bad = encode_segment(&mixed(), c);
             bad[2] = 9;
-            assert_eq!(
-                decode_batch(&bad).unwrap_err(),
-                decode_segment(&bad).unwrap_err(),
+            assert!(
+                matches!(decode_batch(&bad), Err(DataError::Decode(_))),
                 "{c:?} bad tag"
             );
         }
@@ -796,23 +682,20 @@ mod tests {
     }
 
     #[test]
-    fn full_decode_is_as_strict_as_the_scalar_oracle_about_length() {
+    fn full_decode_consumes_the_record_exactly() {
         for vals in [mixed(), floats_with_gaps(), blocky_codes(), Vec::new()] {
             for c in ALL {
                 let buf = encode_segment(&vals, c);
                 let mut longer = buf.clone();
                 longer.push(0);
-                assert_eq!(
-                    decode_batch(&longer).unwrap_err(),
-                    decode_segment(&longer).unwrap_err(),
+                assert!(
+                    matches!(decode_batch(&longer), Err(DataError::Decode(_))),
                     "{c:?} one trailing byte"
                 );
                 let shorter = &buf[..buf.len() - 1];
-                assert!(decode_segment(shorter).is_err(), "{c:?} truncated");
                 assert!(decode_batch(shorter).is_err(), "{c:?} truncated");
                 // A window that stops short of the stored count cannot
-                // see the tail and stays lenient, like the scalar range
-                // decoder.
+                // see the tail and stays lenient.
                 if vals.len() > 1 {
                     let mut b = ColumnBatch::new();
                     decode_batch_range(&longer, 0, vals.len() - 1, &mut b).unwrap();
@@ -823,7 +706,7 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn prop_decode_batch_matches_scalar(
+        fn prop_decode_batch_returns_what_was_encoded(
             cells in proptest::collection::vec((0u8..5, -400i64..400), 0..crate::SEGMENT_ROWS),
             tag in 0u8..3,
             window in (0usize..260, 0usize..260),
@@ -846,13 +729,13 @@ mod tests {
             };
             let buf = encode_segment(&vals, c);
             let batch = decode_batch(&buf).unwrap();
-            proptest::prop_assert!(bit_eq(&batch.to_values(), &decode_segment(&buf).unwrap()));
+            proptest::prop_assert!(bit_eq(&batch.to_values(), &vals));
             let (lo, hi) = window;
             let mut b = ColumnBatch::new();
             decode_batch_range(&buf, lo, hi, &mut b).unwrap();
             proptest::prop_assert!(bit_eq(
                 &b.to_values(),
-                &decode_segment_range(&buf, lo, hi).unwrap()
+                clip(&vals, lo, hi)
             ));
         }
     }

@@ -14,7 +14,9 @@
 //! - [`rowstore`] — the conventional row layout (baseline of
 //!   experiment E4).
 //! - [`transposed`] — one segment-chain file per column.
-//! - [`segment`] — the segment encoding (raw / RLE / dictionary).
+//! - [`segment`] — the segment format (raw / RLE / dictionary): its
+//!   one encoder and its one decoder, which feeds both `Vec<Value>`
+//!   readers and typed batches.
 //! - [`rle`] — run-length codecs and the column-vs-row compression
 //!   ratio measurements of experiment E5.
 //! - [`zonemap`] — per-segment statistics for predicate pruning and

@@ -6,7 +6,9 @@
 //! statistical data set) are long runs of identical values when the
 //! data is in cross-product order. Experiment E5 measures exactly this
 //! columnwise-vs-rowwise asymmetry, using [`compress_values`] for
-//! columns and [`compress_bytes`] for raw row images.
+//! columns and [`compress_bytes`] for raw row images. A value-run body
+//! is written by [`compress_values`] and read only through
+//! [`RunCursor`], run by run — nothing here expands runs into rows.
 
 use sdbms_data::{DataError, Value};
 
@@ -33,31 +35,15 @@ pub fn compress_values(values: &[Value]) -> Vec<u8> {
     buf
 }
 
-/// Decode [`compress_values`] output.
-pub fn decompress_values(buf: &[u8]) -> Result<Vec<Value>, DataError> {
-    let mut pos = 0usize;
-    let n_runs = crate::read_u16(buf, 0, "rle header truncated")? as usize;
-    pos += 2;
-    let mut out = Vec::new();
-    for _ in 0..n_runs {
-        let len = crate::read_u16(buf, pos, "rle run truncated")? as usize;
-        pos += 2;
-        let v = Value::decode(buf, &mut pos)?;
-        out.extend(std::iter::repeat_with(|| v.clone()).take(len));
-    }
-    if pos != buf.len() {
-        return Err(DataError::Decode("trailing bytes after rle runs"));
-    }
-    Ok(out)
-}
-
 /// Streaming iterator over the `(value, run-length)` pairs of a
-/// [`compress_values`] body — the compressed-domain read path.
+/// [`compress_values`] body — its only reader.
 ///
-/// Unlike [`decompress_values`], the cursor never materializes a
-/// `Vec<Value>`: the batch decoder pushes each run whole into a
-/// [`crate::batch::ColumnBatch`], whose run view lets the aggregation
-/// kernels process run lengths arithmetically — O(runs), not O(rows).
+/// The cursor never materializes rows: the segment decoder clips each
+/// run to its window and hands it whole to the sink, so a
+/// [`crate::batch::ColumnBatch`] keeps a run view that lets the
+/// aggregation kernels process run lengths arithmetically — O(runs),
+/// not O(rows) — and no run length read from a damaged record is
+/// expanded before the window bounds it.
 ///
 /// Contract: concatenating each yielded value `len` times reproduces
 /// the original sequence exactly. Run boundaries are an encoding
@@ -169,6 +155,17 @@ pub fn column_compression_ratio(values: &[Value]) -> f64 {
 mod tests {
     use super::*;
 
+    /// Expand a run body through the cursor (what the segment decoder
+    /// does, without a window).
+    fn expand(buf: &[u8]) -> Result<Vec<Value>, DataError> {
+        let mut out = Vec::new();
+        for run in RunCursor::new(buf)? {
+            let (v, len) = run?;
+            out.extend(std::iter::repeat_n(v, len));
+        }
+        Ok(out)
+    }
+
     #[test]
     fn roundtrip_with_runs() {
         let vals: Vec<Value> = std::iter::repeat_n(Value::Str("M".into()), 500)
@@ -180,20 +177,20 @@ mod tests {
             "two runs should compress tiny: {}",
             buf.len()
         );
-        assert_eq!(decompress_values(&buf).unwrap(), vals);
+        assert_eq!(expand(&buf).unwrap(), vals);
     }
 
     #[test]
     fn roundtrip_no_runs() {
         let vals: Vec<Value> = (0..100).map(Value::Int).collect();
         let buf = compress_values(&vals);
-        assert_eq!(decompress_values(&buf).unwrap(), vals);
+        assert_eq!(expand(&buf).unwrap(), vals);
     }
 
     #[test]
     fn empty_roundtrip() {
         let buf = compress_values(&[]);
-        assert_eq!(decompress_values(&buf).unwrap(), Vec::<Value>::new());
+        assert_eq!(expand(&buf).unwrap(), Vec::<Value>::new());
     }
 
     #[test]
@@ -205,7 +202,7 @@ mod tests {
             Value::Float(f64::NAN),
         ];
         let buf = compress_values(&vals);
-        let out = decompress_values(&buf).unwrap();
+        let out = expand(&buf).unwrap();
         assert_eq!(out.len(), 4);
         assert!(out[0].is_missing() && out[1].is_missing());
         assert!(matches!(out[2], Value::Float(x) if x.is_nan()));
@@ -217,7 +214,7 @@ mod tests {
     fn long_runs_split_at_u16_max() {
         let vals: Vec<Value> = std::iter::repeat_n(Value::Code(1), 70_000).collect();
         let buf = compress_values(&vals);
-        assert_eq!(decompress_values(&buf).unwrap().len(), 70_000);
+        assert_eq!(expand(&buf).unwrap().len(), 70_000);
     }
 
     #[test]
@@ -232,12 +229,12 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(decompress_values(&[5]).is_err());
-        assert!(decompress_values(&[1, 0, 2, 0]).is_err());
+        assert!(expand(&[5]).is_err());
+        assert!(expand(&[1, 0, 2, 0]).is_err());
         assert!(decompress_bytes(&[1]).is_err());
         let mut ok = compress_values(&[Value::Int(1)]);
         ok.push(9);
-        assert!(decompress_values(&ok).is_err());
+        assert!(expand(&ok).is_err());
     }
 
     #[test]
@@ -301,7 +298,7 @@ mod tests {
         fn prop_value_rle_roundtrip(codes in proptest::collection::vec(0u32..5, 0..400)) {
             let vals: Vec<Value> = codes.into_iter().map(Value::Code).collect();
             let buf = compress_values(&vals);
-            proptest::prop_assert_eq!(decompress_values(&buf).unwrap(), vals);
+            proptest::prop_assert_eq!(expand(&buf).unwrap(), vals);
         }
 
         #[test]

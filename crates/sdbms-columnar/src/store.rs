@@ -85,7 +85,9 @@ pub trait TableStore {
     /// must have exactly `len()` entries.
     fn add_column(&mut self, attr: sdbms_data::Attribute, values: Vec<Value>) -> Result<()>;
 
-    /// Materialize the whole store as an in-memory data set.
+    /// Materialize the whole store as an in-memory data set. The
+    /// default reads row by row, which suits a layout whose unit is the
+    /// row; a column layout overrides it to read each column once.
     fn to_dataset(&self, name: &str) -> Result<DataSet> {
         let mut ds = DataSet::new(name, self.schema().clone());
         for i in 0..self.len() {
