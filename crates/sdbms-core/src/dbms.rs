@@ -707,7 +707,8 @@ impl StatDbms {
                 // only installed by an in-memory pointer swap after its
                 // pages are durable), so the data is either all
                 // pre-batch or all post-batch. The summary cache cannot
-                // tell which, so rebuild it conservatively — running
+                // tell which — and post-install maintenance may have
+                // been cut short — so rebuild it conservatively; running
                 // recovery again reaches the same state (idempotent).
                 Ok(Some(Intent::Txn)) => {
                     v.summary = SummaryDb::create(pool.clone())?;

@@ -4,9 +4,11 @@
 //! or invalidate-on-error), a [`Plan`] (the statement's [`Edit`]s,
 //! validated before the first write), [`apply`] (the only caller of
 //! `TableStore::set_cell` / `append_row`; returns the
-//! [`ChangeRecord`]s everything downstream is derived from), and for
-//! in-place writers [`StatDbms::edit_in_place`] (history → derived
-//! rules → Summary DB). `commit_batch` differs only in its epilogue.
+//! [`ChangeRecord`]s everything downstream is derived from), and
+//! [`StatDbms::epilogue`] (history → derived rules → Summary DB), which
+//! reads nothing but those records. An in-place writer and
+//! `commit_batch` differ only in which store `apply` writes and when
+//! that store becomes visible.
 
 use std::collections::BTreeMap;
 
@@ -15,7 +17,7 @@ use sdbms_data::{value::DataType, value::Value, DataError};
 use sdbms_management::{ChangeRecord, DerivedRule, VectorGenerator, Version};
 use sdbms_relational::Expr;
 use sdbms_stats::regression;
-use sdbms_summary::{apply_updates, quarantinable, SummaryDb, UpdateDelta};
+use sdbms_summary::{apply_updates, quarantinable, MaintenanceReport, SummaryDb, UpdateDelta};
 use sdbms_txn::LockGuard;
 
 use crate::dbms::{error_is_crash, summary_scan, StatDbms};
@@ -45,7 +47,7 @@ pub(crate) struct Plan<'a> {
     /// Rows the statement's predicate matched (0 without a predicate).
     pub(crate) rows_matched: usize,
     /// Whole-column scans planning made, for the access tracker.
-    column_reads: u64,
+    pub(crate) column_reads: u64,
 }
 
 impl<'a> Plan<'a> {
@@ -268,6 +270,17 @@ pub(crate) fn cell_updates(
     })
 }
 
+/// When a writer brings the derived columns its edit triggers up to
+/// date.
+pub(crate) enum Derived {
+    /// Now, each column by its own rule: an in-place writer.
+    Fired,
+    /// On demand: every triggered column is marked stale whatever its
+    /// rule and reported as [`DerivedRule::DEFERRED`] — a shadow
+    /// commit, which writes nothing once its store is installed.
+    Deferred,
+}
+
 /// Which write-ahead intent a writer logs before it touches the view.
 pub(crate) enum WriteIntent {
     /// A structural change no cached summary depends on (a new column,
@@ -368,36 +381,66 @@ impl StatDbms {
         Ok(history.version())
     }
 
-    /// The one in-place epilogue: apply `plan` to the live store, then
-    /// let the Management DB's rules react — history, derived
-    /// attributes, Summary DB.
+    /// An in-place edit: apply `plan` to the live store, then the
+    /// epilogue.
     pub(crate) fn edit_in_place(&mut self, view: &str, plan: Plan<'_>) -> Result<UpdateReport> {
         let mut report = UpdateReport {
             rows_matched: plan.rows_matched,
             ..UpdateReport::default()
         };
-        let mut deltas = Deltas::new();
-        let rows = self.apply_recorded(view, plan, &mut deltas)?;
-        report.cells_changed = deltas.values().map(Vec::len).sum();
-        self.fire_derived_rules(view, &rows, &mut deltas, &mut report)?;
-        self.maintain_summaries(view, deltas, &mut report)?;
+        let column_reads = plan.column_reads;
+        let records = self.apply_live(view, plan)?;
+        self.epilogue(view, records, column_reads, Derived::Fired, &mut report)?;
         Ok(report)
     }
 
-    /// Apply `plan` to the live store and record what changed — the
-    /// written prefix too, when a device error interrupts the apply:
-    /// the history never lies. Adds the Summary-DB deltas to `deltas`;
-    /// returns the rows touched.
-    fn apply_recorded(
+    /// Apply `plan` to the live store. When a device error interrupts
+    /// the apply, the written prefix still goes to the history: the
+    /// history never lies.
+    fn apply_live(&mut self, view: &str, plan: Plan<'_>) -> Result<Vec<ChangeRecord>> {
+        let mut records = Vec::new();
+        let applied = apply(self.view_mut(view)?.store_mut()?, plan, Some(&mut records));
+        if let Err(e) = applied {
+            self.record(view, records)?;
+            return Err(e.into());
+        }
+        Ok(records)
+    }
+
+    /// The one writer epilogue: what the Management DB's rules make of
+    /// the `records` of an applied edit — history, derived attributes,
+    /// Summary DB. An in-place writer runs it on the store it just
+    /// wrote, a shadow commit on the store it just installed.
+    pub(crate) fn epilogue(
         &mut self,
         view: &str,
-        plan: Plan<'_>,
+        records: Vec<ChangeRecord>,
+        column_reads: u64,
+        derived: Derived,
+        report: &mut UpdateReport,
+    ) -> Result<()> {
+        let appended = records
+            .iter()
+            .any(|r| matches!(r, ChangeRecord::RowAppended { .. }));
+        let mut deltas = Deltas::new();
+        let rows = self.absorb(view, records, column_reads, &mut deltas)?;
+        report.cells_changed = deltas.values().map(Vec::len).sum();
+        self.fire_derived_rules(view, &rows, &mut deltas, derived, report)?;
+        self.maintain_summaries(view, deltas, appended, report)
+    }
+
+    /// Take in the records of an applied plan: the scans planning made
+    /// go to the access tracker, one Summary-DB delta per changed cell
+    /// to `deltas`, the records themselves to the history. Returns the
+    /// rows touched.
+    fn absorb(
+        &mut self,
+        view: &str,
+        records: Vec<ChangeRecord>,
+        column_reads: u64,
         deltas: &mut Deltas,
     ) -> Result<Vec<usize>> {
-        let mut records = Vec::new();
-        let v = self.view_mut(view)?;
-        v.tracker.column_reads += plan.column_reads;
-        let applied = apply(v.store_mut()?, plan, Some(&mut records));
+        self.view_mut(view)?.tracker.column_reads += column_reads;
         let mut rows = Vec::new();
         for (row, attribute, old, new) in cell_updates(&records) {
             let (old, new) = (old.clone(), new.clone());
@@ -408,42 +451,55 @@ impl StatDbms {
         rows.sort_unstable();
         rows.dedup();
         self.record(view, records)?;
-        applied?;
         Ok(rows)
     }
 
     /// Fire the rule of every derived column triggered by the
-    /// attributes in `deltas`, on the rows whose base cells changed.
+    /// attributes in `deltas`, on the rows whose base cells changed —
+    /// or, `when` they are deferred, only mark each one stale.
     fn fire_derived_rules(
         &mut self,
         view: &str,
         affected_rows: &[usize],
         deltas: &mut Deltas,
+        when: Derived,
         report: &mut UpdateReport,
     ) -> Result<()> {
         let triggered = deltas.keys().flat_map(|a| self.rules.triggered_by(view, a));
         let fired: BTreeMap<String, DerivedRule> = triggered
-            .map(|(derived, rule)| (derived.to_string(), rule.clone()))
+            .map(|(column, rule)| {
+                let rule = match when {
+                    Derived::Fired => rule.clone(),
+                    Derived::Deferred => DerivedRule::MarkStale { inputs: Vec::new() },
+                };
+                (column.to_string(), rule)
+            })
             .collect();
+        let mut stale = Vec::new();
         for (derived, rule) in fired {
             let class = rule.cost_class();
             match rule {
                 DerivedRule::Local { expr } => {
                     let target = [(derived.clone(), expr)];
                     let plan = Plan::assign(&*self.view(view)?.store, affected_rows, &target)?;
-                    self.apply_recorded(view, plan, deltas)?;
+                    let records = self.apply_live(view, plan)?;
+                    self.absorb(view, records, 0, deltas)?;
                 }
                 DerivedRule::Regenerate { generator } => {
                     let plan = Plan::column(&*self.view(view)?.store, &derived, &generator)?;
                     self.regenerate(view, &derived, plan)?;
                 }
                 DerivedRule::MarkStale { .. } => {
-                    let v = self.view_mut(view)?;
-                    v.stale_columns.insert(derived.clone());
-                    v.summary.invalidate_attribute(&derived)?;
+                    self.view_mut(view)?.stale_columns.insert(derived.clone());
+                    stale.push(derived.clone());
                 }
             }
             report.derived_updates.push((derived, class));
+        }
+        // Every flag is set (memory only) before the first cache write,
+        // so an error or crash below leaves no triggered column unflagged.
+        for derived in stale {
+            self.view(view)?.summary.invalidate_attribute(&derived)?;
         }
         Ok(())
     }
@@ -464,21 +520,39 @@ impl StatDbms {
     }
 
     /// Summary Database maintenance per affected attribute, under the
-    /// view's policy.
+    /// view's policy. An appended row is not an [`UpdateDelta`] (the
+    /// frequency family counts `Missing` as a value, so "overwrite of
+    /// Missing" would decrement the wrong bucket): an edit that
+    /// `appended` rows invalidates every attribute's entries instead.
     fn maintain_summaries(
         &mut self,
         view: &str,
-        deltas: Deltas,
+        mut deltas: Deltas,
+        appended: bool,
         report: &mut UpdateReport,
     ) -> Result<()> {
         let pool = self.env.pool.clone();
         let exec = self.exec;
         let v = self.view_mut(view)?;
         let policy = v.policy;
+        if appended {
+            for a in v.store.schema().attributes() {
+                deltas.entry(a.name.clone()).or_default();
+            }
+        }
         for (attr, ds) in deltas {
             // One batch scan feeds every entry the policy recomputes.
             let mut profile = summary_scan(&*v.store, &mut v.tracker, &attr, &exec);
-            let r = match apply_updates(&v.summary, &attr, &ds, policy, &mut profile) {
+            let maintained = if appended {
+                let retired = v.summary.invalidate_attribute(&attr);
+                retired.map(|invalidated| MaintenanceReport {
+                    invalidated,
+                    ..MaintenanceReport::default()
+                })
+            } else {
+                apply_updates(&v.summary, &attr, &ds, policy, &mut profile)
+            };
+            let r = match maintained {
                 Ok(r) => r,
                 // Degrade gracefully: if maintenance hit damage (bad
                 // cache bytes, a dead page) rather than a crash, fall

@@ -4,8 +4,7 @@
 //! The paper's workload is several analysts sharing long-lived cleaned
 //! views. This module gives each of them a safe seat:
 //!
-//! - [`Snapshot`] — a read session pinning one view *version* (the
-//!   store generation plus the Summary-DB generation at open time).
+//! - [`Snapshot`] — a read session pinning one view *version*.
 //!   Reads never block and never observe a concurrent batch, because a
 //!   commit installs a brand-new store on fresh pages and retires the
 //!   old one through the epoch registry only after the last pinned
@@ -18,29 +17,30 @@
 //!   exclusive lock from begin to commit/abort. Commit is shadowed:
 //!   each staged op is planned and applied against a copy-on-write
 //!   clone through the one edit pipeline (`edit.rs` — the same
-//!   prologue, planner and applier as every in-place writer; only the
-//!   epilogue differs), the clone is made durable, and only then is
-//!   it installed in memory — one pointer swap, so readers see the
-//!   whole batch or none of it. Under
+//!   prologue, planner, applier and epilogue as every in-place
+//!   writer), the clone is made durable, and only then is it installed
+//!   in memory — one pointer swap, so readers see the whole batch or
+//!   none of it — and the batch's records drive the epilogue: history,
+//!   stale marks for triggered derived columns, Summary-DB maintenance
+//!   under the view's policy. Under
 //!   [`crate::DurabilityPolicy::CrashConsistent`] the commit runs
 //!   inside a durable `Txn` WAL intent; a crash at any point recovers
 //!   to the full pre-batch or full post-batch state, idempotently.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use sdbms_columnar::TableStore;
 use sdbms_data::{schema::Schema, value::Value};
-use sdbms_management::{ChangeRecord, DerivedRule};
 use sdbms_relational::{Expr, Predicate};
-use sdbms_storage::{IoScope, IoSnapshot, IoStats};
-use sdbms_summary::{ComputeSource, StatFunction, SummaryValue};
+use sdbms_storage::{BudgetScope, CancelToken, IoScope, IoSnapshot, IoStats};
+use sdbms_summary::{ComputeSource, StatFunction, SummaryDb, SummaryValue};
 use sdbms_txn::{EpochPin, LockGuard};
 
-use crate::dbms::{summarizable, StatDbms};
-use crate::edit::{apply, cell_updates, Plan, WriteIntent};
+use crate::dbms::{error_is_crash, summarizable, StatDbms};
+use crate::edit::{apply, Derived, Plan, WriteIntent};
 use crate::error::{CoreError, Result};
 use crate::view::UpdateReport;
 
@@ -106,7 +106,6 @@ pub(crate) struct PendingBatch {
 pub struct Snapshot {
     view: String,
     version: u64,
-    summary_generation: u64,
     store: Arc<dyn TableStore + Send + Sync>,
     stats: Arc<IoStats>,
     memo: Mutex<HashMap<(String, String), SummaryValue>>,
@@ -134,12 +133,6 @@ impl Snapshot {
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The Summary-DB generation current at open time.
-    #[must_use]
-    pub fn summary_generation(&self) -> u64 {
-        self.summary_generation
     }
 
     /// Rows in the pinned version.
@@ -234,7 +227,6 @@ impl StatDbms {
         Ok(Snapshot {
             view: v.name.clone(),
             version: v.version,
-            summary_generation: v.summary.generation(),
             store: Arc::clone(&v.store),
             stats: Arc::new(IoStats::default()),
             memo: Mutex::new(HashMap::new()),
@@ -263,13 +255,6 @@ impl StatDbms {
     /// a session's pinned snapshot is still current.
     pub fn view_version(&self, view: &str) -> Result<u64> {
         Ok(self.view(view)?.version)
-    }
-
-    /// A view's current Summary-DB generation, without pinning a
-    /// snapshot. Together with [`StatDbms::view_version`] this forms
-    /// the freshness half of the serving layer's cache key.
-    pub fn view_summary_generation(&self, view: &str) -> Result<u64> {
-        Ok(self.view(view)?.summary.generation())
     }
 
     // ---- update batches --------------------------------------------------
@@ -360,19 +345,25 @@ impl StatDbms {
     /// Commit a batch atomically. The staged ops apply to a shadow
     /// clone of the view's store (the live version's pages are never
     /// written); the clone is flushed durable, then installed with one
-    /// in-memory pointer swap, the Summary-DB generation is bumped
-    /// (retiring every cached entry of the old version without I/O),
-    /// and the displaced version is epoch-retired for draining
-    /// snapshots.
+    /// in-memory pointer swap, and the displaced version is
+    /// epoch-retired for draining snapshots. The batch's change records
+    /// then take the writer epilogue every in-place edit takes:
+    /// history, triggered derived columns marked stale (reported as
+    /// `deferred`), the Summary DB maintained per attribute under the
+    /// view's policy — an edit to `INCOME` leaves `AGE`'s entries
+    /// fresh. A batch that appends rows invalidates every attribute's
+    /// entries instead. Nothing after the install can fail the commit:
+    /// it runs outside the caller's op budget, and summary-cache
+    /// trouble short of a crash costs the cache, not the batch.
     ///
     /// Under [`crate::DurabilityPolicy::CrashConsistent`] the whole
     /// commit runs inside a durable `Txn` WAL intent: a crash at any
     /// I/O operation leaves either the full pre-batch state (swap not
     /// reached — the shadow pages are orphaned, the live version
     /// untouched) or the full post-batch state (swap done, shadow
-    /// already durable). [`StatDbms::recover`] then conservatively
-    /// rebuilds the summary cache and retires the intent; running it
-    /// again changes nothing.
+    /// already durable; maintenance may be part-way). [`StatDbms::recover`]
+    /// then conservatively rebuilds the summary cache and retires the
+    /// intent; running it again changes nothing.
     ///
     /// On a non-crash failure (bad staged op, unreadable page) the
     /// batch aborts cleanly: the error is returned, the live version
@@ -393,62 +384,47 @@ impl StatDbms {
         )
     }
 
-    /// Apply staged ops to a shadow clone and install it. Only called
-    /// with the view lock held.
+    /// Apply staged ops to a shadow clone, install it, and hand the
+    /// records to the writer epilogue. Only called with the view lock
+    /// held.
     fn apply_batch(&mut self, view: &str, ops: &[BatchOp]) -> Result<UpdateReport> {
         let exec = self.exec;
         let mut report = UpdateReport::default();
-        let mut records: Vec<ChangeRecord> = Vec::new();
-        let mut new_store = {
-            let v = self.view(view)?;
-            v.store.boxed_clone()?
-        };
+        let mut records = Vec::new();
+        let mut column_reads = 0;
+        let mut new_store = self.view(view)?.store.boxed_clone()?;
         // Each op is planned against the shadow as the ops before it
         // left it. A bad op fails its plan and the shadow is dropped.
         for op in ops {
             let plan = Plan::op(&*new_store, op, &exec)?;
             report.rows_matched += plan.rows_matched;
+            column_reads += plan.column_reads;
             apply(&mut *new_store, plan, Some(&mut records))?;
         }
         // Durability point: every shadow page reaches disk before the
         // in-memory swap makes the version reachable.
         self.env.pool.flush_all()?;
-        // Last cancellation checkpoint: past this line the install is
-        // pure in-memory and must run to completion (a half-installed
-        // version would be torn state). A budget trip here aborts the
-        // batch cleanly — the shadow pages are orphaned, the live
-        // version was never touched, and the typed error takes the
-        // non-crash path in `commit_batch` (intent retired, lock
-        // released), indistinguishable from any other aborted batch.
+        // Last cancellation checkpoint: past this line the batch is
+        // committed. A budget trip here aborts the batch cleanly — the
+        // shadow pages are orphaned, the live version was never
+        // touched, and the typed error takes the non-crash path in
+        // `commit_batch` (intent retired, lock released),
+        // indistinguishable from any other aborted batch.
         sdbms_storage::budget::charge_ambient_ops(0)?;
-        // Derived columns triggered by the touched attributes are not
-        // recomputed inside a batch — they are marked stale for
-        // on-demand regeneration, the cheapest sound rule.
-        report.cells_changed = cell_updates(&records).count();
-        let touched: BTreeSet<&str> = cell_updates(&records).map(|(_, a, ..)| a).collect();
-        let mut stale: Vec<String> = Vec::new();
-        for attr in touched {
-            for (d, _) in self.rules.triggered_by(view, attr) {
-                if !stale.contains(&d.to_string()) {
-                    report
-                        .derived_updates
-                        .push((d.to_string(), DerivedRule::DEFERRED));
-                    stale.push(d.to_string());
-                }
+        // Atomic in-memory install: one pointer swap, no I/O.
+        self.view_mut(view)?.install_store(Arc::from(new_store));
+        // The epilogue maintains the cache against the installed store
+        // and cannot undo the install, so it runs outside the caller's
+        // budget and only a crash stops it (the `Txn` intent is still
+        // pending; recovery rebuilds the cache). Any other failure
+        // costs the cache, not the commit.
+        let _unbounded = BudgetScope::enter(CancelToken::unbounded());
+        match self.epilogue(view, records, column_reads, Derived::Deferred, &mut report) {
+            Err(e) if !error_is_crash(&e) => {
+                self.view_mut(view)?.summary = SummaryDb::create(self.env.pool.clone())?;
             }
+            done => done?,
         }
-        // Atomic in-memory install: one pointer swap plus a pure
-        // in-memory generation bump. Nothing here performs I/O, so a
-        // crash cannot land between "new store visible" and "old
-        // summaries retired".
-        let v = self.view_mut(view)?;
-        v.install_store(Arc::from(new_store));
-        report.maintenance.invalidated += v.summary.len();
-        v.summary.bump_generation();
-        for d in stale {
-            v.stale_columns.insert(d);
-        }
-        self.record(view, records)?;
         Ok(report)
     }
 }

@@ -158,6 +158,23 @@ pub const DEADLINE_BYPASS: Lint = Lint {
         "serving-layer fn enters an IoScope without a BudgetScope: work there cannot be cancelled",
 };
 
+/// `evaluator-twin`: a second `StatFunction` evaluator or Summary-DB
+/// miss path under one of the names PR 16 deleted.
+pub const EVALUATOR_TWIN: Lint = Lint {
+    id: "evaluator-twin",
+    description:
+        "a profile twin of StatFunction::answer/aux_state, or the cache-only get_or_compute, reappeared",
+};
+
+/// `edit-pipeline-bypass`: in `sdbms-core`, a store write or a WAL
+/// intent outside `edit.rs` — past the one applier or the one writer
+/// prologue (DESIGN.md \u{a7}12).
+pub const EDIT_PIPELINE_BYPASS: Lint = Lint {
+    id: "edit-pipeline-bypass",
+    description:
+        "sdbms-core writes cells only in edit::apply and begins WAL intents only in StatDbms::write",
+};
+
 /// The full catalogue, for `--list` and id validation.
 pub const ALL_LINTS: &[Lint] = &[
     NO_PANIC,
@@ -178,6 +195,8 @@ pub const ALL_LINTS: &[Lint] = &[
     REPAIR_MISSING_AUTHORITY,
     REPAIR_SELF_READ,
     DEADLINE_BYPASS,
+    EVALUATOR_TWIN,
+    EDIT_PIPELINE_BYPASS,
 ];
 
 /// One finding.

@@ -10,8 +10,9 @@
 //! audited.
 
 use crate::diagnostics::{
-    Diagnostic, Lint, DEADLINE_BYPASS, FAULT_SEAM_BYPASS, LOSSY_CAST, MISSING_DOCS, NO_PANIC,
-    RELAXED_ORDERING, SNAPSHOT_BYPASS, TXN_LOCK_ORDER, UNJUSTIFIED_ALLOW,
+    Diagnostic, Lint, DEADLINE_BYPASS, EDIT_PIPELINE_BYPASS, EVALUATOR_TWIN, FAULT_SEAM_BYPASS,
+    LOSSY_CAST, MISSING_DOCS, NO_PANIC, RELAXED_ORDERING, SNAPSHOT_BYPASS, TXN_LOCK_ORDER,
+    UNJUSTIFIED_ALLOW,
 };
 use crate::tokenizer::{Tok, TokKind, TokenStream};
 
@@ -34,14 +35,12 @@ pub struct FileLintSet {
     pub no_panic: bool,
     /// `relaxed-ordering` applies.
     pub relaxed_ordering: bool,
-    /// `fault-seam-bypass` applies.
-    pub fault_seam: bool,
+    /// The [`CONTAINMENT`] table applies (each row says where).
+    pub containment: bool,
     /// `lossy-cast` applies (only `sdbms-stats` kernels).
     pub lossy_cast: bool,
     /// `missing-docs` applies (core crates).
     pub missing_docs: bool,
-    /// `txn-lock-order` applies (everything but `sdbms-txn` itself).
-    pub txn_lock_order: bool,
     /// `snapshot-bypass` applies (only `sdbms-core`, which owns views).
     pub snapshot_bypass: bool,
     /// `deadline-bypass` applies (only `sdbms-serve`, where every
@@ -68,17 +67,14 @@ pub fn lint_file(file: &str, ts: &TokenStream, set: &FileLintSet) -> Vec<Diagnos
         if set.relaxed_ordering {
             relaxed_at(file, toks, i, &mut raw);
         }
-        if set.fault_seam {
-            seam_at(file, toks, i, &mut raw);
+        if set.containment {
+            containment_at(file, toks, i, &mut raw);
         }
         if set.lossy_cast {
             lossy_cast_at(file, toks, i, &mut raw);
         }
         if set.missing_docs {
             missing_docs_at(file, toks, i, &mut raw);
-        }
-        if set.txn_lock_order {
-            lock_order_at(file, toks, i, &mut raw);
         }
         if set.snapshot_bypass {
             snapshot_bypass_at(file, toks, i, &mut raw);
@@ -177,24 +173,69 @@ fn relaxed_at(file: &str, toks: &[Tok], i: usize, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `fault-seam-bypass`: `DiskManager::new` / `ArchiveStore::new`.
-fn seam_at(file: &str, toks: &[Tok], i: usize, out: &mut Vec<Diagnostic>) {
-    if i + 3 < toks.len()
-        && (toks[i].is_ident("DiskManager") || toks[i].is_ident("ArchiveStore"))
-        && toks[i + 1].is_punct(':')
-        && toks[i + 2].is_punct(':')
-        && toks[i + 3].is_ident("new")
-    {
-        push(
-            out,
-            FAULT_SEAM_BYPASS,
-            file,
-            toks[i].line,
-            format!(
-                "{}::new bypasses the fault-injection seam; construct through with_faults or the hierarchy builder",
-                toks[i].text
-            ),
-        );
+/// One containment rule — `(lint, token pattern, where it applies,
+/// allowed paths, message)`: a sequence of identifier and punctuation
+/// tokens (space-separated; comments and string literals never match)
+/// that, in files under the `where` prefixes (none: every linted
+/// file), may appear only under the allowed ones. Paths are
+/// repo-relative.
+pub type Containment = (
+    Lint,
+    &'static str,
+    &'static [&'static str],
+    &'static [&'static str],
+    &'static str,
+);
+
+const SEAM: &str = "a bare device constructor bypasses the fault-injection seam; \
+                    construct through with_faults or the hierarchy builder";
+const RAW_LOCK: &str = "acquire_raw bypasses ordered lock acquisition; use LockTable::acquire";
+const TWIN: &str = "a second StatFunction evaluator or miss path; \
+                    use StatFunction::answer / get_or_compute_resilient";
+const APPLIER: &str = "a store write outside the one applier; plan it and hand it to edit::apply";
+const PROLOGUE: &str = "a WAL intent begun outside the one writer prologue; enter StatDbms::write";
+const TXN: &[&str] = &["crates/sdbms-txn/"];
+const CORE: &[&str] = &["crates/sdbms-core/src/"];
+const EDIT: &[&str] = &["crates/sdbms-core/src/edit.rs"];
+
+/// Every "this name lives in one place" invariant of the workspace.
+pub const CONTAINMENT: &[Containment] = &[
+    // Devices are built through the fault-injection seam.
+    (FAULT_SEAM_BYPASS, "DiskManager : : new", &[], &[], SEAM),
+    (FAULT_SEAM_BYPASS, "ArchiveStore : : new", &[], &[], SEAM),
+    // The raw lock primitive skips the ordered-acquisition check, so
+    // code composing locks through it could create wait-for cycles if
+    // a blocking mode is ever added.
+    (TXN_LOCK_ORDER, "acquire_raw", &[], TXN, RAW_LOCK),
+    // One evaluator, one miss path: the profile twins of
+    // StatFunction::answer / aux_state and the cache-only lookup that
+    // skipped quarantine stay gone.
+    (EVALUATOR_TWIN, "compute_from_profile", &[], &[], TWIN),
+    (EVALUATOR_TWIN, "aux_from_profile", &[], &[], TWIN),
+    (EVALUATOR_TWIN, "refresh_entry_from_profile", &[], &[], TWIN),
+    (EVALUATOR_TWIN, "fn get_or_compute", &[], &[], TWIN),
+    // One edit pipeline: in sdbms-core, cells are written by the one
+    // applier and WAL intents begun by the one writer prologue
+    // (`begin_repair` is repair's own).
+    (EDIT_PIPELINE_BYPASS, ". set_cell (", CORE, EDIT, APPLIER),
+    (EDIT_PIPELINE_BYPASS, ". append_row (", CORE, EDIT, APPLIER),
+    (EDIT_PIPELINE_BYPASS, "wal . begin (", CORE, EDIT, PROLOGUE),
+    (EDIT_PIPELINE_BYPASS, "begin_txn (", CORE, EDIT, PROLOGUE),
+];
+
+/// Report every [`CONTAINMENT`] row whose pattern starts at token `i`
+/// of a file the row watches and does not allow.
+fn containment_at(file: &str, toks: &[Tok], i: usize, out: &mut Vec<Diagnostic>) {
+    let under = |prefixes: &[&str]| prefixes.iter().any(|p| file.starts_with(p));
+    let is = |t: &Tok, text| matches!(t.kind, TokKind::Ident | TokKind::Punct) && t.text == text;
+    for &(lint, pattern, within, allowed, message) in CONTAINMENT {
+        let mut ahead = toks[i..].iter();
+        let matched = pattern
+            .split(' ')
+            .all(|p| ahead.next().is_some_and(|t| is(t, p)));
+        if matched && (within.is_empty() || under(within)) && !under(allowed) {
+            push(out, lint, file, toks[i].line, message.to_string());
+        }
     }
 }
 
@@ -306,22 +347,6 @@ fn missing_docs_at(file: &str, toks: &[Tok], i: usize, out: &mut Vec<Diagnostic>
             file,
             toks[i].line,
             format!("public {kind} has no doc comment"),
-        );
-    }
-}
-
-/// `txn-lock-order`: any mention of `acquire_raw` outside `sdbms-txn`.
-/// The raw primitive skips the ordered-acquisition check, so library
-/// code composing locks through it can create wait-for cycles if a
-/// blocking mode is ever added.
-fn lock_order_at(file: &str, toks: &[Tok], i: usize, out: &mut Vec<Diagnostic>) {
-    if toks[i].is_ident("acquire_raw") {
-        push(
-            out,
-            TXN_LOCK_ORDER,
-            file,
-            toks[i].line,
-            "acquire_raw bypasses ordered lock acquisition; use LockTable::acquire".to_string(),
         );
     }
 }
@@ -536,11 +561,9 @@ pub fn lints_for(class: FileClass, crate_name: &str) -> FileLintSet {
         // allowed to abort; everything else must be panic-free.
         no_panic: lib && crate_name != "sdbms-bench",
         relaxed_ordering: lib,
-        fault_seam: lib,
+        containment: lib,
         lossy_cast: lib && crate_name == "sdbms-stats",
         missing_docs: lib && crate_name != "sdbms-bench",
-        // sdbms-txn defines acquire_raw; everyone else must not call it.
-        txn_lock_order: lib && crate_name != "sdbms-txn",
         // Only sdbms-core owns views (and so can bypass their stores).
         snapshot_bypass: lib && crate_name == "sdbms-core",
         // Only the serving layer threads a budget through every
@@ -558,17 +581,20 @@ mod tests {
         FileLintSet {
             no_panic: true,
             relaxed_ordering: true,
-            fault_seam: true,
+            containment: true,
             lossy_cast: true,
             missing_docs: true,
-            txn_lock_order: true,
             snapshot_bypass: true,
             deadline_bypass: true,
         }
     }
 
     fn ids(src: &str) -> Vec<(String, u32)> {
-        lint_file("t.rs", &tokenize(src), &all())
+        ids_at("t.rs", src)
+    }
+
+    fn ids_at(file: &str, src: &str) -> Vec<(String, u32)> {
+        lint_file(file, &tokenize(src), &all())
             .into_iter()
             .map(|d| (d.lint.id.to_string(), d.line))
             .collect()
@@ -680,8 +706,34 @@ mod tests {
     fn acquire_raw_flagged_outside_txn_crate() {
         let src = "fn f() { let g = locks.acquire_raw(s, \"v\"); }\n";
         assert_eq!(ids(src), vec![("txn-lock-order".into(), 1)]);
-        assert!(!lints_for(FileClass::Lib, "sdbms-txn").txn_lock_order);
-        assert!(lints_for(FileClass::Lib, "sdbms-core").txn_lock_order);
+        assert!(ids_at("crates/sdbms-txn/src/lock.rs", src).is_empty());
+        let core = ids_at("crates/sdbms-core/src/dbms.rs", src);
+        assert_eq!(core, vec![("txn-lock-order".into(), 1)]);
+    }
+
+    #[test]
+    fn evaluator_twins_flagged_everywhere_but_not_in_prose() {
+        let src = "fn get_or_compute() { aux_from_profile(p); }\n// compute_from_profile is gone\nfn f() { let s = \"refresh_entry_from_profile\"; get_or_compute_resilient(); }\n";
+        let twin = |line| ("evaluator-twin".to_string(), line);
+        assert_eq!(ids(src), vec![twin(1), twin(1)]);
+    }
+
+    #[test]
+    fn store_writes_and_intents_in_core_belong_to_the_edit_module() {
+        let src = "fn f(s: &mut S, w: &W) {\n    s.set_cell(0, a, v);\n    s.append_row(r);\n    wal.begin(&attrs);\n    w.begin_txn();\n    w.begin_repair();\n}\n";
+        let bypass = |line| ("edit-pipeline-bypass".to_string(), line);
+        assert_eq!(
+            ids_at("crates/sdbms-core/src/repair.rs", src),
+            vec![bypass(2), bypass(3), bypass(4), bypass(5)]
+        );
+        assert!(ids_at("crates/sdbms-core/src/edit.rs", src).is_empty());
+        assert!(ids_at("crates/sdbms-columnar/src/rowstore.rs", src).is_empty());
+    }
+
+    #[test]
+    fn only_library_code_is_contained() {
+        assert!(lints_for(FileClass::Lib, "sdbms-core").containment);
+        assert!(!lints_for(FileClass::Bin, "sdbms-lint").containment);
     }
 
     #[test]

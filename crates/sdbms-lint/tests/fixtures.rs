@@ -18,10 +18,9 @@ fn all_lints() -> FileLintSet {
     FileLintSet {
         no_panic: true,
         relaxed_ordering: true,
-        fault_seam: true,
+        containment: true,
         lossy_cast: true,
         missing_docs: true,
-        txn_lock_order: true,
         snapshot_bypass: true,
         deadline_bypass: true,
     }
@@ -29,8 +28,13 @@ fn all_lints() -> FileLintSet {
 
 /// `(lint id, line)` pairs for one fixture, sorted by line.
 fn findings(name: &str) -> Vec<(String, u32)> {
+    findings_as(name, name)
+}
+
+/// The same, with the fixture linted as if it were the file `path`.
+fn findings_as(path: &str, name: &str) -> Vec<(String, u32)> {
     let src = fixture(name);
-    let mut out: Vec<(String, u32)> = lint_file(name, &tokenize(&src), &all_lints())
+    let mut out: Vec<(String, u32)> = lint_file(path, &tokenize(&src), &all_lints())
         .into_iter()
         .map(|d| (d.lint.id.to_string(), d.line))
         .collect();
@@ -101,6 +105,30 @@ fn deadline_bypass_fixture_fires_at_expected_lines() {
     );
 }
 
+/// Where `containment.rs` pretends to live.
+const CORE_FILE: &str = "crates/sdbms-core/src/dbms.rs";
+
+#[test]
+fn containment_fixture_fires_where_the_rows_apply() {
+    assert_eq!(
+        findings_as(CORE_FILE, "containment.rs"),
+        vec![
+            ("edit-pipeline-bypass".to_string(), 12),
+            ("edit-pipeline-bypass".to_string(), 13),
+            ("evaluator-twin".to_string(), 19),
+            ("evaluator-twin".to_string(), 20),
+        ]
+    );
+    // In the edit module the writes belong; the twins belong nowhere.
+    assert_eq!(
+        findings_as("crates/sdbms-core/src/edit.rs", "containment.rs"),
+        vec![
+            ("evaluator-twin".to_string(), 19),
+            ("evaluator-twin".to_string(), 20),
+        ]
+    );
+}
+
 #[test]
 fn fixture_headers_agree_with_findings() {
     // Each fixture documents its expected findings in its header;
@@ -111,9 +139,15 @@ fn fixture_headers_agree_with_findings() {
         "lossy_and_docs.rs",
         "txn_and_snapshot.rs",
         "deadline_bypass.rs",
+        "containment.rs",
     ] {
         let src = fixture(name);
-        for (id, line) in findings(name) {
+        let path = if name == "containment.rs" {
+            CORE_FILE
+        } else {
+            name
+        };
+        for (id, line) in findings_as(path, name) {
             let expected = format!("line {line}");
             assert!(
                 src.lines()

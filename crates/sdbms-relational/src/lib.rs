@@ -29,6 +29,6 @@ pub mod prune;
 pub mod viewdef;
 
 pub use expr::{BinOp, BoundExpr, BoundPredicate, CmpOp, Expr, Predicate, ScalarFunc};
-pub use ops::{par_project, par_select, AggFunc, Aggregate};
+pub use ops::{AggFunc, Aggregate};
 pub use prune::{filter_table_rows, predicate_truth, Truth, ZoneMapPruner};
 pub use viewdef::{ViewDefinition, ViewStep};

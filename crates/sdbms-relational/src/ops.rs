@@ -26,41 +26,6 @@ pub fn select(ds: &DataSet, pred: &Predicate) -> Result<DataSet> {
     DataSet::from_rows(&format!("{}_select", ds.name()), ds.schema().clone(), rows)
 }
 
-/// [`select`] evaluated morsel-parallel: workers evaluate the bound
-/// predicate over disjoint row ranges and the per-morsel hit lists are
-/// concatenated in morsel order, so the output is identical to the
-/// serial operator for every worker count.
-pub fn par_select(ds: &DataSet, pred: &Predicate, cfg: &sdbms_exec::ExecConfig) -> Result<DataSet> {
-    let bound = pred.bind(ds.schema())?;
-    let all_rows = ds.rows();
-    let keep = sdbms_exec::filter_indices::<sdbms_data::DataError, _>(all_rows.len(), cfg, |i| {
-        Ok(bound.eval(&all_rows[i]))
-    })?;
-    let rows = keep.iter().map(|&i| all_rows[i].clone()).collect();
-    DataSet::from_rows(&format!("{}_select", ds.name()), ds.schema().clone(), rows)
-}
-
-/// [`project`] evaluated morsel-parallel: workers materialize the
-/// projected rows of disjoint row ranges, concatenated in morsel order
-/// — identical output to the serial operator.
-pub fn par_project(ds: &DataSet, names: &[&str], cfg: &sdbms_exec::ExecConfig) -> Result<DataSet> {
-    let schema = ds.schema().project(names)?;
-    let idx: Vec<usize> = names
-        .iter()
-        .map(|n| ds.schema().require(n))
-        .collect::<Result<_>>()?;
-    let all_rows = ds.rows();
-    let chunks =
-        sdbms_exec::scan_morsels::<_, sdbms_data::DataError, _>(all_rows.len(), cfg, |m| {
-            Ok(all_rows[m.start..m.start + m.len]
-                .iter()
-                .map(|r| idx.iter().map(|&i| r[i].clone()).collect::<Vec<Value>>())
-                .collect::<Vec<_>>())
-        })?;
-    let rows = chunks.into_iter().flatten().collect();
-    DataSet::from_rows(&format!("{}_project", ds.name()), schema, rows)
-}
-
 /// The named columns of `ds`, in the given order.
 pub fn project(ds: &DataSet, names: &[&str]) -> Result<DataSet> {
     let schema = ds.schema().project(names)?;
@@ -429,29 +394,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(none.len(), 0);
-    }
-
-    #[test]
-    fn parallel_select_and_project_match_serial() {
-        use sdbms_data::census::{microdata_census, CensusConfig};
-        let ds = microdata_census(&CensusConfig {
-            rows: 3000,
-            ..Default::default()
-        })
-        .unwrap();
-        let pred = Predicate::cmp(Expr::col("AGE"), CmpOp::Gt, Expr::lit(40.0));
-        let serial_sel = select(&ds, &pred).unwrap();
-        let serial_proj = project(&ds, &["INCOME", "AGE"]).unwrap();
-        for workers in [1, 2, 4, 8] {
-            let cfg = sdbms_exec::ExecConfig::with_workers(workers);
-            let par_sel = par_select(&ds, &pred, &cfg).unwrap();
-            assert_eq!(par_sel.rows(), serial_sel.rows(), "select @ {workers}");
-            assert_eq!(par_sel.schema(), serial_sel.schema());
-            let par_proj = par_project(&ds, &["INCOME", "AGE"], &cfg).unwrap();
-            assert_eq!(par_proj.rows(), serial_proj.rows(), "project @ {workers}");
-            assert_eq!(par_proj.schema(), serial_proj.schema());
-        }
-        assert!(par_project(&ds, &["NOPE"], &sdbms_exec::ExecConfig::serial()).is_err());
     }
 
     #[test]

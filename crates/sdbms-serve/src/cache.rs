@@ -2,17 +2,19 @@
 //!
 //! The Summary DB (PR 1) is per-view and durable; this cache is
 //! cross-request and cheap — the split matchy's caching guide
-//! documents 2–10× wins from. Keys are
-//! `(view, store version, summary generation, query)`:
+//! documents 2–10× wins from. Keys are `(view, store version, query)`:
+//! a payload is a function of exactly those three.
 //!
-//! - A **batch commit** installs a new store version *and* bumps the
-//!   summary generation, so every entry cached against the old pair
-//!   becomes unreachable — commits invalidate by construction, no
-//!   flush traffic, no stale reads.
-//! - A **repair** may reset the Summary DB (its generation restarts),
-//!   so the server additionally purges the repaired view's entries
-//!   outright ([`ResultCache::purge_view`]) — the one transition the
-//!   key cannot express monotonically.
+//! - A **batch commit** installs a new store version, so every entry
+//!   cached against the old one becomes unreachable — commits
+//!   invalidate by construction, no flush traffic, no stale reads.
+//! - A **repair** purges the repaired view's entries outright
+//!   ([`ResultCache::purge_view`]). A repair that regenerates the store
+//!   moves the version anyway; one that mends pages in place does not,
+//!   and although the mended bytes are the bytes the entries were
+//!   computed from, dropping a view's entries costs a few recomputes
+//!   while reasoning about which survive buys nothing: after the one
+//!   event that distrusts derived state, keep none.
 //! - **Fallback results never enter.** A degraded view answers from
 //!   the raw archive; those values are correct *now* but not tied to
 //!   a store version, so admitting them could outlive their truth.
@@ -28,16 +30,13 @@ use std::collections::{BTreeMap, HashMap};
 use crate::server::Payload;
 
 /// The cache key. Two requests share an entry only when the view, the
-/// pinned store version, the Summary-DB generation, *and* the
-/// canonical query string all match.
+/// pinned store version *and* the canonical query string all match.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QueryKey {
     /// View name.
     pub view: String,
     /// Store version the result was computed at.
     pub version: u64,
-    /// Summary-DB generation at compute time.
-    pub generation: u64,
     /// Canonical query rendering, e.g. `"mean(INCOME)"`.
     pub query: String,
 }
@@ -166,7 +165,7 @@ impl ResultCache {
 
     /// Would a query over `view` rendered as `query` *likely* hit at
     /// logical time `now`? True when any unexpired entry matches the
-    /// view and query string at **any** (version, generation) — the
+    /// view and query string at **any** version — the
     /// door's brownout check cannot know the pinned version without
     /// taking the engine lock, so this is deliberately a conservative
     /// over-approximation: a probe may admit a query that then misses
@@ -213,8 +212,7 @@ impl ResultCache {
     }
 
     /// Drop every entry belonging to `view`, whatever its version.
-    /// Called on repair: a summary reset may restart the generation
-    /// counter, which the monotone cache key cannot express.
+    /// Called on repair (module docs).
     pub fn purge_view(&mut self, view: &str) {
         let victims: Vec<QueryKey> = self
             .map
@@ -247,11 +245,10 @@ mod tests {
     use super::*;
     use sdbms_core::SummaryValue;
 
-    fn key(view: &str, version: u64, generation: u64, q: &str) -> QueryKey {
+    fn key(view: &str, version: u64, q: &str) -> QueryKey {
         QueryKey {
             view: view.into(),
             version,
-            generation,
             query: q.into(),
         }
     }
@@ -263,14 +260,11 @@ mod tests {
     #[test]
     fn hit_after_insert_miss_after_version_bump() {
         let mut c = ResultCache::new(8, 100);
-        c.insert(key("v", 1, 1, "mean(INCOME)"), payload(5.0), 0);
-        assert_eq!(
-            c.get(&key("v", 1, 1, "mean(INCOME)"), 1),
-            Some(payload(5.0))
-        );
-        // A commit bumps version+generation: the old entry is simply
+        c.insert(key("v", 1, "mean(INCOME)"), payload(5.0), 0);
+        assert_eq!(c.get(&key("v", 1, "mean(INCOME)"), 1), Some(payload(5.0)));
+        // A commit bumps the version: the old entry is simply
         // unreachable under the new key.
-        assert_eq!(c.get(&key("v", 2, 2, "mean(INCOME)"), 2), None);
+        assert_eq!(c.get(&key("v", 2, "mean(INCOME)"), 2), None);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
@@ -278,12 +272,9 @@ mod tests {
     #[test]
     fn ttl_expires_entries_deterministically() {
         let mut c = ResultCache::new(8, 10);
-        c.insert(key("v", 1, 1, "q"), payload(1.0), 100);
-        assert!(c.get(&key("v", 1, 1, "q"), 109).is_some(), "tick 109 < 110");
-        assert!(
-            c.get(&key("v", 1, 1, "q"), 110).is_none(),
-            "tick 110 expired"
-        );
+        c.insert(key("v", 1, "q"), payload(1.0), 100);
+        assert!(c.get(&key("v", 1, "q"), 109).is_some(), "tick 109 < 110");
+        assert!(c.get(&key("v", 1, "q"), 110).is_none(), "tick 110 expired");
         assert_eq!(c.stats().ttl_evictions, 1);
         assert!(c.is_empty());
     }
@@ -291,14 +282,14 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_not_least_recently_inserted() {
         let mut c = ResultCache::new(2, 1000);
-        c.insert(key("v", 1, 1, "a"), payload(1.0), 0);
-        c.insert(key("v", 1, 1, "b"), payload(2.0), 1);
+        c.insert(key("v", 1, "a"), payload(1.0), 0);
+        c.insert(key("v", 1, "b"), payload(2.0), 1);
         // Touch "a" so "b" becomes the LRU victim.
-        assert!(c.get(&key("v", 1, 1, "a"), 2).is_some());
-        c.insert(key("v", 1, 1, "c"), payload(3.0), 3);
-        assert!(c.get(&key("v", 1, 1, "a"), 4).is_some());
-        assert!(c.get(&key("v", 1, 1, "b"), 5).is_none(), "b was evicted");
-        assert!(c.get(&key("v", 1, 1, "c"), 6).is_some());
+        assert!(c.get(&key("v", 1, "a"), 2).is_some());
+        c.insert(key("v", 1, "c"), payload(3.0), 3);
+        assert!(c.get(&key("v", 1, "a"), 4).is_some());
+        assert!(c.get(&key("v", 1, "b"), 5).is_none(), "b was evicted");
+        assert!(c.get(&key("v", 1, "c"), 6).is_some());
         assert_eq!(c.stats().lru_evictions, 1);
         assert_eq!(c.len(), 2);
     }
@@ -306,29 +297,29 @@ mod tests {
     #[test]
     fn reinsert_replaces_without_leaking_recency() {
         let mut c = ResultCache::new(4, 1000);
-        c.insert(key("v", 1, 1, "a"), payload(1.0), 0);
-        c.insert(key("v", 1, 1, "a"), payload(2.0), 1);
+        c.insert(key("v", 1, "a"), payload(1.0), 0);
+        c.insert(key("v", 1, "a"), payload(2.0), 1);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&key("v", 1, 1, "a"), 2), Some(payload(2.0)));
+        assert_eq!(c.get(&key("v", 1, "a"), 2), Some(payload(2.0)));
         // The recency index must hold exactly one entry for the key.
-        c.insert(key("v", 1, 1, "b"), payload(3.0), 3);
-        c.insert(key("v", 1, 1, "c"), payload(4.0), 4);
-        c.insert(key("v", 1, 1, "d"), payload(5.0), 5);
-        c.insert(key("v", 1, 1, "e"), payload(6.0), 6);
+        c.insert(key("v", 1, "b"), payload(3.0), 3);
+        c.insert(key("v", 1, "c"), payload(4.0), 4);
+        c.insert(key("v", 1, "d"), payload(5.0), 5);
+        c.insert(key("v", 1, "e"), payload(6.0), 6);
         assert_eq!(c.len(), 4);
     }
 
     #[test]
     fn purge_view_is_scoped() {
         let mut c = ResultCache::new(8, 1000);
-        c.insert(key("v", 1, 1, "a"), payload(1.0), 0);
-        c.insert(key("v", 2, 2, "a"), payload(2.0), 1);
-        c.insert(key("w", 1, 1, "a"), payload(3.0), 2);
+        c.insert(key("v", 1, "a"), payload(1.0), 0);
+        c.insert(key("v", 2, "a"), payload(2.0), 1);
+        c.insert(key("w", 1, "a"), payload(3.0), 2);
         c.purge_view("v");
-        assert!(c.get(&key("v", 1, 1, "a"), 3).is_none());
-        assert!(c.get(&key("v", 2, 2, "a"), 4).is_none());
+        assert!(c.get(&key("v", 1, "a"), 3).is_none());
+        assert!(c.get(&key("v", 2, "a"), 4).is_none());
         assert!(
-            c.get(&key("w", 1, 1, "a"), 5).is_some(),
+            c.get(&key("w", 1, "a"), 5).is_some(),
             "other views keep entries"
         );
         assert_eq!(c.stats().purged, 2);
@@ -337,7 +328,7 @@ mod tests {
     #[test]
     fn probe_fresh_matches_any_version_without_touching_stats() {
         let mut c = ResultCache::new(8, 10);
-        c.insert(key("v", 3, 2, "mean(INCOME)"), payload(1.0), 100);
+        c.insert(key("v", 3, "mean(INCOME)"), payload(1.0), 100);
         let before = c.stats();
         assert!(
             c.probe_fresh("v", "mean(INCOME)", 105),
@@ -352,9 +343,9 @@ mod tests {
     #[test]
     fn capacity_zero_disables_the_cache() {
         let mut c = ResultCache::new(0, 1000);
-        c.insert(key("v", 1, 1, "a"), payload(1.0), 0);
+        c.insert(key("v", 1, "a"), payload(1.0), 0);
         assert!(c.is_empty());
-        assert!(c.get(&key("v", 1, 1, "a"), 1).is_none());
+        assert!(c.get(&key("v", 1, "a"), 1).is_none());
         assert_eq!(c.stats().insertions, 0);
     }
 
@@ -362,10 +353,10 @@ mod tests {
     fn hit_rate_arithmetic() {
         let mut c = ResultCache::new(4, 1000);
         assert_eq!(c.stats().hit_rate(), 0.0);
-        c.insert(key("v", 1, 1, "a"), payload(1.0), 0);
-        c.get(&key("v", 1, 1, "a"), 1);
-        c.get(&key("v", 1, 1, "a"), 2);
-        c.get(&key("v", 1, 1, "zzz"), 3);
+        c.insert(key("v", 1, "a"), payload(1.0), 0);
+        c.get(&key("v", 1, "a"), 1);
+        c.get(&key("v", 1, "a"), 2);
+        c.get(&key("v", 1, "zzz"), 3);
         let s = c.stats();
         assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }

@@ -9,10 +9,9 @@
 //!   per-session pinned [`sdbms_core::Snapshot`]s; writes take the
 //!   engine's write lock and commit transactional batches.
 //! - **Front result cache** ([`ResultCache`]): a TTL'd LRU *above*
-//!   the per-view Summary DB, keyed by
-//!   `(view, store version, summary generation, query)` so a commit
-//!   invalidates by construction. Fallback (degraded-view) results
-//!   are never admitted; repairs purge their view outright.
+//!   the per-view Summary DB, keyed by `(view, store version, query)`
+//!   so a commit invalidates by construction. Fallback (degraded-view)
+//!   results are never admitted; repairs purge their view outright.
 //! - **Admission control** ([`AdmissionController`]): per-tenant token
 //!   buckets denominated in the storage layer's integer cost
 //!   milli-units and debited with each request's *actual* metered

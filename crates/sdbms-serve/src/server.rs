@@ -24,7 +24,7 @@
 //! which is `Send + Sync` and lock-free: a worker re-pins it (a cheap
 //! locked version check) only when the view's version has moved. The
 //! snapshot's own memo plus the front [`ResultCache`] keyed by
-//! `(view, version, generation, query)` mean a commit invalidates by
+//! `(view, version, query)` mean a commit invalidates by
 //! construction — the next read simply keys differently.
 //!
 //! **Back-pressure is typed and happens at the door.** Admission
@@ -238,8 +238,7 @@ pub enum Payload {
     Repaired {
         /// True when the store was regenerated from the archive.
         store_regenerated: bool,
-        /// True when the Summary DB was reset (its generation counter
-        /// restarted — the server purged the view's cache entries).
+        /// True when the Summary DB was reset.
         summary_reset: bool,
     },
 }
@@ -270,7 +269,9 @@ pub struct Response {
     pub view: String,
     /// Store version the response reflects.
     pub version: u64,
-    /// Summary-DB generation the response reflects.
+    /// Always `0`: the Summary DB is no longer versioned apart from
+    /// the store (`version` says everything). Kept because callers
+    /// build `Response` literals.
     pub generation: u64,
     /// Engine I/O this request performed (zero for cache hits).
     pub io: IoSnapshot,
@@ -416,6 +417,17 @@ struct Inner {
     metrics: MetricCounters,
 }
 
+impl Inner {
+    /// Advisory conversion of logical ticks (quota refill, breaker
+    /// cool-down) to wall milliseconds. One tick advances roughly once
+    /// per served request, so the EMA service time divided by the
+    /// worker count approximates the tick interval.
+    fn ticks_to_ms_hint(&self, ticks: u64) -> u64 {
+        let ema_us = self.ema_service_us.load(Ordering::SeqCst).max(1);
+        (ticks.saturating_mul(ema_us / self.workers as u64) / 1_000).max(1)
+    }
+}
+
 /// The serving front end. Construct with [`Server::start`]; requests
 /// are synchronous from the caller's perspective (submit, block on the
 /// reply channel) while the worker pool overlaps their execution.
@@ -556,10 +568,9 @@ impl Server {
     }
 
     /// Repair the session's view and purge its front-cache entries
-    /// (repair may reset the Summary-DB generation, the one transition
-    /// the monotone cache key cannot express). Repairs always run
-    /// unbounded: half-finished recovery work is the one thing a
-    /// deadline must not create.
+    /// (see [`crate::cache`]). Repairs always run unbounded:
+    /// half-finished recovery work is the one thing a deadline must not
+    /// create.
     pub fn repair(&self, session: SessionId) -> Result<Response> {
         self.request(session, JobKind::Repair, CancelToken::unbounded())
     }
@@ -591,7 +602,7 @@ impl Server {
             if let ServeError::QuotaExceeded { retry_after_ms, .. } = &mut e {
                 // try_admit filled the field with refill *ticks*;
                 // rescale to wall milliseconds with the service EMA.
-                *retry_after_ms = self.ticks_to_ms_hint(*retry_after_ms);
+                *retry_after_ms = self.inner.ticks_to_ms_hint(*retry_after_ms);
             }
             return Err(e);
         }
@@ -664,15 +675,6 @@ impl Server {
         let in_flight = self.inner.in_flight.load(Ordering::SeqCst).max(1);
         let ema_us = self.inner.ema_service_us.load(Ordering::SeqCst).max(1);
         (in_flight.saturating_mul(ema_us) / self.inner.workers as u64 / 1_000).max(1)
-    }
-
-    /// Advisory conversion of logical refill ticks to wall
-    /// milliseconds. One tick advances roughly once per served request,
-    /// so the EMA service time divided by the worker count approximates
-    /// the tick interval.
-    fn ticks_to_ms_hint(&self, ticks: u64) -> u64 {
-        let ema_us = self.inner.ema_service_us.load(Ordering::SeqCst).max(1);
-        (ticks.saturating_mul(ema_us / self.inner.workers as u64) / 1_000).max(1)
     }
 
     // ---- observation -----------------------------------------------------
@@ -862,7 +864,6 @@ fn finish(
     payload: Payload,
     served: Served,
     version: u64,
-    generation: u64,
     io: IoSnapshot,
 ) -> Result<Response> {
     // Front-cache hits are free; anything the engine executed pays at
@@ -887,7 +888,7 @@ fn finish(
         served,
         view: job.view.clone(),
         version,
-        generation,
+        generation: 0,
         io,
         cost_milli,
         tick: job.tick,
@@ -938,7 +939,6 @@ fn process_query(inner: &Inner, job: &Job, query: &Query) -> Result<Response> {
     let key = QueryKey {
         view: job.view.clone(),
         version: snap.version(),
-        generation: snap.summary_generation(),
         query: query.canonical(),
     };
     if let Some(payload) = inner.cache.lock().get(&key, job.tick) {
@@ -951,7 +951,6 @@ fn process_query(inner: &Inner, job: &Job, query: &Query) -> Result<Response> {
             payload,
             Served::FrontCache,
             snap.version(),
-            snap.summary_generation(),
             IoSnapshot::default(),
         );
     }
@@ -965,12 +964,9 @@ fn process_query(inner: &Inner, job: &Job, query: &Query) -> Result<Response> {
                 .metrics
                 .breaker_fast_fails
                 .fetch_add(1, Ordering::SeqCst);
-            let ema_us = inner.ema_service_us.load(Ordering::SeqCst).max(1);
             return Err(ServeError::BreakerOpen {
                 view: job.view.clone(),
-                retry_after_ms: (retry_after_ticks.saturating_mul(ema_us / inner.workers as u64)
-                    / 1_000)
-                    .max(1),
+                retry_after_ms: inner.ticks_to_ms_hint(retry_after_ticks),
             });
         }
         BreakerAdmit::Allow | BreakerAdmit::Probe => {}
@@ -1005,7 +1001,6 @@ fn process_query(inner: &Inner, job: &Job, query: &Query) -> Result<Response> {
         payload,
         Served::Computed,
         snap.version(),
-        snap.summary_generation(),
         stats.snapshot(),
     )
 }
@@ -1038,7 +1033,7 @@ fn process_degraded_query(inner: &Inner, job: &Job, query: &Query) -> Result<Res
     let _budget = BudgetScope::enter(job.token.clone());
     job.token.check().map_err(CoreError::from)?;
     let stats = Arc::new(IoStats::default());
-    let (payload, source, version, generation) = {
+    let (payload, source, version) = {
         let mut dbms = inner.dbms.lock();
         let _scope = IoScope::enter(Arc::clone(&stats));
         let (payload, source) = match query {
@@ -1059,12 +1054,7 @@ fn process_degraded_query(inner: &Inner, job: &Job, query: &Query) -> Result<Res
                 ComputeSource::Computed,
             ),
         };
-        (
-            payload,
-            source,
-            dbms.view_version(&job.view)?,
-            dbms.view_summary_generation(&job.view)?,
-        )
+        (payload, source, dbms.view_version(&job.view)?)
     };
     let served = if source == ComputeSource::Fallback {
         inner.cache.lock().note_fallback_rejection();
@@ -1072,15 +1062,7 @@ fn process_degraded_query(inner: &Inner, job: &Job, query: &Query) -> Result<Res
     } else {
         Served::Computed
     };
-    finish(
-        inner,
-        job,
-        payload,
-        served,
-        version,
-        generation,
-        stats.snapshot(),
-    )
+    finish(inner, job, payload, served, version, stats.snapshot())
 }
 
 fn process_commit(inner: &Inner, job: &Job, ops: &[BatchOp]) -> Result<Response> {
@@ -1091,7 +1073,7 @@ fn process_commit(inner: &Inner, job: &Job, ops: &[BatchOp]) -> Result<Response>
     let _budget = BudgetScope::enter(job.token.clone());
     job.token.check().map_err(CoreError::from)?;
     let stats = Arc::new(IoStats::default());
-    let (report, version_after, generation) = {
+    let (report, version_after) = {
         let mut dbms = inner.dbms.lock();
         let _scope = IoScope::enter(Arc::clone(&stats));
         let batch = dbms.begin_batch(&job.view)?;
@@ -1106,7 +1088,6 @@ fn process_commit(inner: &Inner, job: &Job, ops: &[BatchOp]) -> Result<Response>
         }
         let report = dbms.commit_batch(batch)?;
         let version_after = dbms.view_version(&job.view)?;
-        let generation = dbms.view_summary_generation(&job.view)?;
         // Record while still holding the write lock so commit-log
         // order equals store-version order — the property the
         // differential harness replays against.
@@ -1117,7 +1098,7 @@ fn process_commit(inner: &Inner, job: &Job, ops: &[BatchOp]) -> Result<Response>
             rows_matched: report.rows_matched,
             cells_changed: report.cells_changed,
         });
-        (report, version_after, generation)
+        (report, version_after)
     };
     inner.metrics.commits.fetch_add(1, Ordering::SeqCst);
     finish(
@@ -1129,7 +1110,6 @@ fn process_commit(inner: &Inner, job: &Job, ops: &[BatchOp]) -> Result<Response>
         },
         Served::Write,
         version_after,
-        generation,
         stats.snapshot(),
     )
 }
@@ -1141,18 +1121,14 @@ fn process_repair(inner: &Inner, job: &Job) -> Result<Response> {
     let _budget = BudgetScope::enter(job.token.clone());
     job.token.check().map_err(CoreError::from)?;
     let stats = Arc::new(IoStats::default());
-    let (report, version, generation) = {
+    let (report, version) = {
         let mut dbms = inner.dbms.lock();
         let _scope = IoScope::enter(Arc::clone(&stats));
         let report = dbms.repair_view(&job.view)?;
-        (
-            report,
-            dbms.view_version(&job.view)?,
-            dbms.view_summary_generation(&job.view)?,
-        )
+        (report, dbms.view_version(&job.view)?)
     };
-    // Repair may reset the Summary-DB generation counter, which the
-    // monotone cache key cannot express — purge the view outright.
+    // A repair that mends pages in place moves no version, so the key
+    // cannot retire the view's entries; drop them all (`crate::cache`).
     inner.cache.lock().purge_view(&job.view);
     inner.metrics.repairs.fetch_add(1, Ordering::SeqCst);
     finish(
@@ -1164,7 +1140,6 @@ fn process_repair(inner: &Inner, job: &Job) -> Result<Response> {
         },
         Served::Write,
         version,
-        generation,
         stats.snapshot(),
     )
 }

@@ -84,13 +84,6 @@ pub struct SummaryDb {
     heap: LongRecordFile,
     index: BTree,
     stats: std::cell::Cell<CacheStats>,
-    /// The view-version generation this cache currently serves. Every
-    /// stored entry is stamped with the generation it was written
-    /// under; entries from older generations are invisible (treated as
-    /// misses and filtered from enumeration) — a batch commit bumps
-    /// the generation to atomically retire the whole cache without
-    /// touching a single entry page.
-    generation: std::cell::Cell<u64>,
 }
 
 impl std::fmt::Debug for SummaryDb {
@@ -122,37 +115,13 @@ impl SummaryDb {
             heap: LongRecordFile::create(pool.clone())?,
             index: BTree::create(pool)?,
             stats: std::cell::Cell::new(CacheStats::default()),
-            generation: std::cell::Cell::new(0),
         })
     }
 
-    /// Number of physically stored entries (including entries from
-    /// older generations that are pending lazy purge).
+    /// Number of stored entries, fresh and stale.
     #[must_use]
     pub fn len(&self) -> usize {
         self.index.len() as usize
-    }
-
-    /// The generation new entries are stamped with and lookups accept.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation.get()
-    }
-
-    /// Retire every cached entry at once by moving to the next
-    /// generation: existing entries become invisible (their pages are
-    /// reclaimed lazily as `put` overwrites them), and nothing is
-    /// written — the bump is a pure in-memory step, which is what lets
-    /// a batch commit switch summary state without any I/O that could
-    /// tear.
-    pub fn bump_generation(&self) {
-        self.generation.set(self.generation.get() + 1);
-    }
-
-    /// Adopt a specific generation (recovery re-aligning a rebuilt
-    /// cache with the view version it serves).
-    pub fn set_generation(&self, generation: u64) {
-        self.generation.set(generation);
     }
 
     /// True if nothing is cached.
@@ -187,15 +156,7 @@ impl SummaryDb {
                 Ok(None)
             }
             Some(packed) => {
-                let bytes = self.heap.get(rid_from_u64(packed))?;
-                let (entry, generation) = decode_entry(&bytes)?;
-                if generation != self.generation.get() {
-                    // Written under a retired view version: a miss, not
-                    // a stale hit — the result may describe data that
-                    // no longer exists at all.
-                    self.bump(|s| s.misses += 1);
-                    return Ok(None);
-                }
+                let entry = decode_entry(&self.heap.get(rid_from_u64(packed))?)?;
                 match entry.freshness {
                     Freshness::Fresh => self.bump(|s| s.hits += 1),
                     Freshness::Stale => self.bump(|s| s.stale_hits += 1),
@@ -215,7 +176,7 @@ impl SummaryDb {
     /// Insert or replace an entry.
     pub fn put(&self, entry: &Entry) -> Result<()> {
         let key = entry_key(&entry.attribute, &entry.function);
-        let bytes = encode_entry(entry, self.generation.get());
+        let bytes = encode_entry(entry);
         if let Some(packed) = self.index.get_first(&key)? {
             let old_rid = rid_from_u64(packed);
             let new_rid = self.heap.update(old_rid, &bytes)?;
@@ -247,30 +208,18 @@ impl SummaryDb {
     /// ("efficient access to all results on a given column").
     pub fn entries_for_attribute(&self, attribute: &str) -> Result<Vec<Entry>> {
         let prefix = composite_str_key(&[attribute]);
-        let hits = self.index.prefix(&prefix)?;
-        let mut out = Vec::with_capacity(hits.len());
-        for (_, packed) in hits {
-            let bytes = self.heap.get(rid_from_u64(packed))?;
-            let (entry, generation) = decode_entry(&bytes)?;
-            if generation == self.generation.get() {
-                out.push(entry);
-            }
-        }
-        Ok(out)
+        self.entries_at(self.index.prefix(&prefix)?)
     }
 
-    /// Every current-generation entry, in (attribute, function) order.
+    /// Every entry, in (attribute, function) order.
     pub fn all_entries(&self) -> Result<Vec<Entry>> {
-        let hits = self.index.range(None, None)?;
-        let mut out = Vec::with_capacity(hits.len());
-        for (_, packed) in hits {
-            let bytes = self.heap.get(rid_from_u64(packed))?;
-            let (entry, generation) = decode_entry(&bytes)?;
-            if generation == self.generation.get() {
-                out.push(entry);
-            }
-        }
-        Ok(out)
+        self.entries_at(self.index.range(None, None)?)
+    }
+
+    /// The entries an index scan found, in its order.
+    fn entries_at(&self, hits: Vec<(Vec<u8>, u64)>) -> Result<Vec<Entry>> {
+        let entry = |(_, packed)| decode_entry(&self.heap.get(rid_from_u64(packed))?);
+        hits.into_iter().map(entry).collect()
     }
 
     /// Mark every entry of `attribute` stale (§4.3: "after each update
@@ -472,10 +421,8 @@ fn decode_aux(buf: &[u8], pos: &mut usize) -> Result<AuxState> {
     })
 }
 
-/// Encode an entry, prefixed with the generation it was written under.
-fn encode_entry(e: &Entry, generation: u64) -> Vec<u8> {
+fn encode_entry(e: &Entry) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(&generation.to_le_bytes());
     let attr = e.attribute.as_bytes();
     buf.extend_from_slice(&(attr.len() as u16).to_le_bytes());
     buf.extend_from_slice(attr);
@@ -496,10 +443,8 @@ fn encode_entry(e: &Entry, generation: u64) -> Vec<u8> {
     buf
 }
 
-/// Decode an entry and the generation stamp it carries.
-fn decode_entry(buf: &[u8]) -> Result<(Entry, u64)> {
+fn decode_entry(buf: &[u8]) -> Result<Entry> {
     let mut pos = 0usize;
-    let generation = take_u64(buf, &mut pos)?;
     let alen = {
         let b = buf
             .get(pos..pos + 2)
@@ -539,17 +484,14 @@ fn decode_entry(buf: &[u8]) -> Result<(Entry, u64)> {
     if pos != buf.len() {
         return Err(SummaryError::Decode("trailing bytes after entry"));
     }
-    Ok((
-        Entry {
-            attribute: attr,
-            function,
-            result,
-            freshness,
-            aux,
-            updates_since_refresh,
-        },
-        generation,
-    ))
+    Ok(Entry {
+        attribute: attr,
+        function,
+        result,
+        freshness,
+        aux,
+        updates_since_refresh,
+    })
 }
 
 #[cfg(test)]
@@ -780,45 +722,6 @@ mod tests {
         .unwrap();
         let got = db.lookup("X", &StatFunction::Mode).unwrap().unwrap();
         assert_eq!(got.result, SummaryValue::Note(note));
-    }
-
-    #[test]
-    fn generation_bump_retires_every_entry_without_io() {
-        let db = db();
-        db.put(&entry("X", StatFunction::Mean, SummaryValue::Scalar(1.0)))
-            .unwrap();
-        db.put(&entry("Y", StatFunction::Max, SummaryValue::Scalar(9.0)))
-            .unwrap();
-        assert_eq!(db.generation(), 0);
-        db.bump_generation();
-        assert_eq!(db.generation(), 1);
-        // Old-generation entries are invisible: misses, not stale hits.
-        assert!(db.lookup("X", &StatFunction::Mean).unwrap().is_none());
-        assert_eq!(db.stats().misses, 1);
-        assert_eq!(db.stats().stale_hits, 0);
-        assert!(db.entries_for_attribute("X").unwrap().is_empty());
-        assert!(db.all_entries().unwrap().is_empty());
-        // Physical storage is untouched until overwritten.
-        assert_eq!(db.len(), 2);
-        // A put under the new generation resurrects the slot.
-        db.put(&entry("X", StatFunction::Mean, SummaryValue::Scalar(2.0)))
-            .unwrap();
-        let got = db.lookup("X", &StatFunction::Mean).unwrap().unwrap();
-        assert_eq!(got.result, SummaryValue::Scalar(2.0));
-        assert_eq!(db.len(), 2, "overwrote the old slot, no new entry");
-    }
-
-    #[test]
-    fn set_generation_realigns_a_rebuilt_cache() {
-        let db = db();
-        db.put(&entry("X", StatFunction::Sum, SummaryValue::Scalar(3.0)))
-            .unwrap();
-        db.bump_generation();
-        db.bump_generation();
-        assert!(db.lookup("X", &StatFunction::Sum).unwrap().is_none());
-        db.set_generation(0);
-        // Back on the generation the entry was written under.
-        assert!(db.lookup("X", &StatFunction::Sum).unwrap().is_some());
     }
 
     #[test]

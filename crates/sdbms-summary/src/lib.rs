@@ -56,5 +56,7 @@ pub use maintain::{
     ComputeSource, MaintenancePolicy, MaintenanceReport, ProfileSource, UpdateDelta,
 };
 pub use median_window::{MedianWindow, DEFAULT_WINDOW};
+/// The histogram a [`SummaryValue::Histogram`] carries.
+pub use sdbms_stats::Histogram;
 pub use value::SummaryValue;
 pub use wal::{Intent, IntentLog};

@@ -10,7 +10,9 @@ use sdbms_core::{
     AccuracyPolicy, CoreError, DurabilityPolicy, StatDbms, StatFunction, ViewDefinition,
 };
 use sdbms_data::census::{microdata_census, CensusConfig};
+use sdbms_data::Value;
 use sdbms_storage::StorageEnv;
+use sdbms_summary::{Histogram, SummaryValue};
 
 /// The fixture's view name.
 pub const CENSUS_VIEW: &str = "v";
@@ -31,6 +33,32 @@ pub fn checked_functions() -> Vec<StatFunction> {
         StatFunction::Max,
         StatFunction::Median,
     ]
+}
+
+/// Whether a served summary agrees with the column it summarises. A
+/// scalar or vector must match a from-scratch recompute within the
+/// repo's 1e-9 relative tolerance for cached-versus-recomputed values.
+/// An incrementally maintained histogram keeps the bin edges it was
+/// built with (values outside them are counted below or above), so it
+/// is checked against the column binned into *its own* edges — the
+/// histogram contract (DESIGN.md §9).
+#[must_use]
+pub fn agrees(f: &StatFunction, served: &SummaryValue, column: &[Value]) -> bool {
+    if let SummaryValue::Histogram(h) = served {
+        let (Some(lo), Some(hi)) = (h.edges().first(), h.edges().last()) else {
+            return false;
+        };
+        let Ok(mut want) = Histogram::with_range(*lo, *hi, h.bins()) else {
+            return false;
+        };
+        let numbers = column.iter().filter_map(Value::as_f64);
+        numbers.for_each(|x| want.add(x));
+        return want.counts() == h.counts()
+            && want.below() == h.below()
+            && want.above() == h.above();
+    }
+    f.compute(column)
+        .is_ok_and(|want| served.approx_eq(&want, 1e-9))
 }
 
 /// Builder for a DBMS holding one materialized census view named

@@ -26,6 +26,8 @@ pub mod fixtures;
 pub mod rng;
 pub mod workload;
 
-pub use fixtures::{checked_functions, CensusFixture, CENSUS_ATTRS, CENSUS_SOURCE, CENSUS_VIEW};
+pub use fixtures::{
+    agrees, checked_functions, CensusFixture, CENSUS_ATTRS, CENSUS_SOURCE, CENSUS_VIEW,
+};
 pub use rng::{percentile, splitmix, unit, SplitMix64, Zipfian};
 pub use workload::{seeded_income_update, IncomeUpdate};

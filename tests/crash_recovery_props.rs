@@ -167,10 +167,18 @@ proptest! {
     /// the post-recovery column equals either the exact pre-batch
     /// state or the exact post-batch state (computed by a fault-free
     /// twin running the identical batch), never a mix of the two —
-    /// and recovery is idempotent.
+    /// and recovery is idempotent. The offset is drawn three ways: in
+    /// the commit's first 220 operations (clone, apply), counted back
+    /// from its last one (durability flush, install, the epilogue's
+    /// Summary-DB maintenance, intent retire), or anywhere; with and
+    /// without an appended row, because an append retires the cache
+    /// where cell updates maintain it.
     #[test]
     fn crash_anywhere_in_a_batch_commit_recovers_all_or_nothing(
         crash_offset in 1u64..220,
+        from_end in 0u64..160,
+        regime in 0usize..3,
+        append in any::<bool>(),
         threshold in 18i64..60,
         bump in 1i64..400,
         row in 0usize..60,
@@ -200,17 +208,28 @@ proptest! {
         let pred = Predicate::cmp(Expr::col("AGE"), CmpOp::Gt, Expr::lit(threshold));
         let assign = Expr::col("INCOME").binary(BinOp::Add, Expr::lit(bump));
 
-        // The fault-free twin computes the exact post-batch state.
+        // The fault-free twin computes the exact post-batch state,
+        // and how many operations the identical commit takes.
         let tb = twin.begin_batch("v").expect("twin batch");
         twin.batch_update_where(tb, &pred, &[("INCOME", assign.clone())]).expect("stage");
         twin.batch_set_cell(tb, row, "INCOME", poke.clone()).expect("stage");
-        twin.batch_append_row(tb, template.clone()).expect("stage");
+        if append {
+            twin.batch_append_row(tb, template.clone()).expect("stage");
+        }
+        let twin_ops = twin.env().injector.ops();
         twin.commit_batch(tb).expect("fault-free commit");
+        let total = twin.env().injector.ops() - twin_ops;
+        prop_assert!(total > 220 + 160, "a commit is {} operations", total);
         let post = twin.column("v", "INCOME").expect("post-batch column");
 
         // Crash the primary at an arbitrary I/O op inside its commit
-        // (shadow clone, cell writes, the durability flush, the intent
-        // retire — wherever `crash_offset` lands).
+        // (shadow clone, cell writes, the durability flush, Summary-DB
+        // maintenance on the installed store, the intent retire).
+        let crash_offset = match regime {
+            0 => crash_offset,
+            1 => total - from_end,
+            _ => crash_offset * total / 220,
+        };
         let ops = primary.env().injector.ops();
         primary.env().injector.set_plan(FaultPlan {
             seed: crash_offset,
@@ -220,7 +239,9 @@ proptest! {
         let b = primary.begin_batch("v").expect("begin does no I/O");
         primary.batch_update_where(b, &pred, &[("INCOME", assign)]).expect("staging does no I/O");
         primary.batch_set_cell(b, row, "INCOME", poke).expect("staging does no I/O");
-        primary.batch_append_row(b, template).expect("staging does no I/O");
+        if append {
+            primary.batch_append_row(b, template).expect("staging does no I/O");
+        }
         let outcome = primary.commit_batch(b);
 
         primary.env().injector.set_plan(FaultPlan::none());
@@ -410,6 +431,69 @@ fn wal_chain_compacts_after_recovery_and_recovery_stays_idempotent() {
         assert!(
             served.approx_eq(&fresh, 1e-9),
             "{f:?} served {served} != recompute {fresh}"
+        );
+    }
+}
+
+/// The tail of a batch commit, exhaustively: a crash at each of the
+/// last 200 I/O operations — the durability flush, the install, the
+/// epilogue's Summary-DB maintenance against the installed store (or,
+/// with an appended row, its invalidation of every attribute), the
+/// intent retire — leaves the column exactly pre- or post-batch and
+/// every served summary equal to a recompute.
+#[test]
+fn a_crash_at_every_late_offset_of_a_batch_commit_is_all_or_nothing() {
+    fn stage(dbms: &mut StatDbms, append: bool) -> u64 {
+        let template = dbms.snapshot("v").expect("snapshot").row(0).expect("row");
+        let b = dbms.begin_batch("v").expect("begin");
+        let raise = Expr::col("INCOME").binary(BinOp::Add, Expr::lit(5i64));
+        let adults = Predicate::cmp(Expr::col("AGE"), CmpOp::Gt, Expr::lit(30i64));
+        dbms.batch_update_where(b, &adults, &[("INCOME", raise)])
+            .expect("stage");
+        if append {
+            dbms.batch_append_row(b, template).expect("stage");
+        }
+        b
+    }
+    for append in [false, true] {
+        let mut twin = setup();
+        let pre = twin.column("v", "INCOME").expect("pre");
+        let tb = stage(&mut twin, append);
+        let before = twin.env().injector.ops();
+        let report = twin.commit_batch(tb).expect("fault-free commit");
+        let total = twin.env().injector.ops() - before;
+        let post = twin.column("v", "INCOME").expect("post");
+        assert_eq!(report.maintenance.incremental > 0, !append, "{report:?}");
+
+        let mut installed_then_crashed = 0;
+        for offset in total - 200..=total + 1 {
+            let mut primary = setup();
+            let b = stage(&mut primary, append);
+            let ops = primary.env().injector.ops();
+            primary.env().injector.set_plan(FaultPlan {
+                seed: offset,
+                crash_at_op: Some(ops + offset),
+                ..FaultPlan::none()
+            });
+            let outcome = primary.commit_batch(b);
+            primary.env().injector.set_plan(FaultPlan::none());
+            let crashed = primary.is_crashed();
+            if crashed {
+                assert!(outcome.is_err(), "+{offset}: a crash must abort the commit");
+                primary.recover().expect("recover");
+            } else {
+                outcome.expect("the crash point lay past the commit");
+            }
+            let after = primary.column("v", "INCOME").expect("column");
+            assert!(after == pre || after == post, "+{offset}: torn batch");
+            installed_then_crashed += usize::from(crashed && after == post);
+            let again = primary.recover().expect("second recovery");
+            assert!(again.views_recovered.is_empty(), "+{offset}: {again:?}");
+            assert_consistent(&mut primary).expect("cache agrees with the column");
+        }
+        assert!(
+            installed_then_crashed > 20,
+            "append {append}: {installed_then_crashed} crash points after the install"
         );
     }
 }

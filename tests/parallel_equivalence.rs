@@ -96,8 +96,9 @@ proptest! {
         }
     }
 
-    /// Parallel selection and projection return exactly the rows the
-    /// serial operators return, in the same order, at every worker
+    /// The parallel predicate scan and column reads over a stored
+    /// table return exactly the rows the serial relational operators
+    /// return from the data set, in the same order, at every worker
     /// count.
     #[test]
     fn parallel_relational_ops_match_serial(
@@ -113,12 +114,16 @@ proptest! {
         let pred = Predicate::cmp(Expr::col("AGE"), CmpOp::Gt, Expr::lit(threshold));
         let serial_sel = ops::select(&ds, &pred).unwrap();
         let serial_proj = ops::project(&ds, &["AGE", "INCOME"]).unwrap();
+        let store = TransposedFile::from_dataset(StorageEnv::new(256).pool, &ds).unwrap();
         for workers in WORKER_COUNTS {
             let cfg = ExecConfig { workers, morsel_rows };
-            let par_sel = ops::par_select(&ds, &pred, &cfg).unwrap();
-            prop_assert_eq!(par_sel.rows(), serial_sel.rows());
-            let par_proj = ops::par_project(&ds, &["AGE", "INCOME"], &cfg).unwrap();
-            prop_assert_eq!(par_proj.rows(), serial_proj.rows());
+            let hits = filter_table_rows(&store, &pred, &cfg).unwrap();
+            let par_sel: Vec<_> = hits.iter().map(|&i| ds.rows()[i].clone()).collect();
+            prop_assert_eq!(&par_sel[..], serial_sel.rows());
+            let age = read_table_column(&store, "AGE", &cfg).unwrap();
+            let income = read_table_column(&store, "INCOME", &cfg).unwrap();
+            let par_proj: Vec<_> = age.into_iter().zip(income).map(|(a, i)| vec![a, i]).collect();
+            prop_assert_eq!(&par_proj[..], serial_proj.rows());
         }
     }
 }
@@ -262,7 +267,7 @@ fn missing_and_coded_values_identical_across_workers() {
 // pruning may only skip work, never change an answer.
 
 use sdbms::columnar::{Compression, TransposedFile};
-use sdbms::exec::profile_table_column;
+use sdbms::exec::{profile_table_column, read_table_column};
 use sdbms::relational::filter_table_rows;
 
 /// An RLE-friendly mixed table: a plateau'd integer column (so zone

@@ -5,11 +5,11 @@
 //!
 //! 1. **Never stale**: a read after a commit is byte-identical to a
 //!    cold read of the same state on a twin DBMS that has no front
-//!    cache at all — the `(view, version, generation, query)` key
-//!    makes superseded entries unreachable by construction.
-//! 2. **Repair purges**: a repair may reset the Summary-DB generation
-//!    non-monotonically, so the server drops the view's entries
-//!    outright; post-repair reads equal fresh recomputes.
+//!    cache at all — the `(view, version, query)` key makes superseded
+//!    entries unreachable by construction.
+//! 2. **Repair purges**: a repair can mend pages without moving the
+//!    version, so the server drops the view's entries outright;
+//!    post-repair reads equal fresh recomputes.
 //! 3. **Fallback never admitted**: degraded-view answers (computed
 //!    from the raw archive) are served but never enter the front
 //!    cache, mirroring the Summary DB's own rule.

@@ -477,6 +477,81 @@ fn cancelled_commit_aborts_cleanly_and_the_view_stays_writable() {
     assert_eq!(server.metrics().commits, 1);
 }
 
+/// The acknowledgement is the install: under every op budget from
+/// nothing to more than the whole request charges, the reply is `Ok`
+/// exactly when the version moved and the commit log grew. Nothing
+/// past the install charges the request's budget — the epilogue's
+/// cache maintenance runs unbounded — so no trip can land after it,
+/// on the commit or on the cache.
+#[test]
+fn a_commit_under_any_op_budget_is_acknowledged_iff_it_installed() {
+    let fresh = || {
+        let server = Server::start(
+            CensusFixture::new().rows(60).build().expect("fixture"),
+            ServeConfig::default(),
+        );
+        let session = server.open_session("t", CENSUS_VIEW).expect("session");
+        // A cold pool: the shadow clone reads the device, so there is
+        // a budget checkpoint at every page of the commit.
+        cold_pool(&server);
+        (server, session)
+    };
+    let mut state = 23u64;
+    let ops = vec![sdbms_testkit::seeded_income_update(&mut state).batch_op()];
+
+    const AMPLE: u64 = 1 << 40;
+    let (server, session) = fresh();
+    let token = CancelToken::with_op_budget(AMPLE);
+    server
+        .commit_with_token(session, ops.clone(), token.clone())
+        .expect("ample budget");
+    let total = AMPLE - token.ops_remaining().expect("op-budgeted token");
+    assert!(total > 0, "a commit charges its budget");
+
+    let mut acknowledged = 0;
+    for budget in 0..=total + 1 {
+        let (server, session) = fresh();
+        let outcome =
+            server.commit_with_token(session, ops.clone(), CancelToken::with_op_budget(budget));
+        let version = server.with_dbms(|dbms| dbms.view_version(CENSUS_VIEW).expect("version"));
+        let logged = server.commit_log().len();
+        match outcome {
+            Ok(reply) => {
+                assert_eq!(
+                    (reply.version, version, logged),
+                    (1, 1, 1),
+                    "budget {budget}"
+                );
+                // However little budget was left at the install, the
+                // warm entry was maintained, not lost to a trip.
+                let maintained = server.with_dbms(|dbms| {
+                    let summary = &dbms.view(CENSUS_VIEW).expect("view").summary;
+                    summary.lookup_fresh("INCOME", &StatFunction::Mean)
+                });
+                assert!(maintained.expect("lookup").is_some(), "budget {budget}");
+                acknowledged += 1;
+            }
+            Err(e) => {
+                assert!(
+                    matches!(e, ServeError::DeadlineExceeded),
+                    "budget {budget}: {e}"
+                );
+                assert_eq!(
+                    (version, logged),
+                    (0, 0),
+                    "budget {budget}: tripped after install"
+                );
+            }
+        }
+    }
+    assert!(
+        acknowledged >= 2,
+        "budgets {total} and {} both suffice",
+        total + 1
+    );
+    println!("commit budget sweep: {total} ops charged, {acknowledged} budgets acknowledged");
+}
+
 #[test]
 fn slow_device_faults_eat_deadlines_without_marking_the_view_unhealthy() {
     let fixture = CensusFixture::new().rows(WIDE_ROWS);
