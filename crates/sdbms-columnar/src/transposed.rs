@@ -314,7 +314,7 @@ impl TransposedFile {
         // changes so a failure between the two writes leaves the
         // segment unpruned rather than pruned by a stale map.
         if let Some(z) = col.segments[si].zone.take() {
-            // lint: allow(swallowed-error): the zone entry is already detached — a failed delete leaks a dead zone-map page, never a stale pruning decision
+            // The zone entry is already detached — a failed delete leaks a dead zone-map page, never a stale pruning decision
             let _ = col.zones.delete(z);
         }
         let bytes = encode_segment(values, col.compression);
@@ -343,7 +343,7 @@ impl TransposedFile {
                 vals.extend(Self::load_segment(col, col.segments.len() - 1)?);
                 col.file.delete(last.rid).map_err(DataError::Storage)?;
                 if let Some(z) = last.zone {
-                    // lint: allow(swallowed-error): the merged segment's zone is rebuilt below — a failed delete leaks a dead page, never a stale map
+                    // The merged segment's zone is rebuilt below — a failed delete leaks a dead page, never a stale map
                     let _ = col.zones.delete(z);
                 }
                 col.segments.pop();

@@ -352,12 +352,12 @@ impl StatDbms {
             Err(e) if !error_is_crash(e) => {
                 if let (true, Ok(v)) = (written, self.view(view)) {
                     for a in &attributes {
-                        // lint: allow(swallowed-error): best-effort — with an intent log the pending intent still guards these attributes; without one this is already more than the volatile policy promises
+                        // Best-effort — with an intent log the pending intent still guards these attributes; without one this is already more than the volatile policy promises
                         let _ = v.summary.invalidate_attribute(a);
                     }
                 }
                 if logged {
-                    // lint: allow(swallowed-error): retiring the intent is best-effort on this path — a pending intent is safe and recovery replays it
+                    // Retiring the intent is best-effort on this path — a pending intent is safe and recovery replays it
                     let _ = self.commit_intent(view);
                 }
             }

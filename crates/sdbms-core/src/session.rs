@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, Rank};
 
 use sdbms_columnar::TableStore;
 use sdbms_data::{schema::Schema, value::Value};
@@ -229,7 +229,7 @@ impl StatDbms {
             version: v.version,
             store: Arc::clone(&v.store),
             stats: Arc::new(IoStats::default()),
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::new(Rank::SnapshotMemo, HashMap::new()),
             _pin: self.epochs.pin(),
         })
     }

@@ -106,7 +106,7 @@ impl ConcreteView {
     /// registry — its pages return to the free list only once every
     /// snapshot pinned before the install has dropped.
     pub fn install_store(&mut self, store: Arc<dyn TableStore + Send + Sync>) {
-        // lint: allow(snapshot-bypass): this IS the sanctioned install point every other site routes through
+        // The one place a view's store is replaced; every writer routes here.
         let old = std::mem::replace(&mut self.store, store);
         self.version += 1;
         let mut pages = old.data_page_ids();

@@ -112,42 +112,6 @@ pub const REPAIR_SELF_READ: Lint = Lint {
         "triage-ladder repair action reads from the component it repairs (circular authority)",
 };
 
-/// `lock-cycle`: the global lock-order graph (every acquisition edge
-/// "A held while acquiring B", propagated through the call graph)
-/// contains a cycle — including the degenerate self-cycle of
-/// re-acquiring a non-reentrant mutex class already held.
-pub const LOCK_CYCLE: Lint = Lint {
-    id: "lock-cycle",
-    description:
-        "lock acquisition closes a cycle in the global lock-order graph (potential deadlock)",
-};
-
-/// `lock-order-divergence`: an acquisition edge that contradicts the
-/// sanctioned lock hierarchy (DESIGN.md §14) — two paths acquire the
-/// same pair of locks in opposite orders.
-pub const LOCK_ORDER_DIVERGENCE: Lint = Lint {
-    id: "lock-order-divergence",
-    description:
-        "locks acquired in an order that contradicts the sanctioned hierarchy (DESIGN.md \u{a7}14)",
-};
-
-/// `blocking-under-lock`: disk I/O, an engine-lock acquisition, or an
-/// unbounded channel wait reachable while a fast lock (cache,
-/// admission, sessions, queue, epoch registry, …) is held.
-pub const BLOCKING_UNDER_LOCK: Lint = Lint {
-    id: "blocking-under-lock",
-    description:
-        "blocking operation (disk I/O, engine lock, channel wait) reachable while holding a fast lock",
-};
-
-/// `swallowed-error`: a `let _ =` / terminal `.ok()` / bare-statement
-/// discard of a `Result` on a path that holds a lock or a WAL intent.
-pub const SWALLOWED_ERROR: Lint = Lint {
-    id: "swallowed-error",
-    description:
-        "Result discarded (let _ = / .ok() / bare call) on a path holding a lock or WAL intent",
-};
-
 /// `deadline-bypass`: a serving-layer function meters I/O (enters an
 /// `IoScope`) without first installing a request budget
 /// (`BudgetScope::enter`), so work on that path cannot observe its
@@ -185,10 +149,6 @@ pub const ALL_LINTS: &[Lint] = &[
     UNJUSTIFIED_ALLOW,
     TXN_LOCK_ORDER,
     SNAPSHOT_BYPASS,
-    LOCK_CYCLE,
-    LOCK_ORDER_DIVERGENCE,
-    BLOCKING_UNDER_LOCK,
-    SWALLOWED_ERROR,
     RULE_MISSING_STRATEGY,
     RULE_UNVERIFIED_MERGE,
     RULE_DANGLING_INPUT,
@@ -211,9 +171,6 @@ pub struct Diagnostic {
     pub line: u32,
     /// Human-readable description of this particular finding.
     pub message: String,
-    /// Lock classes held at the finding site (concurrency passes only;
-    /// empty for token and soundness lints).
-    pub held: Vec<String>,
 }
 
 impl Diagnostic {
@@ -225,15 +182,7 @@ impl Diagnostic {
             file: file.to_string(),
             line,
             message,
-            held: Vec::new(),
         }
-    }
-
-    /// Attach the held-lock context recorded at the finding site.
-    #[must_use]
-    pub fn with_held(mut self, held: Vec<String>) -> Self {
-        self.held = held;
-        self
     }
 }
 
@@ -243,11 +192,7 @@ impl fmt::Display for Diagnostic {
             f,
             "{}:{}: deny[{}]: {}",
             self.file, self.line, self.lint.id, self.message
-        )?;
-        if !self.held.is_empty() {
-            write!(f, " [held: {}]", self.held.join(", "))?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -267,15 +212,5 @@ mod tests {
     fn display_has_file_line_and_id() {
         let d = Diagnostic::new(NO_PANIC, "src/x.rs", 7, "found unwrap".into());
         assert_eq!(d.to_string(), "src/x.rs:7: deny[no-panic]: found unwrap");
-    }
-
-    #[test]
-    fn display_appends_held_context() {
-        let d = Diagnostic::new(BLOCKING_UNDER_LOCK, "src/x.rs", 9, "disk I/O".into())
-            .with_held(vec!["serve-cache".into()]);
-        assert_eq!(
-            d.to_string(),
-            "src/x.rs:9: deny[blocking-under-lock]: disk I/O [held: serve-cache]"
-        );
     }
 }

@@ -1,22 +1,20 @@
 //! # sdbms-lint — workspace-wide static analysis
 //!
-//! Three layers, one driver:
+//! Two layers, one binary:
 //!
 //! - **Layer 1** ([`source_lints`]) runs token-pattern lints over every
 //!   workspace source file using a hand-written tokenizer
 //!   ([`tokenizer`]) — no external parser, the same
 //!   zero-new-dependency discipline as the vendored stand-ins.
-//! - **Layer 1.5** (the concurrency passes) parses the same token
-//!   streams into a function/statement tree ([`syntax`]), resolves a
-//!   workspace call graph with per-function effect summaries
-//!   ([`callgraph`]), and runs three interprocedural held-lock
-//!   analyses: the global lock-order graph and blocking-under-lock
-//!   ([`locks`]), and swallowed-error dataflow ([`flow`]).
 //! - **Layer 2** ([`soundness`]) introspects the *running system's*
 //!   metadata: the summary-function registry and the Management
 //!   Database's maintenance rules, checking that every declared
 //!   maintenance strategy is actually sound (the merge-law oracle is
 //!   executed, not assumed).
+//!
+//! Lock order is not checked here: every mutex carries a rank from the
+//! vendored `parking_lot` shim, and debug builds check each acquisition
+//! where it happens (DESIGN.md §14).
 //!
 //! The binary (`cargo run -p sdbms-lint -- --deny-all`) prints
 //! structured diagnostics (`file:line: deny[lint-id]: message`, or a
@@ -26,102 +24,34 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod callgraph;
 pub mod diagnostics;
-pub mod flow;
-pub mod locks;
 pub mod soundness;
 pub mod source_lints;
-pub mod syntax;
 pub mod tokenizer;
 pub mod workspace;
 
 pub use diagnostics::{Diagnostic, Lint, ALL_LINTS};
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::path::Path;
 
-use tokenizer::AllowDirective;
-
-/// Run all layers over a workspace root and return every finding not
+/// Run both layers over a workspace root and return every finding not
 /// suppressed by an inline allow, sorted by file then line then id.
 pub fn run(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut out = Vec::new();
-    let mut fns = Vec::new();
-    let mut allow_map: HashMap<String, Vec<AllowDirective>> = HashMap::new();
     for file in workspace::discover(root)? {
         let src = std::fs::read_to_string(&file.path)?;
-        let ts = tokenizer::tokenize(&src);
-        out.extend(source_lints::lint_file(&file.rel, &ts, &file.lints));
-        // The concurrency passes cover library code only: binaries and
-        // the bench harness own their threads outright and hold no
-        // shared engine locks worth ordering.
-        if file.class == source_lints::FileClass::Lib {
-            let spans = source_lints::test_spans(&ts.toks);
-            fns.extend(syntax::parse_file(
-                &file.crate_name,
-                &file.rel,
-                &ts.toks,
-                &spans,
-            ));
-            allow_map.insert(file.rel.clone(), ts.allows);
-        }
+        out.extend(source_lints::lint_file(
+            &file.rel,
+            &tokenizer::tokenize(&src),
+            &file.lints,
+        ));
     }
-    out.extend(apply_allows(analyze_fns(fns), &allow_map));
     out.extend(soundness::check_standing());
     out.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.lint.id).cmp(&(b.file.as_str(), b.line, b.lint.id))
     });
     Ok(out)
-}
-
-/// Run only the concurrency passes over in-memory sources, applying
-/// inline allows the same way the live run does. Each entry is
-/// `(crate_name, file_path, source)`. This is the fixture-test entry
-/// point: it needs no filesystem.
-#[must_use]
-pub fn analyze_sources(files: &[(&str, &str, &str)]) -> Vec<Diagnostic> {
-    let mut fns = Vec::new();
-    let mut allow_map: HashMap<String, Vec<AllowDirective>> = HashMap::new();
-    for (krate, rel, src) in files {
-        let ts = tokenizer::tokenize(src);
-        let spans = source_lints::test_spans(&ts.toks);
-        fns.extend(syntax::parse_file(krate, rel, &ts.toks, &spans));
-        allow_map.insert((*rel).to_string(), ts.allows);
-    }
-    let mut out = apply_allows(analyze_fns(fns), &allow_map);
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.lint.id).cmp(&(b.file.as_str(), b.line, b.lint.id))
-    });
-    out
-}
-
-/// Build the call graph over the parsed functions and run the three
-/// concurrency passes.
-fn analyze_fns(fns: Vec<syntax::FnDef>) -> Vec<Diagnostic> {
-    let prog = callgraph::Program::build(fns, locks::local_effects);
-    let mut out = locks::check(&prog);
-    out.extend(flow::check(&prog));
-    out
-}
-
-/// Suppress findings covered by a justified inline allow in their own
-/// file (directive on the finding line or the line above) — the same
-/// rule [`source_lints::lint_file`] applies to token lints.
-fn apply_allows(
-    findings: Vec<Diagnostic>,
-    allow_map: &HashMap<String, Vec<AllowDirective>>,
-) -> Vec<Diagnostic> {
-    findings
-        .into_iter()
-        .filter(|d| {
-            allow_map.get(&d.file).is_none_or(|allows| {
-                !allows.iter().any(|a| {
-                    a.justified && a.id == d.lint.id && (a.line == d.line || a.line + 1 == d.line)
-                })
-            })
-        })
-        .collect()
 }
 
 /// Filter findings by a set of allowed lint ids (from `--allow`).

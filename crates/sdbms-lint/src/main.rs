@@ -12,10 +12,8 @@
 //! 1 findings under `--deny-all`, 2 usage or I/O error.
 //!
 //! `--format json` emits one stable document on stdout:
-//! `{"version":1,"findings":[{"rule","file","line","message","held":[…]}]}`
-//! (held is the lock-class context of the concurrency passes, empty
-//! for token and soundness lints). The summary lines are suppressed;
-//! exit codes are unchanged.
+//! `{"version":2,"findings":[{"rule","file","line","message"}]}`.
+//! The summary lines are suppressed; exit codes are unchanged.
 
 use sdbms_lint::{filter_allowed, run, Diagnostic, ALL_LINTS};
 use std::collections::BTreeSet;
@@ -46,23 +44,17 @@ fn json_escape(s: &str) -> String {
 
 /// Render the findings as the versioned JSON document.
 fn render_json(findings: &[Diagnostic]) -> String {
-    let mut out = String::from("{\"version\":1,\"findings\":[");
+    let mut out = String::from("{\"version\":2,\"findings\":[");
     for (i, d) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let held: Vec<String> = d
-            .held
-            .iter()
-            .map(|h| format!("\"{}\"", json_escape(h)))
-            .collect();
         out.push_str(&format!(
-            "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\",\"held\":[{}]}}",
+            "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
             json_escape(d.lint.id),
             json_escape(&d.file),
             d.line,
             json_escape(&d.message),
-            held.join(",")
         ));
     }
     out.push_str("]}");

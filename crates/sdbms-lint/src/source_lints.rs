@@ -41,8 +41,6 @@ pub struct FileLintSet {
     pub lossy_cast: bool,
     /// `missing-docs` applies (core crates).
     pub missing_docs: bool,
-    /// `snapshot-bypass` applies (only `sdbms-core`, which owns views).
-    pub snapshot_bypass: bool,
     /// `deadline-bypass` applies (only `sdbms-serve`, where every
     /// request carries a budget).
     pub deadline_bypass: bool,
@@ -75,9 +73,6 @@ pub fn lint_file(file: &str, ts: &TokenStream, set: &FileLintSet) -> Vec<Diagnos
         }
         if set.missing_docs {
             missing_docs_at(file, toks, i, &mut raw);
-        }
-        if set.snapshot_bypass {
-            snapshot_bypass_at(file, toks, i, &mut raw);
         }
     }
 
@@ -194,6 +189,8 @@ const TWIN: &str = "a second StatFunction evaluator or miss path; \
                     use StatFunction::answer / get_or_compute_resilient";
 const APPLIER: &str = "a store write outside the one applier; plan it and hand it to edit::apply";
 const PROLOGUE: &str = "a WAL intent begun outside the one writer prologue; enter StatDbms::write";
+const SNAPSHOT: &str = "mutates a possibly-pinned store in place; \
+                        go through store_mut() (copy-on-write) or install_store (the version swap)";
 const TXN: &[&str] = &["crates/sdbms-txn/"];
 const CORE: &[&str] = &["crates/sdbms-core/src/"];
 const EDIT: &[&str] = &["crates/sdbms-core/src/edit.rs"];
@@ -221,6 +218,21 @@ pub const CONTAINMENT: &[Containment] = &[
     (EDIT_PIPELINE_BYPASS, ". append_row (", CORE, EDIT, APPLIER),
     (EDIT_PIPELINE_BYPASS, "wal . begin (", CORE, EDIT, PROLOGUE),
     (EDIT_PIPELINE_BYPASS, "begin_txn (", CORE, EDIT, PROLOGUE),
+    // Snapshot isolation: in sdbms-core a view's store changes only
+    // through store_mut() or install_store, so pinned snapshots stay
+    // immutable. Reads on `.store` are fine, and `==` is one token, so
+    // a comparison is not an assignment.
+    (SNAPSHOT_BYPASS, ". store . set_cell", CORE, &[], SNAPSHOT),
+    (SNAPSHOT_BYPASS, ". store . append_row", CORE, &[], SNAPSHOT),
+    (SNAPSHOT_BYPASS, ". store . add_column", CORE, &[], SNAPSHOT),
+    (
+        SNAPSHOT_BYPASS,
+        ". store . rebuild_zone_maps",
+        CORE,
+        &[],
+        SNAPSHOT,
+    ),
+    (SNAPSHOT_BYPASS, ". store =", CORE, &[], SNAPSHOT),
 ];
 
 /// Report every [`CONTAINMENT`] row whose pattern starts at token `i`
@@ -351,52 +363,6 @@ fn missing_docs_at(file: &str, toks: &[Tok], i: usize, out: &mut Vec<Diagnostic>
     }
 }
 
-/// Store methods that mutate a view's pages in place. Reads
-/// (`read_column`, `read_row`, `schema`, …) are fine on a shared store;
-/// only these change bytes a pinned snapshot may be reading.
-const STORE_MUTATORS: &[&str] = &["set_cell", "append_row", "add_column", "rebuild_zone_maps"];
-
-/// `snapshot-bypass`: `.store.<mutator>(…)` or a direct `.store = …`
-/// assignment in core code. Both sidestep the copy-on-write /
-/// version-swap discipline (`store_mut()` / `install_store`) that
-/// keeps pinned snapshots immutable.
-fn snapshot_bypass_at(file: &str, toks: &[Tok], i: usize, out: &mut Vec<Diagnostic>) {
-    if !(toks[i].is_punct('.') && i + 1 < toks.len() && toks[i + 1].is_ident("store")) {
-        return;
-    }
-    if i + 3 < toks.len()
-        && toks[i + 2].is_punct('.')
-        && toks[i + 3].kind == TokKind::Ident
-        && STORE_MUTATORS.contains(&toks[i + 3].text.as_str())
-    {
-        push(
-            out,
-            SNAPSHOT_BYPASS,
-            file,
-            toks[i + 3].line,
-            format!(
-                ".store.{}() mutates a possibly-pinned store in place; go through store_mut()",
-                toks[i + 3].text
-            ),
-        );
-        return;
-    }
-    // `.store = …` replaces the store without the version bump /
-    // epoch retire (`==` comparisons are fine).
-    if i + 2 < toks.len()
-        && toks[i + 2].is_punct('=')
-        && !(i + 3 < toks.len() && toks[i + 3].is_punct('='))
-    {
-        push(
-            out,
-            SNAPSHOT_BYPASS,
-            file,
-            toks[i + 2].line,
-            "direct `.store = …` assignment skips the version swap; use install_store".to_string(),
-        );
-    }
-}
-
 /// `deadline-bypass`: a function whose body enters an [`IoScope`]
 /// (metering real engine/storage work) without first installing a
 /// `BudgetScope`. In the serving layer every request carries a
@@ -451,8 +417,7 @@ fn scope_enter(toks: &[Tok], ty: &str) -> bool {
 
 /// Token-index spans covered by `#[cfg(test)]` / `#[test]` items
 /// (test modules, test functions, and anything else gated on `test`).
-/// Shared with the concurrency passes, which apply the same exemption.
-pub(crate) fn test_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
+fn test_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -564,8 +529,6 @@ pub fn lints_for(class: FileClass, crate_name: &str) -> FileLintSet {
         containment: lib,
         lossy_cast: lib && crate_name == "sdbms-stats",
         missing_docs: lib && crate_name != "sdbms-bench",
-        // Only sdbms-core owns views (and so can bypass their stores).
-        snapshot_bypass: lib && crate_name == "sdbms-core",
         // Only the serving layer threads a budget through every
         // request; engine code may meter I/O without one.
         deadline_bypass: lib && crate_name == "sdbms-serve",
@@ -584,7 +547,6 @@ mod tests {
             containment: true,
             lossy_cast: true,
             missing_docs: true,
-            snapshot_bypass: true,
             deadline_bypass: true,
         }
     }
@@ -736,14 +698,17 @@ mod tests {
         assert!(!lints_for(FileClass::Bin, "sdbms-lint").containment);
     }
 
+    /// A file under sdbms-core where cell writes are contained.
+    const EDIT_FILE: &str = "crates/sdbms-core/src/edit.rs";
+
     #[test]
     fn store_mutators_flagged_reads_not() {
         let src =
             "fn f(v: &mut V) { v.store.set_cell(0, 1, x); let c = v.store.read_column(2); }\n";
-        assert_eq!(ids(src), vec![("snapshot-bypass".into(), 1)]);
+        assert_eq!(ids_at(EDIT_FILE, src), vec![("snapshot-bypass".into(), 1)]);
         let src = "fn g(v: &mut V) { v.store.append_row(r); v.store.rebuild_zone_maps(); }\n";
         assert_eq!(
-            ids(src),
+            ids_at(EDIT_FILE, src),
             vec![("snapshot-bypass".into(), 1), ("snapshot-bypass".into(), 1)]
         );
     }
@@ -751,22 +716,15 @@ mod tests {
     #[test]
     fn store_assignment_flagged_comparison_not() {
         let src = "fn f(v: &mut V) { v.store = s; }\n";
-        assert_eq!(ids(src), vec![("snapshot-bypass".into(), 1)]);
+        assert_eq!(ids_at(EDIT_FILE, src), vec![("snapshot-bypass".into(), 1)]);
         let src = "fn g(v: &V) -> bool { v.store == other }\n";
-        assert!(ids(src).is_empty());
+        assert!(ids_at(EDIT_FILE, src).is_empty());
     }
 
     #[test]
-    fn sanctioned_install_point_uses_allow() {
-        let src = "// lint: allow(snapshot-bypass): the one sanctioned install point\nfn f(v: &mut V) { v.store = s; }\n";
-        assert!(ids(src).is_empty());
-    }
-
-    #[test]
-    fn only_core_gets_snapshot_bypass() {
-        assert!(lints_for(FileClass::Lib, "sdbms-core").snapshot_bypass);
-        assert!(!lints_for(FileClass::Lib, "sdbms-repair").snapshot_bypass);
-        assert!(!lints_for(FileClass::Bin, "sdbms-core").snapshot_bypass);
+    fn only_core_is_held_to_snapshot_isolation() {
+        let src = "fn f(v: &mut V) { v.store = s; }\n";
+        assert!(ids_at("crates/sdbms-repair/src/scrub.rs", src).is_empty());
     }
 
     #[test]

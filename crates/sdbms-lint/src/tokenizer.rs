@@ -19,7 +19,8 @@
 pub enum TokKind {
     /// Identifier or keyword (`fn`, `unwrap`, `Ordering`, …).
     Ident,
-    /// Single punctuation character (`.`, `:`, `!`, `[`, …).
+    /// Single punctuation character (`.`, `:`, `!`, `[`, …), or `==`
+    /// (so a pattern ending in `=` never matches a comparison).
     Punct,
     /// String / char / byte / numeric literal (content not preserved).
     Literal,
@@ -280,12 +281,17 @@ pub fn tokenize(src: &str) -> TokenStream {
                 });
             }
             _ => {
+                let len = if c == '=' && b.get(i + 1) == Some(&'=') {
+                    2
+                } else {
+                    1
+                };
                 out.toks.push(Tok {
                     kind: TokKind::Punct,
-                    text: c.to_string(),
+                    text: b[i..i + len].iter().collect(),
                     line,
                 });
-                i += 1;
+                i += len;
             }
         }
     }
@@ -385,6 +391,18 @@ mod tests {
             ts.toks.iter().filter(|t| t.kind == TokKind::Ident).count(),
             2
         );
+    }
+
+    #[test]
+    fn double_equals_is_one_token() {
+        let ts = tokenize("a == b; c = d;");
+        let puncts: Vec<&str> = ts
+            .toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Punct)
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(puncts, vec!["==", ";", "=", ";"]);
     }
 
     #[test]

@@ -68,7 +68,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, Rank};
 use sdbms_core::{
     AccuracyPolicy, BatchOp, ComputeSource, CoreError, Snapshot, StatDbms, StatFunction,
     SummaryValue, ViewHealth,
@@ -446,13 +446,19 @@ impl Server {
     pub fn start(dbms: StatDbms, config: ServeConfig) -> Self {
         let queue_capacity = config.queue_capacity.max(1);
         let inner = Arc::new(Inner {
-            dbms: Mutex::new(dbms),
-            cache: Mutex::new(ResultCache::new(config.cache_capacity, config.cache_ttl)),
-            admission: Mutex::new(AdmissionController::new(config.quota)),
-            sessions: Mutex::new(HashMap::new()),
-            commit_log: Mutex::new(Vec::new()),
-            breaker: Mutex::new(CircuitBreaker::new(config.breaker)),
-            brownout: Mutex::new(BrownoutController::new(config.brownout)),
+            dbms: Mutex::new(Rank::Engine, dbms),
+            cache: Mutex::new(
+                Rank::ServeCache,
+                ResultCache::new(config.cache_capacity, config.cache_ttl),
+            ),
+            admission: Mutex::new(Rank::ServeAdmission, AdmissionController::new(config.quota)),
+            sessions: Mutex::new(Rank::ServeSessions, HashMap::new()),
+            commit_log: Mutex::new(Rank::ServeCommitLog, Vec::new()),
+            breaker: Mutex::new(Rank::ServeBreaker, CircuitBreaker::new(config.breaker)),
+            brownout: Mutex::new(
+                Rank::ServeBrownout,
+                BrownoutController::new(config.brownout),
+            ),
             clock: AtomicU64::new(0),
             next_session: AtomicU64::new(1),
             in_flight: AtomicU64::new(0),
@@ -466,7 +472,7 @@ impl Server {
             metrics: MetricCounters::default(),
         });
         let (tx, rx) = mpsc::sync_channel::<Job>(queue_capacity);
-        let rx = Arc::new(Mutex::new(rx));
+        let rx = Arc::new(Mutex::new(Rank::ServeQueueRx, rx));
         let workers = (0..config.workers.max(1))
             .map(|_| {
                 let inner = Arc::clone(&inner);
@@ -476,8 +482,8 @@ impl Server {
             .collect();
         Server {
             inner,
-            tx: Mutex::new(Some(tx)),
-            workers: Mutex::new(workers),
+            tx: Mutex::new(Rank::ServeQueueTx, Some(tx)),
+            workers: Mutex::new(Rank::ServeWorkers, workers),
         }
     }
 
@@ -681,10 +687,17 @@ impl Server {
 
     /// Aggregate counters. Never takes the engine lock, so it is safe
     /// to poll while writes (or a deliberately wedged
-    /// [`Server::with_dbms_mut`]) are in flight.
+    /// [`Server::with_dbms_mut`]) are in flight, and takes each other
+    /// lock in a statement of its own: a lock temporary in a struct
+    /// literal lives to the end of the literal, so reading them inline
+    /// would hold the breaker and brownout locks while waiting on the
+    /// session table.
     #[must_use]
     pub fn metrics(&self) -> ServerMetrics {
         let m = &self.inner.metrics;
+        let breaker = self.inner.breaker.lock().stats();
+        let brownout = self.inner.brownout.lock().stats();
+        let open_sessions = self.inner.sessions.lock().len();
         ServerMetrics {
             served: m.served.load(Ordering::SeqCst),
             commits: m.commits.load(Ordering::SeqCst),
@@ -694,10 +707,10 @@ impl Server {
             deadline_trips: m.deadline_trips.load(Ordering::SeqCst),
             cancelled: m.cancelled.load(Ordering::SeqCst),
             breaker_fast_fails: m.breaker_fast_fails.load(Ordering::SeqCst),
-            breaker: self.inner.breaker.lock().stats(),
-            brownout: self.inner.brownout.lock().stats(),
+            breaker,
+            brownout,
             in_flight: self.inner.in_flight.load(Ordering::SeqCst),
-            open_sessions: self.inner.sessions.lock().len(),
+            open_sessions,
         }
     }
 
@@ -806,12 +819,11 @@ impl std::fmt::Debug for Server {
 fn worker_loop(inner: &Arc<Inner>, rx: &Mutex<Receiver<Job>>) {
     loop {
         // Hold the receiver lock only for the dequeue itself; jobs
-        // execute with the queue free for other workers.
-        let job = {
-            let guard = rx.lock();
-            // lint: allow(blocking-under-lock): idling in recv() here is the designed handoff — the lock guards only this receiver, and every worker blocked on it is exactly the idle pool
-            guard.recv()
-        };
+        // execute with the queue free for other workers. Idling in
+        // recv() under it is the designed hand-off: the lock guards
+        // only this receiver, and every worker waiting on it is the
+        // idle pool.
+        let job = rx.lock().recv();
         let Ok(job) = job else {
             return; // channel disconnected: shutdown
         };
@@ -1142,4 +1154,38 @@ fn process_repair(inner: &Inner, job: &Job) -> Result<Response> {
         version,
         stats.snapshot(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdbms_testkit::CensusFixture;
+    use std::time::Duration;
+
+    #[test]
+    fn metrics_holds_no_lock_while_waiting_on_the_session_table() {
+        let server = Arc::new(Server::start(
+            CensusFixture::new().build().expect("fixture"),
+            ServeConfig::default(),
+        ));
+        let sessions = server.inner.sessions.lock();
+        let poller = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.metrics().open_sessions)
+        };
+        // Give the poller time to block on the session table. A late
+        // start can only hide the bug, never fail correct code: the
+        // fixed metrics() holds nothing while it waits.
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(
+            server.inner.breaker.try_lock().is_some(),
+            "metrics() held the breaker while waiting on the session table"
+        );
+        assert!(
+            server.inner.brownout.try_lock().is_some(),
+            "metrics() held the brownout controller while waiting on the session table"
+        );
+        drop(sessions);
+        assert_eq!(poller.join().expect("poller"), 0);
+    }
 }

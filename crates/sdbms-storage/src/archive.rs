@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, Rank};
 
 use crate::budget::charge_ambient_ops;
 use crate::checksum::crc32;
@@ -78,7 +78,7 @@ impl ArchiveStore {
     #[must_use]
     pub fn with_faults(tracker: Tracker, injector: Arc<FaultInjector>, retry: RetryPolicy) -> Self {
         ArchiveStore {
-            reels: Mutex::new(HashMap::new()),
+            reels: Mutex::new(Rank::ArchiveReels, HashMap::new()),
             tracker,
             injector,
             retry,

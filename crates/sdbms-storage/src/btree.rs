@@ -19,7 +19,7 @@ use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, Rank};
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
@@ -201,7 +201,7 @@ impl BTree {
         drop(guard);
         Ok(BTree {
             pool,
-            state: Mutex::new(TreeState { root: pid, len: 0 }),
+            state: Mutex::new(Rank::BtreeState, TreeState { root: pid, len: 0 }),
         })
     }
 

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, Rank};
 
 use crate::cost::Tracker;
 use crate::disk::DiskManager;
@@ -115,12 +115,17 @@ impl BufferPool {
         let tracker = disk.tracker().clone();
         BufferPool {
             disk,
-            frames: (0..capacity).map(|_| Mutex::new(Page::new())).collect(),
-            state: Mutex::new(PoolState {
-                meta: vec![FrameMeta::empty(); capacity],
-                map: HashMap::new(),
-                clock_hand: 0,
-            }),
+            frames: (0..capacity)
+                .map(|_| Mutex::new(Rank::PoolFrame, Page::new()))
+                .collect(),
+            state: Mutex::new(
+                Rank::PoolState,
+                PoolState {
+                    meta: vec![FrameMeta::empty(); capacity],
+                    map: HashMap::new(),
+                    clock_hand: 0,
+                },
+            ),
             tracker,
         }
     }
@@ -148,7 +153,11 @@ impl BufferPool {
     /// Pool hits consult the shared fault injector too (advancing its
     /// operation counter, and failing while a simulated crash is in
     /// effect); misses are covered by the disk's own fault handling.
+    ///
+    /// Any fetch may read or evict, so it is a blocking entry point
+    /// whether or not this one hits ([`parking_lot::may_block`]).
     pub fn fetch(&self, pid: PageId) -> Result<PageGuard<'_>> {
+        parking_lot::may_block();
         let mut state = self.state.lock();
         if let Some(&frame) = state.map.get(&pid) {
             if self.disk.injector().on_cache_op().is_some() {
@@ -192,8 +201,10 @@ impl BufferPool {
     }
 
     /// Allocate a fresh zeroed page on disk and pin it without a disk
-    /// read.
+    /// read. It may evict (and so write), so it blocks like
+    /// [`BufferPool::fetch`].
     pub fn new_page(&self) -> Result<(PageId, PageGuard<'_>)> {
+        parking_lot::may_block();
         if self.disk.injector().is_crashed() {
             return Err(StorageError::Crashed);
         }
@@ -218,7 +229,7 @@ impl BufferPool {
             Ok(f) => f,
             Err(e) => {
                 // Roll back the allocation so the disk doesn't leak.
-                // lint: allow(swallowed-error): best-effort rollback of a just-made allocation; the eviction error is the one the caller must see
+                // Best-effort rollback of a just-made allocation; the eviction error is the one the caller must see
                 let _ = self.disk.deallocate(pid);
                 return Err(e);
             }

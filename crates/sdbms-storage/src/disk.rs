@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, Rank};
 
 use crate::budget::charge_ambient_ops;
 use crate::cost::Tracker;
@@ -83,11 +83,14 @@ impl DiskManager {
     #[must_use]
     pub fn with_faults(tracker: Tracker, injector: Arc<FaultInjector>, retry: RetryPolicy) -> Self {
         DiskManager {
-            inner: Mutex::new(DiskInner {
-                pages: Vec::new(),
-                free: Vec::new(),
-                head_at: None,
-            }),
+            inner: Mutex::new(
+                Rank::DiskInner,
+                DiskInner {
+                    pages: Vec::new(),
+                    free: Vec::new(),
+                    head_at: None,
+                },
+            ),
             tracker,
             injector,
             retry,

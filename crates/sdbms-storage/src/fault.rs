@@ -22,7 +22,7 @@
 
 use std::collections::HashSet;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, Rank};
 
 /// Which simulated device an I/O targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -320,15 +320,18 @@ impl FaultInjector {
     #[must_use]
     pub fn new(plan: FaultPlan) -> Self {
         FaultInjector {
-            inner: Mutex::new(InjectorState {
-                rng: plan.seed ^ 0xD1B5_4A32_D192_ED03,
-                plan,
-                ops: 0,
-                crashed: false,
-                dead: HashSet::new(),
-                scripts: Vec::new(),
-                stats: FaultStats::default(),
-            }),
+            inner: Mutex::new(
+                Rank::FaultInner,
+                InjectorState {
+                    rng: plan.seed ^ 0xD1B5_4A32_D192_ED03,
+                    plan,
+                    ops: 0,
+                    crashed: false,
+                    dead: HashSet::new(),
+                    scripts: Vec::new(),
+                    stats: FaultStats::default(),
+                },
+            ),
         }
     }
 

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, Rank};
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
@@ -222,10 +222,13 @@ impl HeapFile {
         drop(guard);
         Ok(HeapFile {
             pool,
-            state: Mutex::new(FileState {
-                pages: vec![pid],
-                records: 0,
-            }),
+            state: Mutex::new(
+                Rank::HeapState,
+                FileState {
+                    pages: vec![pid],
+                    records: 0,
+                },
+            ),
         })
     }
 

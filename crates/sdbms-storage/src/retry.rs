@@ -71,11 +71,16 @@ impl RetryPolicy {
 /// can burn at most what the request has left, never more, and the
 /// caller gets a typed [`StorageError::DeadlineExceeded`] /
 /// [`StorageError::Cancelled`] instead of waiting out every attempt.
+///
+/// Every disk and tape operation enters here, so this is where device
+/// I/O declares itself blocking: debug builds panic if the caller
+/// holds a fast lock ([`parking_lot::may_block`]).
 pub fn with_retries<T>(
     policy: &RetryPolicy,
     tracker: &Tracker,
     mut op: impl FnMut() -> Result<T>,
 ) -> Result<T> {
+    parking_lot::may_block();
     let mut attempt = 1u32;
     loop {
         match op() {

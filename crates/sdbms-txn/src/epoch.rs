@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, Rank};
 
 /// A deferred destructor for a retired view version (typically: free
 /// the version's pages back to the buffer pool and drop the store).
@@ -57,9 +57,16 @@ impl EpochInner {
 }
 
 /// The shared epoch registry (one per DBMS).
-#[derive(Default)]
 pub struct EpochRegistry {
     inner: Mutex<EpochInner>,
+}
+
+impl Default for EpochRegistry {
+    fn default() -> Self {
+        EpochRegistry {
+            inner: Mutex::new(Rank::TxnEpoch, EpochInner::default()),
+        }
+    }
 }
 
 impl std::fmt::Debug for EpochRegistry {
@@ -268,15 +275,15 @@ mod tests {
     #[test]
     fn retirements_run_in_order_once_safe() {
         let reg = Arc::new(EpochRegistry::new());
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
         let pin = reg.pin();
         for i in 0..3 {
             let order = Arc::clone(&order);
-            reg.retire(move || order.lock().push(i));
+            reg.retire(move || order.lock().unwrap().push(i));
         }
-        assert!(order.lock().is_empty());
+        assert!(order.lock().unwrap().is_empty());
         drop(pin);
-        assert_eq!(*order.lock(), vec![0, 1, 2]);
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
     }
 
     #[test]

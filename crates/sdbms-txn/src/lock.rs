@@ -33,7 +33,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, Rank};
 
 /// A logical analyst session (an open batch, a scrub pass, a repair).
 pub type SessionId = u64;
@@ -84,10 +84,18 @@ struct LockInner {
 }
 
 /// The shared lock table (one per DBMS).
-#[derive(Default)]
 pub struct LockTable {
     next_session: AtomicU64,
     inner: Mutex<LockInner>,
+}
+
+impl Default for LockTable {
+    fn default() -> Self {
+        LockTable {
+            next_session: AtomicU64::new(0),
+            inner: Mutex::new(Rank::TxnLockTable, LockInner::default()),
+        }
+    }
 }
 
 impl fmt::Debug for LockTable {
@@ -127,6 +135,9 @@ impl LockTable {
         session: SessionId,
         resources: &[&str],
     ) -> Result<LockGuard, LockError> {
+        // The lock it returns is held across device I/O, so taking one
+        // under a fast lock is as wrong as the I/O itself.
+        parking_lot::may_block();
         let mut names: Vec<String> = resources.iter().map(ToString::to_string).collect();
         names.sort_unstable();
         names.dedup();
