@@ -151,10 +151,16 @@ impl TableStore for RowStore {
     }
 
     fn boxed_clone(&self) -> Result<Box<dyn TableStore + Send + Sync>> {
-        // Shadow copy onto fresh pages; the original's are never
-        // written, which is what makes copy-on-write installs atomic.
-        let ds = self.to_dataset("shadow")?;
-        Ok(Box::new(Self::from_dataset(self.file.pool().clone(), &ds)?))
+        // Shadow copy onto fresh pages, record for record in row order;
+        // the original's are never written, which is what makes
+        // copy-on-write installs atomic.
+        let mut next = Self::create(self.file.pool().clone(), self.schema.clone())?;
+        for &rid in &self.rids {
+            let bytes = self.file.get(rid).map_err(DataError::Storage)?;
+            let copy = next.file.insert(&bytes).map_err(DataError::Storage)?;
+            next.rids.push(copy);
+        }
+        Ok(Box::new(next))
     }
 
     fn add_column(&mut self, attr: sdbms_data::Attribute, values: Vec<Value>) -> Result<()> {
@@ -249,6 +255,10 @@ mod tests {
         let s = store();
         let mut shadow = s.boxed_clone().unwrap();
         assert_eq!(shadow.len(), s.len());
+        assert_eq!(
+            shadow.to_dataset("shadow").unwrap().rows(),
+            s.to_dataset("s").unwrap().rows()
+        );
         assert_eq!(shadow.store_generation(), 0, "row layout tracks none");
         let s_pages: std::collections::HashSet<_> = s.data_page_ids().into_iter().collect();
         assert!(shadow.data_page_ids().iter().all(|p| !s_pages.contains(p)));

@@ -252,10 +252,16 @@ impl TransposedFile {
     /// map's generation stamp disagrees with the store's, or the map
     /// disagrees with the directory about the row count.
     fn load_zone(col: &Column, si: usize, generation: u64) -> Option<ZoneMap> {
+        Self::zone_record(col, si, generation).map(|(zm, _)| zm)
+    }
+
+    /// One segment's zone map and the record it was decoded from, if
+    /// [`Self::load_zone`] would serve it.
+    fn zone_record(col: &Column, si: usize, generation: u64) -> Option<(ZoneMap, Vec<u8>)> {
         let info = col.segments[si];
         let bytes = col.zones.get(info.zone?).ok()?;
         let (zm, stamp) = ZoneMap::decode_tagged(&bytes).ok()?;
-        (stamp == generation && zm.rows == info.len).then_some(zm)
+        (stamp == generation && zm.rows == info.len).then_some((zm, bytes))
     }
 
     /// Fetch one segment's raw record, verifying the stored row count
@@ -352,6 +358,47 @@ impl TransposedFile {
             }
         }
         Ok(())
+    }
+
+    /// The successor version of this store: fresh pages throughout (the
+    /// original's are never written), each column under the encoding it
+    /// has here, and the next generation, so its zone maps can never be
+    /// confused with the original's.
+    ///
+    /// It copies records, not values. Each segment's encoded record and
+    /// directory entry go over as they are. Each zone map that this
+    /// version would serve goes over with only its generation stamp
+    /// rewritten. A segment is decoded only when its map is missing or
+    /// invalid, to build it a fresh one.
+    fn successor(&self) -> Result<TransposedFile> {
+        let generation = self.generation + 1;
+        let mut columns = Vec::with_capacity(self.columns.len());
+        for col in &self.columns {
+            let mut next = Column::create(&self.pool, col.compression)?;
+            for (si, info) in col.segments.iter().enumerate() {
+                let bytes = Self::segment_bytes(col, si)?;
+                let rid = next.file.insert(&bytes).map_err(DataError::Storage)?;
+                let zone = match Self::zone_record(col, si, self.generation) {
+                    Some((_, mut record)) => {
+                        ZoneMap::restamp_tagged(&mut record, generation);
+                        next.zones.insert(&record).ok()
+                    }
+                    None => {
+                        let values = Self::load_segment(col, si)?;
+                        Self::write_zone(&mut next.zones, &values, generation)
+                    }
+                };
+                next.segments.push(SegmentInfo { rid, zone, ..*info });
+            }
+            columns.push(next);
+        }
+        Ok(TransposedFile {
+            pool: self.pool.clone(),
+            schema: self.schema.clone(),
+            columns,
+            rows: self.rows,
+            generation,
+        })
     }
 
     /// Pages holding zone-map records (across all columns), disjoint
@@ -535,28 +582,7 @@ impl TableStore for TransposedFile {
     }
 
     fn boxed_clone(&self) -> Result<Box<dyn TableStore + Send + Sync>> {
-        // The clone is the successor version in the making: fresh pages
-        // throughout (the original's are never written), each column
-        // under the encoding it has here, and the next generation, so
-        // its zone maps can never be confused with the original's.
-        //
-        // The source is still read a row at a time, as the trait's
-        // default `to_dataset` read it for the clone before this layout
-        // had its own. `self.to_dataset` here makes a batch commit ~5x
-        // cheaper, and the repo benchmark's `clean_update` then finishes
-        // twice the edits in its fixed run; its `peak_rss_mb` is the
-        // append-only update history — a function of edits completed —
-        // and leaves its bound (EXPERIMENTS.md, "One segment decoder").
-        // The switch belongs to the change that re-baselines that metric.
-        let mut ds = DataSet::new("shadow", self.schema.clone());
-        for row in 0..self.rows {
-            ds.push_row(self.read_row(row)?)?;
-        }
-        let compressions: Vec<Compression> = self.columns.iter().map(|c| c.compression).collect();
-        let mut next = Self::create_with(self.pool.clone(), self.schema.clone(), &compressions)?;
-        next.generation = self.generation + 1;
-        next.bulk_append(&ds)?;
-        Ok(Box::new(next))
+        Ok(Box::new(self.successor()?))
     }
 
     fn store_generation(&self) -> u64 {
@@ -870,23 +896,160 @@ mod tests {
 
     #[test]
     fn boxed_clone_keeps_each_columns_encoding() {
-        let env = StorageEnv::new(256);
-        let ds = micro(600);
+        let ds = micro(300);
         let raw = vec![Compression::None; ds.schema().len()];
-        let mut t = TransposedFile::create_with(env.pool, ds.schema().clone(), &raw).unwrap();
-        t.bulk_append(&ds).unwrap();
-        let shadow = t.boxed_clone().unwrap();
-        for attr in ds.schema().attributes() {
-            let name = &attr.name;
-            assert_eq!(shadow.segment_count(name), t.segment_count(name), "{name}");
-            for si in 0..t.segment_count(name) {
-                assert!(
-                    shadow.encoded_segment(name, si).unwrap()
-                        == t.encoded_segment(name, si).unwrap(),
-                    "{name} segment {si} was re-encoded"
+        let defaults: Vec<Compression> = ds
+            .schema()
+            .attributes()
+            .iter()
+            .map(|a| default_compression(a.dtype))
+            .collect();
+        for compressions in [raw, defaults] {
+            let env = StorageEnv::new(256);
+            let mut t =
+                TransposedFile::create_with(env.pool, ds.schema().clone(), &compressions).unwrap();
+            // Two bulk loads leave a partial segment mid-column, and
+            // row-at-a-time appends grow the partial tail: segments of
+            // 256, 44, 256 and 47 rows, which a re-chunking clone would
+            // lay out as 256, 256 and 91.
+            t.bulk_append(&ds).unwrap();
+            t.bulk_append(&ds).unwrap();
+            for row in &ds.rows()[..3] {
+                t.append_row(row.clone()).unwrap();
+            }
+            assert_eq!(t.segment_count("AGE"), 4);
+            let shadow = t.boxed_clone().unwrap();
+            assert_eq!(shadow.len(), 603);
+            for attr in ds.schema().attributes() {
+                let name = &attr.name;
+                assert_eq!(shadow.segment_count(name), t.segment_count(name), "{name}");
+                for si in 0..t.segment_count(name) {
+                    assert!(
+                        shadow.encoded_segment(name, si).unwrap()
+                            == t.encoded_segment(name, si).unwrap(),
+                        "{name} segment {si} was re-encoded"
+                    );
+                }
+                assert_eq!(
+                    shadow.read_column(name).unwrap(),
+                    t.read_column(name).unwrap()
+                );
+                assert_eq!(
+                    shadow.range_stats(name, 0, 603),
+                    t.range_stats(name, 0, 603)
                 );
             }
         }
+    }
+
+    /// Each column's zone-map records, decoded: `(map, stamp)` per
+    /// segment, `None` where the segment has no readable record.
+    fn zone_records(t: &TransposedFile) -> Vec<Vec<Option<(ZoneMap, u64)>>> {
+        t.columns
+            .iter()
+            .map(|col| {
+                col.segments
+                    .iter()
+                    .map(|s| {
+                        let bytes = col.zones.get(s.zone?).ok()?;
+                        ZoneMap::decode_tagged(&bytes).ok()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn boxed_clone_copies_each_zone_map_at_the_next_generation() {
+        let env = StorageEnv::new(256);
+        let mut t = TransposedFile::from_dataset(env.pool, &micro(700)).unwrap();
+        t.rebuild_zone_maps().unwrap();
+        let shadow = t.successor().unwrap();
+        assert_eq!(shadow.generation(), 2);
+        let (src, copy) = (zone_records(&t), zone_records(&shadow));
+        assert_eq!(copy.len(), src.len());
+        for (s, c) in src.iter().zip(&copy) {
+            assert_eq!(s.len(), c.len());
+            for (s, c) in s.iter().zip(c) {
+                let (s, c) = (s.as_ref().unwrap(), c.as_ref().unwrap());
+                assert_eq!((&c.0, c.1), (&s.0, s.1 + 1), "same map, next stamp");
+            }
+        }
+        for attr in t.schema().attributes() {
+            assert_eq!(
+                shadow.zone_map_count(&attr.name).unwrap(),
+                t.segment_count(&attr.name)
+            );
+        }
+    }
+
+    /// Every zone map the clone serves is the map of its segment's
+    /// values; returns how many it serves.
+    fn assert_no_stale_map(shadow: &TransposedFile) -> usize {
+        let mut served = 0;
+        for (ci, col) in shadow.columns.iter().enumerate() {
+            for si in 0..col.segments.len() {
+                if let Some(zm) = TransposedFile::load_zone(col, si, shadow.generation) {
+                    let values = TransposedFile::load_segment(col, si).unwrap();
+                    assert_eq!(zm, ZoneMap::build(&values), "column {ci} segment {si}");
+                    served += 1;
+                }
+            }
+        }
+        served
+    }
+
+    #[test]
+    fn a_damaged_source_zone_page_gives_the_clone_a_rebuilt_map_never_a_stale_one() {
+        let env = StorageEnv::new(64);
+        let t = TransposedFile::from_dataset(env.pool.clone(), &micro(700)).unwrap();
+        env.pool.flush_all().unwrap();
+        env.pool.discard_frames().unwrap();
+        for pid in t.zone_page_ids() {
+            env.disk.corrupt_page(pid, 5).unwrap();
+        }
+        assert!(t.range_stats("AGE", 0, 700).is_none());
+        let shadow = t.successor().unwrap();
+        assert!(
+            assert_no_stale_map(&shadow) > 0,
+            "the clone writes maps to fresh pages"
+        );
+    }
+
+    #[test]
+    fn a_source_map_of_another_generation_is_rebuilt_not_restamped() {
+        let env = StorageEnv::new(256);
+        let mut t = TransposedFile::from_dataset(env.pool, &micro(600)).unwrap();
+        t.rebuild_zone_maps().unwrap();
+        // Segment 0 of AGE points at a map from the previous generation
+        // claiming every AGE is 5000: the source does not serve it, so
+        // the clone must not adopt it under its own stamp.
+        let stale = ZoneMap::build(&vec![Value::Int(5000); 256]).encode_tagged(0);
+        let ci = t.schema.require("AGE").unwrap();
+        let col = &mut t.columns[ci];
+        col.segments[0].zone = Some(col.zones.insert(&stale).unwrap());
+        assert!(t.range_stats("AGE", 0, 256).is_none());
+        let shadow = t.successor().unwrap();
+        let served = assert_no_stale_map(&shadow);
+        assert_eq!(served, 3 * shadow.columns.len(), "every segment has a map");
+    }
+
+    #[test]
+    fn a_map_at_the_source_generation_never_prunes_the_clone() {
+        let env = StorageEnv::new(256);
+        let t = TransposedFile::from_dataset(env.pool, &micro(600)).unwrap();
+        let mut shadow = t.successor().unwrap();
+        // A map for segment 0 stamped with the source's generation,
+        // claiming every AGE is 5000, so it would prune any scan for a
+        // real age.
+        let stale = ZoneMap::build(&vec![Value::Int(5000); 256]).encode_tagged(t.generation());
+        let ci = shadow.schema.require("AGE").unwrap();
+        let col = &mut shadow.columns[ci];
+        col.segments[0].zone = Some(col.zones.insert(&stale).unwrap());
+        assert!(TransposedFile::load_zone(col, 0, shadow.generation).is_none());
+        assert!(shadow.range_stats("AGE", 0, 256).is_none());
+        assert!(shadow.range_stats("AGE", 0, 600).is_none());
+        assert!(shadow.range_stats("AGE", 256, 256).is_some());
     }
 
     #[test]

@@ -221,6 +221,15 @@ impl ZoneMap {
         buf
     }
 
+    /// Rewrite the generation stamp of a record made by
+    /// [`ZoneMap::encode_tagged`] in place, leaving the map's bytes as
+    /// they are. A record too short to hold a stamp is left unchanged.
+    pub fn restamp_tagged(record: &mut [u8], generation: u64) {
+        if let Some(stamp) = record.get_mut(..8) {
+            stamp.copy_from_slice(&generation.to_le_bytes());
+        }
+    }
+
     /// Decode a generation-stamped zone map, returning the map and the
     /// generation it was written under.
     pub fn decode_tagged(buf: &[u8]) -> Result<(ZoneMap, u64), DataError> {

@@ -522,7 +522,7 @@ impl StatDbms {
         // base data, exactly as live maintenance would have left them.
         let mut regenerate_at_end: Vec<(String, VectorGenerator)> = Vec::new();
         for (_, rec) in self.catalog.view(view)?.history.records() {
-            let edit = match rec {
+            let edit = match &rec {
                 ChangeRecord::CellUpdate {
                     row,
                     attribute,
@@ -643,8 +643,8 @@ pub(crate) fn archive_column(
                 attribute: a,
                 new,
                 ..
-            } if a == attribute && *row < col.len() => {
-                col[*row] = new.clone();
+            } if a == attribute && row < col.len() => {
+                col[row] = new;
             }
             // Batch-appended rows are not in the archive-derived
             // data set; extend the column from the recorded values

@@ -813,7 +813,6 @@ fn regenerate_column_is_a_writer_like_any_other() {
     let history = &dbms.catalog().view("v").unwrap().history;
     let added: Vec<String> = history
         .records_since(before)
-        .iter()
         .map(|(_, r)| r.to_string())
         .collect();
     assert_eq!(added.len(), 1, "{added:?}");

@@ -1106,11 +1106,9 @@ fn crash_between_update_and_flush_leaves_no_stale_summary() {
     }
 
     // And the history shows what recovery did.
-    let records = dbms.catalog().view("v").expect("record").history.records();
+    let mut records = dbms.catalog().view("v").expect("record").history.records();
     assert!(
-        records
-            .iter()
-            .any(|(_, r)| r.to_string().starts_with("recovery:")),
+        records.any(|(_, r)| r.to_string().starts_with("recovery:")),
         "recovery left an audit record"
     );
 }
