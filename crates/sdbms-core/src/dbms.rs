@@ -851,8 +851,14 @@ impl StatDbms {
         attribute: &str,
         rule: DerivedRule,
     ) -> Result<()> {
-        // Both the view and the column must exist.
-        self.view(view)?.store.schema().require(attribute)?;
+        // The view, the column and every column the rule reads must
+        // exist: a rule over a missing column would fail the next edit
+        // after its cells were already written.
+        let schema = self.view(view)?.store.schema();
+        schema.require(attribute)?;
+        for input in rule.input_attributes() {
+            schema.require(&input)?;
+        }
         self.rules.rule(view, attribute)?; // must already be derived
         self.rules.register(view, attribute, rule);
         Ok(())

@@ -45,8 +45,7 @@ pub use sdbms_relational::{
     AggFunc, Aggregate, BinOp, CmpOp, Expr, Predicate, ScalarFunc, ViewDefinition, ViewStep,
 };
 pub use sdbms_repair::{
-    Authority, Component, CorruptionFinding, HealthRecord, RepairGate, RepairLadder, ScrubReport,
-    ViewHealth,
+    Component, CorruptionFinding, HealthRecord, RepairGate, ScrubReport, ViewHealth,
 };
 pub use sdbms_summary::{
     AccuracyPolicy, ComputeSource, MaintenancePolicy, StatFunction, SummaryValue,

@@ -14,11 +14,10 @@
 //!    direct-disk protocol as the summary intent log), so a paused or
 //!    crashed scrub continues where it stopped.
 //! 2. **Triage** — findings are classified by blast radius
-//!    ([`sdbms_repair::Component`]) and matched against the standard
-//!    repair ladder, which names the *authority* each repair reads
-//!    from (checked by `sdbms-lint`'s repair-soundness rule).
+//!    ([`sdbms_repair::Component`]).
 //! 3. **Repair** — [`StatDbms::repair_view`] applies the cheapest
-//!    sound rung: zone maps rebuild from segment data; damaged view
+//!    sound rung, each reading from a source below the damage in the
+//!    derivation chain: zone maps rebuild from segment data; damaged view
 //!    data regenerates from the raw archive via the catalog's view
 //!    definition and is then **re-cleaned by replaying the view's
 //!    update history**, restoring the analyst's edits; a damaged
@@ -46,8 +45,8 @@ use sdbms_data::{
 };
 use sdbms_management::{ChangeRecord, DerivedRule, VectorGenerator, ViewRecord};
 use sdbms_repair::{
-    Component, CorruptionFinding, CursorStore, HealthRecord, RepairLadder, ScrubCursor, ScrubPhase,
-    ScrubReport, ViewHealth,
+    Component, CorruptionFinding, CursorStore, HealthRecord, ScrubCursor, ScrubPhase, ScrubReport,
+    ViewHealth,
 };
 use sdbms_storage::{Page, PageId};
 use sdbms_summary::{
@@ -73,7 +72,7 @@ const CROSS_CHECK_TOL: f64 = 1e-9;
 pub struct RepairReport {
     /// Damage located by the pre-repair detection pass.
     pub findings: Vec<CorruptionFinding>,
-    /// Descriptions of the ladder rungs applied, cheapest first.
+    /// Descriptions of the repair rungs applied, cheapest first.
     pub actions: Vec<String>,
     /// Zone maps rebuilt from segment data.
     pub zone_maps_rebuilt: usize,
@@ -427,10 +426,11 @@ impl StatDbms {
         Ok(findings)
     }
 
-    /// Apply the cheapest sound rung of the standard repair ladder for
-    /// each damaged component class.
+    /// Apply the cheapest sound rung for each damaged component class.
+    /// Each rung reads only from a source its damage cannot reach: zone
+    /// maps from segment data, view data from the archive, summary
+    /// entries from the (repaired) view.
     fn apply_repairs(&mut self, view: &str, report: &mut RepairReport) -> Result<()> {
-        let ladder = RepairLadder::standard();
         let has_data = report.findings.iter().any(|f| {
             matches!(
                 f.component,
@@ -455,9 +455,9 @@ impl StatDbms {
         if has_zone && !need_store {
             // Cheapest rung: zone maps are pure derivations of the
             // (intact) segment data.
-            if let Some(action) = ladder.action_for(Component::ZoneMap) {
-                report.actions.push(action.description.to_string());
-            }
+            report
+                .actions
+                .push("rebuild zone maps from intact encoded segments".to_string());
             let v = self.view_mut(view)?;
             match v.store_mut().and_then(|s| s.rebuild_zone_maps()) {
                 Ok(n) => report.zone_maps_rebuilt += n,
@@ -469,20 +469,15 @@ impl StatDbms {
             }
         }
         if need_store {
-            let rung = if conservative {
-                Component::WholeView
-            } else {
-                Component::Segment
-            };
-            if let Some(action) = ladder.action_for(rung) {
-                report.actions.push(action.description.to_string());
-            }
+            report
+                .actions
+                .push("regenerate view from archive, replay update history".to_string());
             self.regenerate_store(view, report)?;
         }
         if need_summary {
-            if let Some(action) = ladder.action_for(Component::SummaryEntry) {
-                report.actions.push(action.description.to_string());
-            }
+            report
+                .actions
+                .push("recompute cached entries from view columns".to_string());
             let pool = self.env.pool.clone();
             let v = self.view_mut(view)?;
             v.summary = SummaryDb::create(pool)?;

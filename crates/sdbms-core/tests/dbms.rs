@@ -625,6 +625,65 @@ fn mark_stale_rule_defers_derived_maintenance() {
 }
 
 #[test]
+fn set_derived_rule_refuses_a_rule_over_a_missing_column() {
+    use sdbms_management::DerivedRule;
+    let mut dbms = micro_dbms(400);
+    dbms.materialize(ViewDefinition::scan("v", "census_microdata"), "a")
+        .unwrap();
+    dbms.add_derived_column(
+        "v",
+        "LOG_INCOME",
+        DataType::Float,
+        Expr::col("INCOME").apply(ScalarFunc::Ln),
+    )
+    .unwrap();
+    let rule = dbms.rules().rule("v", "LOG_INCOME").unwrap().clone();
+    let version = dbms.history_version("v").unwrap();
+    let rows = dbms.dataset("v").unwrap().rows().to_vec();
+    for dangling in [
+        DerivedRule::Local {
+            expr: Expr::col("INCOME").binary(BinOp::Add, Expr::col("NO_SUCH_COLUMN")),
+        },
+        DerivedRule::MarkStale {
+            inputs: vec!["INCOME".into(), "NO_SUCH_COLUMN".into()],
+        },
+    ] {
+        let err = dbms
+            .set_derived_rule("v", "LOG_INCOME", dangling)
+            .unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Data(sdbms_data::DataError::NoSuchAttribute(a)) if a == "NO_SUCH_COLUMN"),
+            "{err:?}"
+        );
+        // Refused without a trace: rule, store and history unchanged.
+        assert_eq!(dbms.rules().rule("v", "LOG_INCOME").unwrap(), &rule);
+        assert_eq!(dbms.history_version("v").unwrap(), version);
+        assert_eq!(dbms.dataset("v").unwrap().rows(), &rows[..]);
+    }
+    // The next edit still maintains the column under the old rule.
+    dbms.update_where(
+        "v",
+        &Predicate::col_eq("PERSON_ID", 9i64),
+        &[("INCOME", Expr::lit(77_000.0))],
+    )
+    .unwrap();
+    assert!(dbms.stale_columns("v").unwrap().is_empty());
+    let row = dbms.row("v", 9).unwrap();
+    assert!((row[8].as_f64().unwrap() - 77_000.0f64.ln()).abs() < 1e-9);
+    // A derived column is a column: a rule may read one.
+    dbms.add_derived_column("v", "INCOME_K", DataType::Float, Expr::col("INCOME"))
+        .unwrap();
+    dbms.set_derived_rule(
+        "v",
+        "INCOME_K",
+        DerivedRule::MarkStale {
+            inputs: vec!["LOG_INCOME".into()],
+        },
+    )
+    .unwrap();
+}
+
+#[test]
 fn reorganize_preserves_summaries_and_data() {
     let mut dbms = micro_dbms(1_000);
     dbms.materialize(ViewDefinition::scan("v", "census_microdata"), "a")

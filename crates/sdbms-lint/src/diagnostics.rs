@@ -1,7 +1,6 @@
 //! Structured lint diagnostics.
 //!
-//! Every finding — from the token-level source lints and from the
-//! semantic rule-soundness checker alike — is a [`Diagnostic`]:
+//! Every finding of the token-level source lints is a [`Diagnostic`]:
 //! a lint id from the fixed catalogue below, a `file:line` anchor, and
 //! a human-readable message. The driver sorts, prints, and turns them
 //! into an exit code under `--deny-all` / `--allow <id>`.
@@ -11,7 +10,7 @@ use std::fmt;
 /// A lint in the catalogue: id, default severity, one-line description.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lint {
-    /// Stable kebab-case id (`no-panic`, `rule-missing-strategy`, …).
+    /// Stable kebab-case id (`no-panic`, `lossy-cast`, …).
     pub id: &'static str,
     /// What the lint enforces.
     pub description: &'static str,
@@ -75,43 +74,6 @@ pub const SNAPSHOT_BYPASS: Lint = Lint {
     description: "direct mutation of a view's store bypasses snapshot isolation; route through store_mut()/install_store",
 };
 
-/// `rule-missing-strategy`: a `(function, update-kind)` pair in the
-/// summary registry has no declared maintenance strategy.
-pub const RULE_MISSING_STRATEGY: Lint = Lint {
-    id: "rule-missing-strategy",
-    description: "summary function declares no maintenance strategy for an update kind",
-};
-
-/// `rule-unverified-merge`: a function declared incremental whose
-/// accumulator has no verified merge law.
-pub const RULE_UNVERIFIED_MERGE: Lint = Lint {
-    id: "rule-unverified-merge",
-    description: "function declared Incremental but its auxiliary state has no verified merge law",
-};
-
-/// `rule-dangling-input`: a derived-attribute rule references a column
-/// that is neither a base column nor a ruled derived attribute.
-pub const RULE_DANGLING_INPUT: Lint = Lint {
-    id: "rule-dangling-input",
-    description: "derived-attribute rule references a column with no rule and no base definition",
-};
-
-/// `repair-missing-authority`: a triage-ladder repair action that does
-/// not name the authority source it reads its replacement data from.
-pub const REPAIR_MISSING_AUTHORITY: Lint = Lint {
-    id: "repair-missing-authority",
-    description: "triage-ladder repair action names no authority source for its replacement data",
-};
-
-/// `repair-self-read`: a triage-ladder repair action whose declared
-/// authority is the component it repairs — a circular read that can
-/// launder corrupt bytes back into the "repaired" state.
-pub const REPAIR_SELF_READ: Lint = Lint {
-    id: "repair-self-read",
-    description:
-        "triage-ladder repair action reads from the component it repairs (circular authority)",
-};
-
 /// `deadline-bypass`: a serving-layer function meters I/O (enters an
 /// `IoScope`) without first installing a request budget
 /// (`BudgetScope::enter`), so work on that path cannot observe its
@@ -149,11 +111,6 @@ pub const ALL_LINTS: &[Lint] = &[
     UNJUSTIFIED_ALLOW,
     TXN_LOCK_ORDER,
     SNAPSHOT_BYPASS,
-    RULE_MISSING_STRATEGY,
-    RULE_UNVERIFIED_MERGE,
-    RULE_DANGLING_INPUT,
-    REPAIR_MISSING_AUTHORITY,
-    REPAIR_SELF_READ,
     DEADLINE_BYPASS,
     EVALUATOR_TWIN,
     EDIT_PIPELINE_BYPASS,
@@ -164,10 +121,9 @@ pub const ALL_LINTS: &[Lint] = &[
 pub struct Diagnostic {
     /// Which lint fired.
     pub lint: Lint,
-    /// Repo-relative file path, or a pseudo-path such as
-    /// `<summary-registry>` for semantic findings.
+    /// Repo-relative file path.
     pub file: String,
-    /// 1-based line (0 for semantic findings with no source anchor).
+    /// 1-based line.
     pub line: u32,
     /// Human-readable description of this particular finding.
     pub message: String,

@@ -1,20 +1,16 @@
 //! # sdbms-lint — workspace-wide static analysis
 //!
-//! Two layers, one binary:
+//! A source-only tool: [`source_lints`] runs token-pattern lints over
+//! every workspace source file using a hand-written tokenizer
+//! ([`tokenizer`]) — no external parser and no dependency on the
+//! engine, so it checks only what a static pass over the text can see.
 //!
-//! - **Layer 1** ([`source_lints`]) runs token-pattern lints over every
-//!   workspace source file using a hand-written tokenizer
-//!   ([`tokenizer`]) — no external parser, the same
-//!   zero-new-dependency discipline as the vendored stand-ins.
-//! - **Layer 2** ([`soundness`]) introspects the *running system's*
-//!   metadata: the summary-function registry and the Management
-//!   Database's maintenance rules, checking that every declared
-//!   maintenance strategy is actually sound (the merge-law oracle is
-//!   executed, not assumed).
-//!
-//! Lock order is not checked here: every mutex carries a rank from the
-//! vendored `parking_lot` shim, and debug builds check each acquisition
-//! where it happens (DESIGN.md §14).
+//! What needs the running system is checked where it runs. Lock order:
+//! every mutex carries a rank from the vendored `parking_lot` shim, and
+//! debug builds check each acquisition (DESIGN.md §14). Maintenance
+//! rules: a cached function's rule is its `MaintenanceClass` and
+//! `AuxState` in `sdbms-summary`, and `StatDbms::set_derived_rule`
+//! refuses a derived-attribute rule that reads a missing column.
 //!
 //! The binary (`cargo run -p sdbms-lint -- --deny-all`) prints
 //! structured diagnostics (`file:line: deny[lint-id]: message`, or a
@@ -25,7 +21,6 @@
 #![forbid(unsafe_code)]
 
 pub mod diagnostics;
-pub mod soundness;
 pub mod source_lints;
 pub mod tokenizer;
 pub mod workspace;
@@ -35,8 +30,9 @@ pub use diagnostics::{Diagnostic, Lint, ALL_LINTS};
 use std::collections::BTreeSet;
 use std::path::Path;
 
-/// Run both layers over a workspace root and return every finding not
-/// suppressed by an inline allow, sorted by file then line then id.
+/// Lint every source file under a workspace root and return every
+/// finding not suppressed by an inline allow, sorted by file then line
+/// then id.
 pub fn run(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut out = Vec::new();
     for file in workspace::discover(root)? {
@@ -47,7 +43,6 @@ pub fn run(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
             &file.lints,
         ));
     }
-    out.extend(soundness::check_standing());
     out.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.lint.id).cmp(&(b.file.as_str(), b.line, b.lint.id))
     });

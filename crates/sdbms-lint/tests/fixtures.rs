@@ -1,7 +1,6 @@
 //! The lint corpus: every lint id must fire on its known-bad fixture
-//! at the expected `file:line`, the live workspace must pass
-//! `--deny-all`, and an unsound registry must be detected by the
-//! semantic layer.
+//! at the expected `file:line`, and the live workspace must pass
+//! `--deny-all`.
 
 use sdbms_lint::source_lints::{lint_file, FileLintSet};
 use sdbms_lint::tokenizer::tokenize;
@@ -181,84 +180,4 @@ fn workspace_passes_deny_all() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-#[test]
-fn unsound_repair_ladder_is_detected_at_exact_lines() {
-    // Satellite acceptance fixture: every triage-ladder repair action
-    // must name its authority source, and a repair that reads from the
-    // component it repairs is a finding — anchored at the exact
-    // file:line of the offending registration (via #[track_caller]).
-    use sdbms_lint::soundness::check_ladder;
-    use sdbms_repair::{Authority, Component, RepairAction, RepairLadder};
-
-    let mut ladder = RepairLadder::new();
-    let missing_line = line!() + 1;
-    let missing = RepairAction::new(Component::ZoneMap, None, "rebuild from nothing");
-    ladder.register(missing);
-    let self_read_line = line!() + 1;
-    let circular = RepairAction::new(Component::SummaryEntry, Some(Authority::SummaryDb), "copy");
-    ladder.register(circular);
-    // A sound rung: named, non-circular authority. Must not fire.
-    let sound = RepairAction::new(Component::WholeView, Some(Authority::Archive), "regenerate");
-    ladder.register(sound);
-
-    let found = check_ladder(&ladder);
-    assert_eq!(found.len(), 2, "{found:?}");
-
-    assert_eq!(found[0].lint.id, "repair-missing-authority");
-    assert_eq!(found[0].file, file!());
-    assert_eq!(found[0].line, missing_line);
-    assert!(
-        found[0].message.contains("zone map"),
-        "{}",
-        found[0].message
-    );
-
-    assert_eq!(found[1].lint.id, "repair-self-read");
-    assert_eq!(found[1].file, file!());
-    assert_eq!(found[1].line, self_read_line);
-    assert!(
-        found[1].message.contains("summary entry"),
-        "{}",
-        found[1].message
-    );
-
-    // The standing ladder StatDbms::repair_view walks is sound — the
-    // same audit runs inside `sdbms-lint --deny-all` on every CI run.
-    assert!(check_ladder(&RepairLadder::standard()).is_empty());
-}
-
-#[test]
-fn unsound_registry_is_detected() {
-    // Register a function as Incremental whose auxiliary state has no
-    // merge law (the median window is order-dependent): the soundness
-    // checker must report rule-unverified-merge. This is the
-    // acceptance fixture from the issue.
-    use sdbms_lint::soundness::check_registry;
-    use sdbms_summary::{
-        FunctionContract, MaintenanceStrategy, StatFunction, SummaryRegistry, ALL_UPDATE_KINDS,
-    };
-
-    let mut registry = SummaryRegistry::standing();
-    let mut unsound = FunctionContract::new(StatFunction::Median, true);
-    for kind in ALL_UPDATE_KINDS {
-        unsound = unsound.with(kind, MaintenanceStrategy::IncrementalDelta);
-    }
-    registry.register(unsound);
-
-    let found = check_registry(&registry);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].lint.id, "rule-unverified-merge");
-    assert!(found[0].message.contains("median"), "{}", found[0].message);
-
-    // And with a partial contract, the missing update kinds are named.
-    let mut registry = SummaryRegistry::new();
-    registry.register(FunctionContract::new(StatFunction::Sum, false).with(
-        sdbms_summary::UpdateKind::Insert,
-        MaintenanceStrategy::IncrementalDelta,
-    ));
-    let found = check_registry(&registry);
-    let ids: Vec<&str> = found.iter().map(|d| d.lint.id).collect();
-    assert_eq!(ids, vec!["rule-missing-strategy", "rule-missing-strategy"]);
 }

@@ -17,7 +17,8 @@
 //!   definitions (Koenig & Paige, §4.2): an [`differencing::AggExpr`]
 //!   in "high-level form" becomes a [`differencing::DifferentialProgram`]
 //!   with O(1) per-update cost, or is rejected when the definition
-//!   contains order statistics.
+//!   contains order statistics. It reproduces paper Figure 5; the
+//!   engine's own maintenance rules live in `sdbms-summary`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -10,10 +10,9 @@
 //! - [`health`] — per-view `Healthy/Degraded/Repairing/Unrecoverable`
 //!   states with bounded retries and exponential backoff, driving how
 //!   reads are admitted while damage is outstanding.
-//! - [`triage`] — the corruption triage ladder: damage classified by
-//!   blast radius (cell → segment → zone map → summary entry → whole
-//!   view), each rung declaring the *authority* its repair reads from,
-//!   audited for circular self-reads by `sdbms-lint`.
+//! - [`triage`] — damage classified by blast radius (cell → segment →
+//!   zone map → summary entry → whole view). Which source each repair
+//!   reads from is fixed where the repair runs, in `sdbms-core`.
 //! - [`scrub`] — scrub cursor + durable cursor store (crash-survivable
 //!   resume point) and the finding/report types of a scrub pass.
 //!
@@ -33,4 +32,4 @@ pub use health::{
     HealthRecord, HealthRegistry, RepairGate, ViewHealth, BACKOFF_BASE_OPS, MAX_REPAIR_ATTEMPTS,
 };
 pub use scrub::{CorruptionFinding, CursorStore, ScrubCursor, ScrubPhase, ScrubReport};
-pub use triage::{Authority, Component, RepairAction, RepairLadder};
+pub use triage::Component;

@@ -1,10 +1,8 @@
-//! Corruption triage: classify damage by blast radius and pick the
-//! cheapest *sound* repair.
+//! Corruption triage: damage classified by blast radius.
 //!
-//! Soundness here has a precise meaning: a repair must rebuild the
-//! damaged component from an **authority** that does not depend on the
-//! damaged bytes. The dependency order follows the paper's Figure 3
-//! derivation chain:
+//! A repair must rebuild the damaged component from a source that does
+//! not depend on the damaged bytes. The dependency order follows the
+//! paper's Figure 3 derivation chain:
 //!
 //! ```text
 //! raw archive  ─►  view segments  ─►  zone maps
@@ -16,16 +14,10 @@
 //! view data, but damaged segments (or cells, or the whole view) can
 //! only come from the archive — re-deriving the view from its recorded
 //! definition and then replaying its update history to restore analyst
-//! edits. A repair that reads from the component it is repairing is
-//! circular and therefore unsound; `sdbms-lint` audits the standing
-//! ladder for exactly that (see [`RepairAction::is_self_read`]).
-//!
-//! Each registered action remembers the source location that registered
-//! it (via `#[track_caller]`), so lint findings point at the real
-//! `file:line` of the offending registration, not at the checker.
+//! edits. The rungs themselves, each with the source it reads fixed in
+//! code, are `StatDbms::apply_repairs` in `sdbms-core`.
 
 use std::fmt;
-use std::panic::Location;
 
 /// A component of a concrete view that can be damaged, ordered by
 /// blast radius (cheapest repair first).
@@ -52,218 +44,5 @@ impl fmt::Display for Component {
             Component::SummaryEntry => "summary entry",
             Component::WholeView => "whole view",
         })
-    }
-}
-
-/// Where a repair reads its replacement data from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Authority {
-    /// The raw database on archive storage, replayed through the
-    /// Management-DB view definition + update history. The only
-    /// authority for damaged view data itself.
-    Archive,
-    /// Intact encoded segment bytes of the view (authority for
-    /// derived per-segment metadata such as zone maps).
-    SegmentData,
-    /// The view's decoded column data (authority for cached summary
-    /// entries, which are pure functions of it).
-    ViewData,
-    /// Persisted zone maps. Never a valid authority — they are the
-    /// most derived artifact; listed so an unsound registration is
-    /// representable and the lint has something to catch.
-    ZoneMaps,
-    /// The Summary DB itself. Same: representable, never sound.
-    SummaryDb,
-}
-
-impl fmt::Display for Authority {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Authority::Archive => "archive",
-            Authority::SegmentData => "segment data",
-            Authority::ViewData => "view data",
-            Authority::ZoneMaps => "zone maps",
-            Authority::SummaryDb => "summary db",
-        })
-    }
-}
-
-/// One rung of the triage ladder: how to repair damage to `target`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairAction {
-    /// The damaged component this action repairs.
-    pub target: Component,
-    /// The declared authority the repair reads from. `None` means the
-    /// registration failed to name one — itself a lint finding.
-    pub authority: Option<Authority>,
-    /// Short human-readable description of the repair.
-    pub description: &'static str,
-    /// `(file, line)` of the registration site, captured via
-    /// `#[track_caller]` so audits report real source locations.
-    pub registered_at: (&'static str, u32),
-}
-
-impl RepairAction {
-    /// Register a repair action, capturing the caller's source
-    /// location for later audit reporting.
-    #[track_caller]
-    #[must_use]
-    pub fn new(target: Component, authority: Option<Authority>, description: &'static str) -> Self {
-        let loc = Location::caller();
-        RepairAction {
-            target,
-            authority,
-            description,
-            registered_at: (loc.file(), loc.line()),
-        }
-    }
-
-    /// True when the declared authority *is* (or contains) the
-    /// component being repaired — a circular read that can launder
-    /// corrupt bytes back into the "repaired" state.
-    #[must_use]
-    pub fn is_self_read(&self) -> bool {
-        match (self.target, self.authority) {
-            (_, None) => false,
-            // View data repairs reading from view-resident data: the
-            // cell/segment being replaced lives inside that data.
-            (
-                Component::Cell | Component::Segment | Component::WholeView,
-                Some(Authority::SegmentData | Authority::ViewData),
-            ) => true,
-            (Component::ZoneMap, Some(Authority::ZoneMaps)) => true,
-            (Component::SummaryEntry, Some(Authority::SummaryDb)) => true,
-            _ => false,
-        }
-    }
-}
-
-impl fmt::Display for RepairAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {} (authority: ", self.target, self.description)?;
-        match self.authority {
-            Some(a) => write!(f, "{a})"),
-            None => f.write_str("undeclared)"),
-        }
-    }
-}
-
-/// The ordered triage ladder: cheapest-blast-radius rung first. Triage
-/// walks damage findings against this ladder and applies the first
-/// matching rung per component class.
-#[derive(Debug, Clone, Default)]
-pub struct RepairLadder {
-    actions: Vec<RepairAction>,
-}
-
-impl RepairLadder {
-    /// Empty ladder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a rung.
-    pub fn register(&mut self, action: RepairAction) {
-        self.actions.push(action);
-    }
-
-    /// All rungs in registration order.
-    #[must_use]
-    pub fn actions(&self) -> &[RepairAction] {
-        &self.actions
-    }
-
-    /// First rung repairing `target`, if any.
-    #[must_use]
-    pub fn action_for(&self, target: Component) -> Option<&RepairAction> {
-        self.actions.iter().find(|a| a.target == target)
-    }
-
-    /// The standing ladder used by `StatDbms::repair_view`. Every rung
-    /// names its authority; `sdbms-lint`'s soundness pass audits this
-    /// exact ladder on every run.
-    #[must_use]
-    pub fn standard() -> Self {
-        let mut ladder = RepairLadder::new();
-        ladder.register(RepairAction::new(
-            Component::ZoneMap,
-            Some(Authority::SegmentData),
-            "rebuild zone maps from intact encoded segments",
-        ));
-        ladder.register(RepairAction::new(
-            Component::SummaryEntry,
-            Some(Authority::ViewData),
-            "recompute cached entries from view columns",
-        ));
-        ladder.register(RepairAction::new(
-            Component::Cell,
-            Some(Authority::Archive),
-            "regenerate view from archive, replay update history",
-        ));
-        ladder.register(RepairAction::new(
-            Component::Segment,
-            Some(Authority::Archive),
-            "regenerate view from archive, replay update history",
-        ));
-        ladder.register(RepairAction::new(
-            Component::WholeView,
-            Some(Authority::Archive),
-            "regenerate view from archive, replay update history",
-        ));
-        ladder
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn standard_ladder_covers_every_component() {
-        let ladder = RepairLadder::standard();
-        for c in [
-            Component::Cell,
-            Component::Segment,
-            Component::ZoneMap,
-            Component::SummaryEntry,
-            Component::WholeView,
-        ] {
-            let action = ladder.action_for(c).expect("rung for every component");
-            assert!(action.authority.is_some(), "{c}: authority declared");
-            assert!(!action.is_self_read(), "{c}: no circular authority");
-        }
-    }
-
-    #[test]
-    fn self_read_detection_catches_circular_authorities() {
-        assert!(
-            RepairAction::new(Component::ZoneMap, Some(Authority::ZoneMaps), "circular")
-                .is_self_read()
-        );
-        assert!(RepairAction::new(
-            Component::Segment,
-            Some(Authority::SegmentData),
-            "circular: the segment being repaired is segment data"
-        )
-        .is_self_read());
-        assert!(RepairAction::new(
-            Component::SummaryEntry,
-            Some(Authority::SummaryDb),
-            "circular"
-        )
-        .is_self_read());
-        assert!(
-            !RepairAction::new(Component::SummaryEntry, Some(Authority::ViewData), "sound")
-                .is_self_read()
-        );
-        assert!(!RepairAction::new(Component::WholeView, None, "undeclared").is_self_read());
-    }
-
-    #[test]
-    fn track_caller_records_this_file() {
-        let a = RepairAction::new(Component::Cell, Some(Authority::Archive), "x");
-        assert!(a.registered_at.0.ends_with("triage.rs"));
-        assert!(a.registered_at.1 > 0);
     }
 }

@@ -32,9 +32,6 @@ pub enum SummaryError {
     Data(DataError),
     /// Underlying statistics failure.
     Stats(StatsError),
-    /// Two pieces of auxiliary state that cannot be combined (no merge
-    /// law, or incompatible shapes).
-    Unmergeable(&'static str),
 }
 
 impl fmt::Display for SummaryError {
@@ -52,9 +49,6 @@ impl fmt::Display for SummaryError {
             SummaryError::Storage(e) => write!(f, "storage error: {e}"),
             SummaryError::Data(e) => write!(f, "data error: {e}"),
             SummaryError::Stats(e) => write!(f, "stats error: {e}"),
-            SummaryError::Unmergeable(why) => {
-                write!(f, "auxiliary states cannot be merged: {why}")
-            }
         }
     }
 }

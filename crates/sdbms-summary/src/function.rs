@@ -267,7 +267,7 @@ impl StatFunction {
     /// [`StatFunction::answer`] over an in-memory column (missing
     /// values skipped for numeric functions, counted as a value by
     /// Mode / UniqueCount only if present) — for data that is not in a
-    /// store: the archive fallback, the contract checker, test oracles.
+    /// store: the archive fallback and test oracles.
     pub fn compute(&self, values: &[Value]) -> Result<SummaryValue> {
         self.answer(&ColumnProfile::of(values, self.accumulators()))
     }
@@ -341,40 +341,6 @@ pub enum AuxState {
     Freq(FrequencyTable),
     /// Incrementally maintained histogram.
     Histo(Histogram),
-}
-
-impl AuxState {
-    /// Fold another partition's auxiliary state into this one, so that
-    /// the merged state equals the state that a single pass over the
-    /// concatenated data would have built (the *merge law* — what the
-    /// parallel executor and the soundness checker both rely on).
-    ///
-    /// Errors when the two states are different variants, when the
-    /// variant has no merge law (the §4.2 median window is inherently
-    /// sequential), or when histogram edges disagree.
-    pub fn merge(&mut self, other: &AuxState) -> Result<()> {
-        match (self, other) {
-            (AuxState::Moments(a), AuxState::Moments(b)) => {
-                a.merge(b);
-                Ok(())
-            }
-            (AuxState::MinMax(a), AuxState::MinMax(b)) => {
-                a.merge(b);
-                Ok(())
-            }
-            (AuxState::Freq(a), AuxState::Freq(b)) => {
-                a.merge(b);
-                Ok(())
-            }
-            (AuxState::Histo(a), AuxState::Histo(b)) => Ok(a.merge(b)?),
-            (AuxState::Window(_), AuxState::Window(_)) => Err(
-                crate::error::SummaryError::Unmergeable("median window is order-dependent"),
-            ),
-            _ => Err(crate::error::SummaryError::Unmergeable(
-                "auxiliary states of different kinds",
-            )),
-        }
-    }
 }
 
 /// The standing summary set §3.2 lists for every summarizable column:

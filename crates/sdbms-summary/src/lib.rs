@@ -10,10 +10,9 @@
 //!
 //! - [`function`] — the function catalogue with per-function
 //!   maintenance classes and the one evaluator: column profile →
-//!   answer and auxiliary state.
-//! - [`contract`] — per-function maintenance contracts (strategy per
-//!   update kind) and the executable merge-law oracle the static
-//!   soundness checker audits against.
+//!   answer and auxiliary state. A function's maintenance rule is
+//!   stated once, as code: [`MaintenanceClass`] picks its
+//!   [`AuxState`], and [`maintain`] applies deltas to that state.
 //! - [`value`] — the varying-typed result column of paper Figure 4.
 //! - [`db`] — the disk-resident store: heap records clustered by
 //!   attribute with a B+tree secondary index on
@@ -32,7 +31,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod contract;
 pub mod db;
 pub mod error;
 pub mod function;
@@ -42,11 +40,6 @@ pub mod median_window;
 pub mod value;
 pub mod wal;
 
-pub use contract::{
-    verify_merge_law, verify_zone_map_merge_law, zone_map_contract, FunctionContract,
-    MaintenanceStrategy, MergeLawStatus, StatisticContract, SummaryRegistry, UpdateKind,
-    ALL_UPDATE_KINDS,
-};
 pub use db::{CacheStats, Entry, Freshness, SummaryDb};
 pub use error::{Result, SummaryError};
 pub use function::{standing_summary_functions, AuxState, MaintenanceClass, StatFunction};

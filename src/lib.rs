@@ -50,7 +50,7 @@
 //! | [`stats`] | the statistical functions: descriptive, quantiles, histograms, tests, regression, sampling |
 //! | [`summary`] | the Summary Database (§3.2) with incremental maintenance and the §4.2 median window |
 //! | [`management`] | the Management Database: catalog, histories/undo, rules, finite differencing |
-//! | [`repair`] | self-healing: health registry, scrub cursors, corruption triage ladder |
+//! | [`repair`] | self-healing: health registry, scrub cursors, corruption triage |
 //! | [`txn`] | multi-analyst concurrency: epoch registry/pins for snapshot reclamation, the per-view lock table |
 //! | [`core`] | the DBMS façade tying it all together (paper Figure 3) |
 //! | [`serve`] | the serving layer: thread-pool request loop, front result cache, per-tenant admission control |

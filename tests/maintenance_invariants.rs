@@ -9,8 +9,8 @@ use sdbms::data::Value;
 use sdbms::exec::{Accumulators, ColumnProfile};
 use sdbms::storage::StorageEnv;
 use sdbms::summary::{
-    apply_updates, get_or_compute_resilient, AccuracyPolicy, ComputeSource, MaintenancePolicy,
-    StatFunction, SummaryDb, SummaryValue, UpdateDelta,
+    apply_updates, get_or_compute_resilient, AccuracyPolicy, ComputeSource, Freshness,
+    MaintenancePolicy, StatFunction, SummaryDb, SummaryValue, UpdateDelta,
 };
 use sdbms_testkit::{splitmix, CensusFixture, CENSUS_VIEW};
 
@@ -35,12 +35,18 @@ fn all_functions() -> Vec<StatFunction> {
         StatFunction::Sum,
         StatFunction::Mean,
         StatFunction::Variance,
+        StatFunction::StdDev,
         StatFunction::Min,
         StatFunction::Max,
         StatFunction::Median,
+        StatFunction::Quartiles,
+        StatFunction::Quantile(500),
+        StatFunction::Quantile(250),
+        StatFunction::TrimmedMean(50, 950),
         StatFunction::Mode,
         StatFunction::UniqueCount,
         StatFunction::Histogram(8),
+        StatFunction::Histogram(20),
     ]
 }
 
@@ -66,6 +72,13 @@ proptest! {
             if old == new {
                 continue;
             }
+            // Which cached entries carry auxiliary state before the delta.
+            let mut had_aux = Vec::new();
+            for f in all_functions() {
+                if let Some(entry) = db.lookup("C", &f).unwrap() {
+                    had_aux.push((f, entry.aux.is_some()));
+                }
+            }
             apply_updates(
                 &db,
                 "C",
@@ -74,22 +87,23 @@ proptest! {
                 &mut source(&data),
             )
             .unwrap();
-            // Every FRESH entry must equal direct recomputation; stale
-            // entries are permitted only where the engine declared them.
-            for f in all_functions() {
-                if let Some(entry) = db.lookup("C", &f).unwrap() {
-                    if entry.freshness != sdbms::summary::Freshness::Fresh {
-                        continue;
-                    }
-                    // Degenerate columns (all missing) have no answer
-                    // to agree with.
-                    if f.compute(&data).is_ok() {
-                        prop_assert!(
-                            sdbms_testkit::agrees(&f, &entry.result, &data),
-                            "{f}: {:?} disagrees with the column",
-                            entry.result
-                        );
-                    }
+            for (f, aux) in had_aux {
+                let entry = db.lookup("C", &f).unwrap().expect("entry kept");
+                // The maintenance rule as the engine runs it: an entry
+                // with auxiliary state stays fresh (maintained from the
+                // state, or rescanned when the state cannot answer);
+                // one without is marked stale.
+                let want = if aux { Freshness::Fresh } else { Freshness::Stale };
+                prop_assert_eq!(entry.freshness, want, "{} (aux before: {})", f, aux);
+                // Every fresh entry equals direct recomputation.
+                // Degenerate columns (all missing) have no answer to
+                // agree with.
+                if entry.freshness == Freshness::Fresh && f.compute(&data).is_ok() {
+                    prop_assert!(
+                        sdbms_testkit::agrees(&f, &entry.result, &data),
+                        "{f}: {:?} disagrees with the column",
+                        entry.result
+                    );
                 }
             }
         }
