@@ -17,8 +17,8 @@
 //! - [`segment`] — the segment format (raw / RLE / dictionary): its
 //!   one encoder and its one decoder, which feeds both `Vec<Value>`
 //!   readers and typed batches.
-//! - [`rle`] — run-length codecs and the column-vs-row compression
-//!   ratio measurements of experiment E5.
+//! - [`rle`] — the value run-length codec RLE segments use (its
+//!   column-vs-row asymmetry is claim E5).
 //! - [`zonemap`] — per-segment statistics for predicate pruning and
 //!   run-aware (compressed-domain) aggregation.
 //! - [`batch`] — typed column batches ([`batch::ColumnBatch`]) decoded

@@ -4,11 +4,10 @@
 //! storage efficiency when they are applied down a column rather than
 //! across a row" — category columns (the cross-product key of a
 //! statistical data set) are long runs of identical values when the
-//! data is in cross-product order. Experiment E5 measures exactly this
-//! columnwise-vs-rowwise asymmetry, using [`compress_values`] for
-//! columns and [`compress_bytes`] for raw row images. A value-run body
-//! is written by [`compress_values`] and read only through
-//! [`RunCursor`], run by run — nothing here expands runs into rows.
+//! data is in cross-product order (`tests/paper_claims.rs` asserts this
+//! columnwise-vs-rowwise asymmetry as claim E5). A value-run body is
+//! written by [`compress_values`] and read only through [`RunCursor`],
+//! run by run — nothing here expands runs into rows.
 
 use sdbms_data::{DataError, Value};
 
@@ -105,52 +104,6 @@ impl Iterator for RunCursor<'_> {
     }
 }
 
-/// Byte-level RLE (used to measure rowwise compression of row images):
-/// `(u8 run_len, u8 byte)` pairs, runs capped at 255.
-#[must_use]
-pub fn compress_bytes(bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
-        let mut len = 1usize;
-        while i + len < bytes.len() && bytes[i + len] == b && len < 255 {
-            len += 1;
-        }
-        out.push(len as u8);
-        out.push(b);
-        i += len;
-    }
-    out
-}
-
-/// Decode [`compress_bytes`] output.
-pub fn decompress_bytes(buf: &[u8]) -> Result<Vec<u8>, DataError> {
-    if !buf.len().is_multiple_of(2) {
-        return Err(DataError::Decode("byte-rle input has odd length"));
-    }
-    let mut out = Vec::new();
-    for pair in buf.chunks_exact(2) {
-        out.extend(std::iter::repeat_n(pair[1], pair[0] as usize));
-    }
-    Ok(out)
-}
-
-/// `uncompressed_len / compressed_len` for a value sequence under
-/// [`compress_values`] (uncompressed = raw encoded values).
-#[must_use]
-pub fn column_compression_ratio(values: &[Value]) -> f64 {
-    let mut raw = Vec::new();
-    for v in values {
-        v.encode(&mut raw);
-    }
-    let compressed = compress_values(values);
-    if compressed.is_empty() {
-        return 1.0;
-    }
-    raw.len() as f64 / compressed.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,34 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn byte_rle_roundtrip() {
-        let data = [0u8, 0, 0, 1, 2, 2, 2, 2, 2, 3];
-        let c = compress_bytes(&data);
-        assert_eq!(decompress_bytes(&c).unwrap(), data);
-        assert_eq!(compress_bytes(&[]), Vec::<u8>::new());
-        let long = vec![7u8; 1000];
-        assert_eq!(decompress_bytes(&compress_bytes(&long)).unwrap(), long);
-    }
-
-    #[test]
     fn decode_rejects_garbage() {
         assert!(expand(&[5]).is_err());
         assert!(expand(&[1, 0, 2, 0]).is_err());
-        assert!(decompress_bytes(&[1]).is_err());
         let mut ok = compress_values(&[Value::Int(1)]);
         ok.push(9);
         assert!(expand(&ok).is_err());
-    }
-
-    #[test]
-    fn ratio_reflects_redundancy() {
-        let runs: Vec<Value> = std::iter::repeat_n(Value::Code(3), 1000).collect();
-        assert!(column_compression_ratio(&runs) > 100.0);
-        let unique: Vec<Value> = (0..1000).map(Value::Int).collect();
-        assert!(
-            column_compression_ratio(&unique) < 1.0,
-            "overhead on unique data"
-        );
     }
 
     #[test]
@@ -299,12 +230,6 @@ mod tests {
             let vals: Vec<Value> = codes.into_iter().map(Value::Code).collect();
             let buf = compress_values(&vals);
             proptest::prop_assert_eq!(expand(&buf).unwrap(), vals);
-        }
-
-        #[test]
-        fn prop_byte_rle_roundtrip(bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600)) {
-            let c = compress_bytes(&bytes);
-            proptest::prop_assert_eq!(decompress_bytes(&c).unwrap(), bytes);
         }
     }
 }

@@ -62,15 +62,6 @@ impl CodeBook {
             })
     }
 
-    /// Decode a [`Value::Code`]; passes `Missing` through.
-    pub fn decode_value(&self, v: &Value) -> Result<Value> {
-        match v {
-            Value::Code(c) => Ok(Value::Str(self.decode(*c)?.to_string())),
-            Value::Missing => Ok(Value::Missing),
-            other => Ok(other.clone()),
-        }
-    }
-
     /// Number of codes defined.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -133,22 +124,6 @@ mod tests {
             cb.decode(9),
             Err(DataError::UnknownCode { code: 9, .. })
         ));
-    }
-
-    #[test]
-    fn decode_value_passthrough() {
-        let cb = CodeBook::figure2_age_group();
-        assert_eq!(
-            cb.decode_value(&Value::Code(2)).unwrap(),
-            Value::Str("21 to 40".into())
-        );
-        assert_eq!(cb.decode_value(&Value::Missing).unwrap(), Value::Missing);
-        assert_eq!(
-            cb.decode_value(&Value::Int(5)).unwrap(),
-            Value::Int(5),
-            "non-code values pass through"
-        );
-        assert!(cb.decode_value(&Value::Code(99)).is_err());
     }
 
     #[test]

@@ -517,27 +517,6 @@ pub fn profile_values(values: &[Value], cfg: &ExecConfig) -> ColumnProfile {
     }
 }
 
-/// Parallel predicate filter over row indices: returns the indices
-/// `0..rows` for which `keep` holds, in ascending order (per-morsel
-/// matches concatenated in morsel order) — the scan side of a
-/// relational selection.
-pub fn filter_indices<E, F>(rows: usize, cfg: &ExecConfig, keep: F) -> Result<Vec<usize>, E>
-where
-    F: Fn(usize) -> Result<bool, E> + Sync,
-    E: Send,
-{
-    let chunks = scan_morsels(rows, cfg, |m| {
-        let mut hits = Vec::new();
-        for i in m.start..m.start + m.len {
-            if keep(i)? {
-                hits.push(i);
-            }
-        }
-        Ok(hits)
-    })?;
-    Ok(chunks.into_iter().flatten().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,18 +561,6 @@ mod tests {
             .unwrap();
             assert_eq!(got, col, "{workers} workers");
         }
-    }
-
-    #[test]
-    fn filter_indices_in_order() {
-        let cfg = ExecConfig {
-            workers: 4,
-            morsel_rows: 64,
-        };
-        let idx: Vec<usize> =
-            filter_indices::<std::convert::Infallible, _>(1000, &cfg, |i| Ok(i % 3 == 0)).unwrap();
-        let expect: Vec<usize> = (0..1000).filter(|i| i % 3 == 0).collect();
-        assert_eq!(idx, expect);
     }
 
     #[test]

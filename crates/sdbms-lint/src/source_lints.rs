@@ -522,13 +522,11 @@ fn item_end(toks: &[Tok], start: usize) -> usize {
 pub fn lints_for(class: FileClass, crate_name: &str) -> FileLintSet {
     let lib = class == FileClass::Lib;
     FileLintSet {
-        // The bench harness (workload builders, experiment driver) is
-        // allowed to abort; everything else must be panic-free.
-        no_panic: lib && crate_name != "sdbms-bench",
+        no_panic: lib,
         relaxed_ordering: lib,
         containment: lib,
         lossy_cast: lib && crate_name == "sdbms-stats",
-        missing_docs: lib && crate_name != "sdbms-bench",
+        missing_docs: lib,
         // Only the serving layer threads a budget through every
         // request; engine code may meter I/O without one.
         deadline_bypass: lib && crate_name == "sdbms-serve",
@@ -650,12 +648,11 @@ mod tests {
     }
 
     #[test]
-    fn bench_crate_skips_panics_but_bin_class_skips_everything_panicky() {
-        let set = lints_for(FileClass::Lib, "sdbms-bench");
-        assert!(!set.no_panic);
-        assert!(set.relaxed_ordering);
+    fn bin_class_skips_panics_and_every_library_crate_keeps_them() {
         let set = lints_for(FileClass::Bin, "sdbms-lint");
         assert!(!set.no_panic);
+        let set = lints_for(FileClass::Lib, "sdbms-serve");
+        assert!(set.no_panic && set.missing_docs);
     }
 
     #[test]

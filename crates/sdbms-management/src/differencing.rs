@@ -20,8 +20,8 @@
 //! the data in some concise manner").
 //!
 //! This module exists to reproduce paper Figure 5 (experiment F5:
-//! `tests/paper_figures.rs::figure5_differenced_program_equals_loop`
-//! and the `experiments` table); the engine does not run it. The
+//! `tests/paper_figures.rs::figure5_differenced_program_equals_loop`);
+//! the engine does not run it. The
 //! Summary Database's maintenance of differentiable functions is
 //! `AuxState::Moments` in `sdbms-summary`, updated by
 //! `apply_deltas_to_aux` — the one statement of that rule.

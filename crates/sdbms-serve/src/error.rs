@@ -28,9 +28,7 @@
 //! Every *load*-shaped rejection carries a **`retry_after_ms` hint**
 //! ([`ServeError::retry_after_ms`]): an advisory backoff derived from
 //! observed service times and queue/bucket state. Honoring it is
-//! optional but converts tight client retry loops into paced ones —
-//! the traffic generator's `honor_retry_hints` mode exercises exactly
-//! that.
+//! optional but converts tight client retry loops into paced ones.
 
 use sdbms_core::CoreError;
 use sdbms_data::DataError;

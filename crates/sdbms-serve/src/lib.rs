@@ -24,10 +24,6 @@
 //!   views; a tiered brownout controller sheds cold reads, then
 //!   non-priority tenants, under sustained pressure. Load rejections
 //!   carry computed `retry_after_ms` hints (DESIGN.md §16).
-//! - **Deterministic traffic** ([`run_traffic`]): a closed-loop
-//!   seeded-Zipfian analyst mix with occasional update batches, the
-//!   workload behind the serving experiment and the differential /
-//!   coherence / starvation test suites.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +34,6 @@ pub mod brownout;
 pub mod cache;
 pub mod error;
 pub mod server;
-pub mod traffic;
 
 pub use admission::{default_cost_milli, AdmissionController, QuotaConfig, TenantUsage};
 pub use breaker::{BreakerAdmit, BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
@@ -47,8 +42,4 @@ pub use cache::{FrontCacheStats, QueryKey, ResultCache};
 pub use error::{Result, ServeError};
 pub use server::{
     CommitRecord, Payload, Query, Response, ServeConfig, Served, Server, ServerMetrics, SessionId,
-};
-pub use traffic::{
-    census_query_universe, request_schedule, run_traffic, Outcome, Request, TrafficConfig,
-    TrafficReport,
 };

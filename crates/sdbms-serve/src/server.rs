@@ -134,7 +134,7 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The same configuration with the front cache disabled — the
-    /// uncached baseline the serving experiment compares against.
+    /// uncached baseline the serving tests compare against.
     #[must_use]
     pub fn uncached(mut self) -> Self {
         self.cache_capacity = 0;

@@ -5,8 +5,8 @@
 //! were copy-pasted across `tests/chaos.rs`,
 //! `tests/crash_recovery_props.rs`, `examples/fault_tolerance.rs`, and
 //! the benches — four slightly diverging copies of the same intent.
-//! The serving layer's closed-loop traffic generator needs the same
-//! helpers again, so they live here once:
+//! The serving tests' closed-loop traffic generator and the benchmark
+//! need the same helpers again, so they live here once:
 //!
 //! - [`rng`] — the splitmix64 PRNG every seeded schedule uses, plus a
 //!   deterministic Zipfian sampler for skewed query mixes;
@@ -18,9 +18,8 @@
 //!   [`sdbms_core::BatchOp`]s, and raw parts.
 //!
 //! Everything here is deterministic: same seed, same bytes. Builders
-//! return `Result` rather than panicking so library callers (the
-//! traffic generator) stay panic-free; tests `.expect()` at the call
-//! site.
+//! return `Result` rather than panicking so library callers stay
+//! panic-free; tests `.expect()` at the call site.
 
 pub mod fixtures;
 pub mod rng;

@@ -150,39 +150,55 @@ proptest! {
 
 #[test]
 fn median_window_ablation_rebuild_counts_decrease_with_size() {
-    // DESIGN.md ablation: larger windows absorb more updates before a
-    // rebuild. Deterministic drift workload.
+    // DESIGN.md ablation (claim E3): larger windows absorb more updates
+    // before a rebuild, and a rebuild is one pass over the column.
+    // Count the rebuilds `edits` forces on windows of each size.
+    let rebuilds = |base: &[f64], edits: &[(usize, f64)], windows: [usize; 3]| {
+        windows.map(|window| {
+            let mut data = base.to_vec();
+            let mut w = sdbms::summary::MedianWindow::new(window);
+            w.rebuild(&data);
+            let mut rebuilds = 0;
+            for &(i, new) in edits {
+                let old = std::mem::replace(&mut data[i], new);
+                if !w.replace(old, new) || !w.is_usable() {
+                    w.rebuild(&data);
+                    rebuilds += 1;
+                }
+            }
+            let expect = sdbms::stats::quantile::median(&data).unwrap();
+            assert_eq!(w.median().unwrap(), expect, "window {window}");
+            rebuilds
+        })
+    };
+    let monotone = |counts: [usize; 3]| counts[0] >= counts[1] && counts[1] >= counts[2];
+
+    // Drift: push 800 small values up.
     let n = 5_000usize;
     let base: Vec<f64> = (0..n).map(|i| ((i * 7919) % n) as f64).collect();
-    let mut rebuilds_by_window = Vec::new();
-    for window in [5usize, 51, 501] {
-        let mut data = base.clone();
-        let mut w = sdbms::summary::MedianWindow::new(window);
-        w.rebuild(&data);
-        let mut rebuilds = 0;
-        for k in 0..800 {
-            // Drift: push small values up.
-            let i = k % n;
-            let old = data[i];
-            data[i] = old + 2_000.0;
-            if !w.replace(old, data[i]) || !w.is_usable() {
-                w.rebuild(&data);
-                rebuilds += 1;
-            }
-        }
-        let expect = sdbms::stats::quantile::median(&data).unwrap();
-        assert_eq!(w.median().unwrap(), expect, "window {window}");
-        rebuilds_by_window.push(rebuilds);
-    }
+    let drift: Vec<(usize, f64)> = (0..800).map(|i| (i, base[i] + 2_000.0)).collect();
+    let counts = rebuilds(&base, &drift, [5, 51, 501]);
+    println!("E3 drift, windows 5/51/501: {counts:?} rebuilds");
     assert!(
-        rebuilds_by_window[0] >= rebuilds_by_window[1]
-            && rebuilds_by_window[1] >= rebuilds_by_window[2],
-        "rebuilds must not increase with window size: {rebuilds_by_window:?}"
+        monotone(counts),
+        "rebuilds must not increase with window size: {counts:?}"
     );
-    assert!(
-        rebuilds_by_window[0] > 0,
-        "tiny window must rebuild under drift"
-    );
+    assert!(counts[0] > 0, "tiny window must rebuild under drift");
+
+    // E3's workload: 2 000 uniform random replacements over 20 000
+    // uniform values. The paper's ~100-value window absorbs them all.
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(11);
+    let base: Vec<f64> = (0..20_000).map(|_| rng.gen_range(0.0..10_000.0)).collect();
+    let mut rng = StdRng::seed_from_u64(99);
+    let random: Vec<(usize, f64)> = (0..2_000)
+        .map(|_| (rng.gen_range(0..base.len()), rng.gen_range(0.0..10_000.0)))
+        .collect();
+    let counts = rebuilds(&base, &random, [11, 101, 1_001]);
+    println!("E3 random, windows 11/101/1001: {counts:?} rebuilds");
+    assert!(monotone(counts), "{counts:?}");
+    assert!(counts[0] > 0, "an 11-value window must rebuild: {counts:?}");
+    assert_eq!(counts[1], 0, "a 101-value window absorbs every update");
 }
 
 /// Entries outlive commits: 10 000 seeded corrections to INCOME,

@@ -11,12 +11,118 @@
 
 use std::collections::BTreeMap;
 
-use sdbms::core::StatDbms;
+use sdbms::core::{BatchOp, StatDbms};
 use sdbms::serve::{
-    census_query_universe, request_schedule, run_traffic, Outcome, Payload, Query, QuotaConfig,
-    Request, ServeConfig, Served, Server, TrafficConfig,
+    Payload, Query, QuotaConfig, Response, ServeConfig, ServeError, Served, Server,
 };
-use sdbms_testkit::{CensusFixture, CENSUS_VIEW};
+use sdbms_testkit::{
+    checked_functions, seeded_income_update, CensusFixture, SplitMix64, Zipfian, CENSUS_ATTRS,
+    CENSUS_VIEW,
+};
+
+/// A closed-loop analyst mix: each analyst is one thread issuing its
+/// next request only after the previous reply arrives (the paper's
+/// interactive analyst, not an open arrival process). Analyst `i`
+/// draws from `SplitMix64::new(seed ^ i)`, so two runs issue the same
+/// logical requests per analyst; only the interleaving differs, which
+/// is exactly the freedom this harness proves irrelevant.
+struct Traffic {
+    analysts: usize,
+    requests_per_analyst: usize,
+    /// Analyst 0 commits every this-many requests.
+    update_every: usize,
+    seed: u64,
+}
+
+/// Zipfian skew over the query universe: everyone asks for mean income.
+const ZIPF_EXPONENT: f64 = 1.1;
+
+/// The fixed query universe the Zipfian ranks: summaries over the
+/// census fixture's checked attributes, hottest first, then two point
+/// reads at the cold tail.
+fn census_query_universe() -> Vec<Query> {
+    let mut universe = Vec::new();
+    for attr in CENSUS_ATTRS {
+        for function in checked_functions() {
+            universe.push(Query::summary(attr, function));
+        }
+    }
+    universe.push(Query::Row { index: 0 });
+    universe.push(Query::Row { index: 7 });
+    universe
+}
+
+/// One planned request in an analyst's schedule.
+enum Request {
+    Query(Query),
+    Commit(Vec<BatchOp>),
+}
+
+/// The exact request sequence `analyst` issues; [`run_traffic`] runs
+/// precisely this, so the oracle regenerates it to learn which logical
+/// request produced each recorded reply.
+fn request_schedule(cfg: &Traffic, universe: &[Query], analyst: usize) -> Vec<Request> {
+    let zipf = Zipfian::new(universe.len(), ZIPF_EXPONENT);
+    let mut rng = SplitMix64::new(cfg.seed ^ analyst as u64);
+    (0..cfg.requests_per_analyst)
+        .map(|step| {
+            if analyst == 0 && step % cfg.update_every == cfg.update_every - 1 {
+                let mut state = rng.next_u64();
+                Request::Commit(vec![seeded_income_update(&mut state).batch_op()])
+            } else {
+                Request::Query(universe[zipf.sample(&mut rng)].clone())
+            }
+        })
+        .collect()
+}
+
+/// Every analyst's replies in issue order (`outcomes[i][j]` is analyst
+/// `i`'s `j`-th request).
+struct TrafficReport {
+    outcomes: Vec<Vec<Result<Response, ServeError>>>,
+    completed: usize,
+    front_cache_hits: usize,
+}
+
+/// Drive `server` with `cfg`'s workload, one session per analyst.
+fn run_traffic(server: &Server, cfg: &Traffic) -> TrafficReport {
+    let universe = census_query_universe();
+    let outcomes: Vec<Vec<Result<Response, ServeError>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cfg.analysts)
+            .map(|analyst| {
+                let schedule = request_schedule(cfg, &universe, analyst);
+                scope.spawn(move || {
+                    let session = server
+                        .open_session("tenant", CENSUS_VIEW)
+                        .expect("open session");
+                    let replies = schedule
+                        .into_iter()
+                        .map(|request| match request {
+                            Request::Query(query) => server.query(session, query),
+                            Request::Commit(ops) => server.commit(session, ops),
+                        })
+                        .collect();
+                    server.close_session(session).expect("close session");
+                    replies
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("analyst thread panicked"))
+            .collect()
+    });
+    let replies = || outcomes.iter().flatten().filter_map(|o| o.as_ref().ok());
+    let completed = replies().count();
+    let front_cache_hits = replies()
+        .filter(|resp| resp.served == Served::FrontCache)
+        .count();
+    TrafficReport {
+        outcomes,
+        completed,
+        front_cache_hits,
+    }
+}
 
 fn workers_from_env(default: usize) -> usize {
     std::env::var(sdbms::exec::WORKERS_ENV)
@@ -47,11 +153,12 @@ fn serial_answer(dbms: &StatDbms, query: &Query) -> Vec<u8> {
 
 #[test]
 fn concurrent_responses_are_byte_identical_to_serial_uncached_replay() {
-    let cfg = TrafficConfig::new(CENSUS_VIEW)
-        .analysts(6)
-        .requests_per_analyst(60)
-        .update_every(7)
-        .seed(0xD1FF);
+    let cfg = Traffic {
+        analysts: 6,
+        requests_per_analyst: 60,
+        update_every: 7,
+        seed: 0xD1FF,
+    };
     let server = Server::start(
         CensusFixture::new().build().expect("fixture"),
         ServeConfig {
@@ -64,7 +171,7 @@ fn concurrent_responses_are_byte_identical_to_serial_uncached_replay() {
     let base_version = server.with_dbms(|d| d.view_version(CENSUS_VIEW).expect("version"));
     let report = run_traffic(&server, &cfg);
     assert_eq!(
-        report.completed as usize,
+        report.completed,
         cfg.analysts * cfg.requests_per_analyst,
         "unlimited quota and a deep queue: nothing may be rejected"
     );
@@ -92,7 +199,7 @@ fn concurrent_responses_are_byte_identical_to_serial_uncached_replay() {
         let outcomes = &report.outcomes[analyst];
         assert_eq!(schedule.len(), outcomes.len());
         for (request, outcome) in schedule.iter().zip(outcomes) {
-            let Outcome::Ok(resp, _) = outcome else {
+            let Ok(resp) = outcome else {
                 panic!("unexpected rejection: {outcome:?}");
             };
             match request {
@@ -183,11 +290,12 @@ fn concurrent_responses_are_byte_identical_to_serial_uncached_replay() {
 /// must come from snapshot isolation alone, not from caching accidents.
 #[test]
 fn uncached_server_is_also_serially_equivalent() {
-    let cfg = TrafficConfig::new(CENSUS_VIEW)
-        .analysts(3)
-        .requests_per_analyst(30)
-        .update_every(5)
-        .seed(7);
+    let cfg = Traffic {
+        analysts: 3,
+        requests_per_analyst: 30,
+        update_every: 5,
+        seed: 7,
+    };
     let server = Server::start(
         CensusFixture::new().build().expect("fixture"),
         ServeConfig {
@@ -213,7 +321,7 @@ fn uncached_server_is_also_serially_equivalent() {
     for analyst in 0..cfg.analysts {
         let schedule = request_schedule(&cfg, &universe, analyst);
         for (request, outcome) in schedule.iter().zip(&report.outcomes[analyst]) {
-            if let (Request::Query(q), Outcome::Ok(resp, _)) = (request, outcome) {
+            if let (Request::Query(q), Ok(resp)) = (request, outcome) {
                 by_version
                     .entry(resp.version)
                     .or_default()
