@@ -181,18 +181,6 @@ impl TransposedFile {
         self.columns.iter().map(|c| c.file.page_count()).sum()
     }
 
-    /// Pages of one column's file.
-    pub fn column_page_count(&self, attribute: &str) -> Result<usize> {
-        let ci = self.schema.require(attribute)?;
-        Ok(self.columns[ci].file.page_count())
-    }
-
-    /// The compression of one column.
-    pub fn column_compression(&self, attribute: &str) -> Result<Compression> {
-        let ci = self.schema.require(attribute)?;
-        Ok(self.columns[ci].compression)
-    }
-
     /// Index of the segment of `col` that holds `row < self.rows`.
     fn segment_of_row(col: &Column, row: usize) -> Result<usize> {
         let i = col.segments.partition_point(|s| s.start_row + s.len <= row);
@@ -412,16 +400,6 @@ impl TransposedFile {
         out.dedup();
         out
     }
-
-    /// How many segments of one column currently have a readable zone
-    /// map (diagnostics and tests).
-    pub fn zone_map_count(&self, attribute: &str) -> Result<usize> {
-        let ci = self.schema.require(attribute)?;
-        let col = &self.columns[ci];
-        Ok((0..col.segments.len())
-            .filter(|&si| Self::load_zone(col, si, self.generation).is_some())
-            .count())
-    }
 }
 
 impl TableStore for TransposedFile {
@@ -638,6 +616,18 @@ mod tests {
         .unwrap()
     }
 
+    fn column<'a>(t: &'a TransposedFile, attribute: &str) -> &'a Column {
+        &t.columns[t.schema.require(attribute).unwrap()]
+    }
+
+    /// How many segments of one column have a readable zone map.
+    fn zone_map_count(t: &TransposedFile, attribute: &str) -> usize {
+        let col = column(t, attribute);
+        (0..col.segments.len())
+            .filter(|&si| TransposedFile::load_zone(col, si, t.generation).is_some())
+            .count()
+    }
+
     #[test]
     fn roundtrip_figure1() {
         let env = StorageEnv::new(64);
@@ -778,25 +768,12 @@ mod tests {
     }
 
     #[test]
-    fn compression_metadata_exposed() {
-        let env = StorageEnv::new(64);
-        let t = TransposedFile::from_dataset(env.pool, &figure1()).unwrap();
-        assert_eq!(t.column_compression("AGE_GROUP").unwrap(), Compression::Rle);
-        assert_eq!(
-            t.column_compression("SEX").unwrap(),
-            Compression::Dictionary
-        );
-        assert!(t.column_page_count("SEX").unwrap() >= 1);
-        assert!(t.column_compression("NOPE").is_err());
-    }
-
-    #[test]
     fn zone_maps_cover_every_segment_after_bulk_load() {
         let env = StorageEnv::new(256);
         let ds = micro(1000);
         let t = TransposedFile::from_dataset(env.pool, &ds).unwrap();
         for attr in ["AGE", "INCOME", "SEX", "REGION"] {
-            assert_eq!(t.zone_map_count(attr).unwrap(), 4, "{attr}");
+            assert_eq!(zone_map_count(&t, attr), 4, "{attr}");
             let zm = t.range_stats(attr, 0, 1000).expect("full-column stats");
             assert_eq!(zm.rows, 1000);
             let col = t.read_column(attr).unwrap();
@@ -977,7 +954,7 @@ mod tests {
         }
         for attr in t.schema().attributes() {
             assert_eq!(
-                shadow.zone_map_count(&attr.name).unwrap(),
+                zone_map_count(&shadow, &attr.name),
                 t.segment_count(&attr.name)
             );
         }
@@ -1154,7 +1131,7 @@ mod tests {
         ] {
             let env = StorageEnv::new(256);
             let mut t = TransposedFile::from_dataset(env.pool, &ds).unwrap();
-            assert_eq!(t.column_compression(attr).unwrap(), compression);
+            assert_eq!(column(&t, attr).compression, compression);
             let want = t.read_column(attr).unwrap();
             let mut bytes = t.encoded_segment(attr, 1).unwrap().unwrap();
             if runs_overshoot {

@@ -23,7 +23,7 @@ use sdbms_repair::{CursorStore, HealthRegistry};
 use sdbms_storage::{IoSnapshot, StorageEnv};
 use sdbms_summary::{
     get_or_compute_resilient, AccuracyPolicy, CacheStats, ComputeSource, Intent, IntentLog,
-    MaintenancePolicy, StatFunction, SummaryDb, SummaryError, SummaryValue,
+    StatFunction, SummaryDb, SummaryError, SummaryValue,
 };
 use sdbms_txn::{EpochRegistry, LockTable};
 
@@ -74,8 +74,6 @@ pub struct StatDbms {
     pub(crate) catalog: ViewCatalog,
     pub(crate) rules: RuleStore,
     pub(crate) views: HashMap<String, ConcreteView>,
-    /// Policy given to newly materialized views.
-    pub default_policy: MaintenancePolicy,
     /// Layout given to newly materialized views (§2.6 recommends
     /// transposed).
     pub default_layout: Layout,
@@ -126,7 +124,6 @@ impl StatDbms {
             catalog: ViewCatalog::new(),
             rules: RuleStore::new(),
             views: HashMap::new(),
-            default_policy: MaintenancePolicy::Incremental,
             default_layout: Layout::Transposed,
             durability: DurabilityPolicy::Volatile,
             exec: sdbms_exec::ExecConfig::from_env(),
@@ -262,7 +259,7 @@ impl StatDbms {
 
     // ---- view materialization -------------------------------------------
 
-    /// Materialize a concrete view with the default layout and policy.
+    /// Materialize a concrete view with the default layout.
     ///
     /// Enforces the §2.3 duplicate check: if an equivalent view is
     /// visible to `owner`, returns
@@ -307,7 +304,6 @@ impl StatDbms {
                 version: 0,
                 layout,
                 summary,
-                policy: self.default_policy,
                 tracker: Default::default(),
                 stale_columns: Default::default(),
                 wal,
@@ -577,12 +573,6 @@ impl StatDbms {
         Ok(self.view(view)?.summary.stats())
     }
 
-    /// Set a view's maintenance policy.
-    pub fn set_policy(&mut self, view: &str, policy: MaintenancePolicy) -> Result<()> {
-        self.view_mut(view)?.policy = policy;
-        Ok(())
-    }
-
     // ---- updates -----------------------------------------------------------
     //
     // Every writer is lock → intent → plan → apply → record, each step
@@ -591,8 +581,9 @@ impl StatDbms {
 
     /// Update cells by predicate (§4.1): for every row satisfying
     /// `predicate`, assign each `(attribute, expression)`. Records
-    /// history, maintains every affected Summary Database entry under
-    /// the view's policy, and fires derived-attribute rules.
+    /// history, maintains every affected Summary Database entry
+    /// (incrementally through its auxiliary state, else marked stale),
+    /// and fires derived-attribute rules.
     ///
     /// All-or-nothing short of a device error: every assignment is
     /// evaluated and type-checked for every matching row before the

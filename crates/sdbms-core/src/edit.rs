@@ -519,8 +519,10 @@ impl StatDbms {
         Ok(())
     }
 
-    /// Summary Database maintenance per affected attribute, under the
-    /// view's policy. An appended row is not an [`UpdateDelta`] (the
+    /// Summary Database maintenance per affected attribute: each entry
+    /// absorbs the deltas through its auxiliary state, goes stale if it
+    /// has none, and is recomputed here if its state gives up. An
+    /// appended row is not an [`UpdateDelta`] (the
     /// frequency family counts `Missing` as a value, so "overwrite of
     /// Missing" would decrement the wrong bucket): an edit that
     /// `appended` rows invalidates every attribute's entries instead.
@@ -534,14 +536,13 @@ impl StatDbms {
         let pool = self.env.pool.clone();
         let exec = self.exec;
         let v = self.view_mut(view)?;
-        let policy = v.policy;
         if appended {
             for a in v.store.schema().attributes() {
                 deltas.entry(a.name.clone()).or_default();
             }
         }
         for (attr, ds) in deltas {
-            // One batch scan feeds every entry the policy recomputes.
+            // One batch scan feeds every entry whose aux gave up.
             let mut profile = summary_scan(&*v.store, &mut v.tracker, &attr, &exec);
             let maintained = if appended {
                 let retired = v.summary.invalidate_attribute(&attr);
@@ -550,7 +551,7 @@ impl StatDbms {
                     ..MaintenanceReport::default()
                 })
             } else {
-                apply_updates(&v.summary, &attr, &ds, policy, &mut profile)
+                apply_updates(&v.summary, &attr, &ds, &mut profile)
             };
             let r = match maintained {
                 Ok(r) => r,

@@ -44,10 +44,6 @@ pub use sdbms_columnar::Layout;
 pub use sdbms_relational::{
     AggFunc, Aggregate, BinOp, CmpOp, Expr, Predicate, ScalarFunc, ViewDefinition, ViewStep,
 };
-pub use sdbms_repair::{
-    Component, CorruptionFinding, HealthRecord, RepairGate, ScrubReport, ViewHealth,
-};
-pub use sdbms_summary::{
-    AccuracyPolicy, ComputeSource, MaintenancePolicy, StatFunction, SummaryValue,
-};
+pub use sdbms_repair::{Component, CorruptionFinding, RepairGate, ScrubReport, ViewHealth};
+pub use sdbms_summary::{AccuracyPolicy, ComputeSource, StatFunction, SummaryValue};
 pub use sdbms_txn::{LockError, SessionId};

@@ -45,8 +45,7 @@ use sdbms_data::{
 };
 use sdbms_management::{ChangeRecord, DerivedRule, VectorGenerator, ViewRecord};
 use sdbms_repair::{
-    Component, CorruptionFinding, CursorStore, HealthRecord, ScrubCursor, ScrubPhase, ScrubReport,
-    ViewHealth,
+    Component, CorruptionFinding, CursorStore, ScrubCursor, ScrubPhase, ScrubReport, ViewHealth,
 };
 use sdbms_storage::{Page, PageId};
 use sdbms_summary::{
@@ -98,13 +97,6 @@ impl StatDbms {
     pub fn health(&self, view: &str) -> Result<ViewHealth> {
         self.view(view)?;
         Ok(self.health.health(view))
-    }
-
-    /// Full health record (attempt counters, backoff deadline, last
-    /// finding), if the view was ever found damaged.
-    #[must_use]
-    pub fn health_record(&self, view: &str) -> Option<&HealthRecord> {
-        self.health.record(view)
     }
 
     // ---- scrubbing ------------------------------------------------------

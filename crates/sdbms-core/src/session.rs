@@ -22,7 +22,7 @@
 //!   in memory — one pointer swap, so readers see the whole batch or
 //!   none of it — and the batch's records drive the epilogue: history,
 //!   stale marks for triggered derived columns, Summary-DB maintenance
-//!   under the view's policy. Under
+//!   per entry. Under
 //!   [`crate::DurabilityPolicy::CrashConsistent`] the commit runs
 //!   inside a durable `Txn` WAL intent; a crash at any point recovers
 //!   to the full pre-batch or full post-batch state, idempotently.
@@ -349,8 +349,8 @@ impl StatDbms {
     /// epoch-retired for draining snapshots. The batch's change records
     /// then take the writer epilogue every in-place edit takes:
     /// history, triggered derived columns marked stale (reported as
-    /// `deferred`), the Summary DB maintained per attribute under the
-    /// view's policy — an edit to `INCOME` leaves `AGE`'s entries
+    /// `deferred`), the Summary DB maintained per attribute — an edit
+    /// to `INCOME` leaves `AGE`'s entries
     /// fresh. A batch that appends rows invalidates every attribute's
     /// entries instead. Nothing after the install can fail the commit:
     /// it runs outside the caller's op budget, and summary-cache

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use sdbms_columnar::{Layout, TableStore};
 use sdbms_data::DataError;
 use sdbms_storage::DiskManager;
-use sdbms_summary::{IntentLog, MaintenancePolicy, SummaryDb};
+use sdbms_summary::{IntentLog, SummaryDb};
 use sdbms_txn::EpochRegistry;
 
 /// Counts of how a view has been accessed, driving the §2.3
@@ -60,8 +60,6 @@ pub struct ConcreteView {
     pub layout: Layout,
     /// The view's Summary Database.
     pub summary: SummaryDb,
-    /// Maintenance policy for the Summary Database under updates.
-    pub policy: MaintenancePolicy,
     /// Access-pattern counters.
     pub tracker: AccessTracker,
     /// Derived columns currently marked out-of-date (the

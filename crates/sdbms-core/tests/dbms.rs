@@ -2,8 +2,8 @@
 
 use sdbms_core::{
     paper_demo_dbms, AccuracyPolicy, AggFunc, Aggregate, BinOp, CmpOp, ComputeSource, CoreError,
-    DurabilityPolicy, Expr, Layout, MaintenancePolicy, Predicate, ScalarFunc, StatDbms,
-    StatFunction, SummaryValue, ViewDefinition,
+    DurabilityPolicy, Expr, Layout, Predicate, ScalarFunc, StatDbms, StatFunction, SummaryValue,
+    ViewDefinition,
 };
 use sdbms_data::census::{microdata_census, CensusConfig};
 use sdbms_data::{DataType, Value};
@@ -122,8 +122,6 @@ fn summaries_of_encoded_attributes_rejected() {
 fn update_where_maintains_cache_incrementally() {
     let mut dbms = micro_dbms(2_000);
     dbms.materialize(ViewDefinition::scan("v", "census_microdata"), "a")
-        .unwrap();
-    dbms.set_policy("v", MaintenancePolicy::Incremental)
         .unwrap();
     // Cache a few summaries.
     for f in [StatFunction::Mean, StatFunction::Sum, StatFunction::Count] {
@@ -482,10 +480,11 @@ fn tolerated_staleness_serves_old_answers() {
     let mut dbms = micro_dbms(1_000);
     dbms.materialize(ViewDefinition::scan("v", "census_microdata"), "a")
         .unwrap();
-    dbms.set_policy("v", MaintenancePolicy::InvalidateLazy)
-        .unwrap();
-    let (median_before, _) = dbms
-        .compute("v", "INCOME", &StatFunction::Median, AccuracyPolicy::Exact)
+    // A trimmed mean has no incremental form: an update leaves it
+    // stale until an exact read regenerates it.
+    let trimmed = StatFunction::TrimmedMean(50, 950);
+    let (trimmed_before, _) = dbms
+        .compute("v", "INCOME", &trimmed, AccuracyPolicy::Exact)
         .unwrap();
     dbms.update_where(
         "v",
@@ -493,20 +492,15 @@ fn tolerated_staleness_serves_old_answers() {
         &[("INCOME", Expr::lit(99_999.0))],
     )
     .unwrap();
-    // Tolerant read: the slightly-stale median comes straight back.
-    let (median_tolerated, src) = dbms
-        .compute(
-            "v",
-            "INCOME",
-            &StatFunction::Median,
-            AccuracyPolicy::Tolerate(5),
-        )
+    // Tolerant read: the slightly-stale trimmed mean comes straight back.
+    let (trimmed_tolerated, src) = dbms
+        .compute("v", "INCOME", &trimmed, AccuracyPolicy::Tolerate(5))
         .unwrap();
     assert_eq!(src, ComputeSource::CacheTolerated);
-    assert!(median_tolerated.approx_eq(&median_before, 1e-12));
+    assert!(trimmed_tolerated.approx_eq(&trimmed_before, 1e-12));
     // Exact read recomputes.
     let (_, src) = dbms
-        .compute("v", "INCOME", &StatFunction::Median, AccuracyPolicy::Exact)
+        .compute("v", "INCOME", &trimmed, AccuracyPolicy::Exact)
         .unwrap();
     assert_eq!(src, ComputeSource::Computed);
 }

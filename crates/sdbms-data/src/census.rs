@@ -292,8 +292,8 @@ mod tests {
         );
         // Every suspicious age is the impossible kind we planted.
         for &r in &bad_ages {
-            let age = ds.value(r, "AGE").unwrap().as_i64().unwrap();
-            assert!(age >= 900);
+            let age = ds.value(r, "AGE").unwrap().as_f64().unwrap();
+            assert!(age >= 900.0);
         }
         let rich = ds.suspicious_rows("INCOME").unwrap();
         assert!(!rich.is_empty(), "outlier incomes planted");
@@ -308,8 +308,12 @@ mod tests {
         })
         .unwrap();
         for i in 0..ds.len() {
-            let age = ds.value(i, "AGE").unwrap().as_i64().unwrap();
-            let group = ds.value(i, "AGE_GROUP").unwrap().as_code().unwrap();
+            let &Value::Int(age) = ds.value(i, "AGE").unwrap() else {
+                panic!("AGE is an integer")
+            };
+            let &Value::Code(group) = ds.value(i, "AGE_GROUP").unwrap() else {
+                panic!("AGE_GROUP is coded")
+            };
             let expect = match age {
                 0..=20 => 1,
                 21..=40 => 2,

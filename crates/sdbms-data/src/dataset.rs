@@ -143,30 +143,6 @@ impl DataSet {
         Ok((vals, skipped))
     }
 
-    /// Append a derived column computed per row. `f` sees the whole
-    /// row; returning `Value::Missing` is allowed.
-    pub fn append_column(
-        &mut self,
-        attr: crate::schema::Attribute,
-        mut f: impl FnMut(&[Value]) -> Value,
-    ) -> Result<()> {
-        let new_schema = self.schema.with_appended(attr)?;
-        let dtype = new_schema.attribute_at(new_schema.len() - 1).dtype;
-        for row in &mut self.rows {
-            let v = f(row);
-            if !v.conforms_to(dtype) {
-                return Err(DataError::TypeMismatch {
-                    attribute: new_schema.attribute_at(new_schema.len() - 1).name.clone(),
-                    expected: "derived column type",
-                    got: v.type_name(),
-                });
-            }
-            row.push(v);
-        }
-        self.schema = new_schema;
-        Ok(())
-    }
-
     /// Rows where `pred` holds (used by data-checking passes).
     pub fn filter_rows(&self, mut pred: impl FnMut(&[Value]) -> bool) -> Vec<usize> {
         self.rows
@@ -248,7 +224,7 @@ impl fmt::Display for DataSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Attribute, AttributeRole};
+    use crate::schema::Attribute;
     use crate::value::DataType;
 
     fn ds() -> DataSet {
@@ -317,26 +293,6 @@ mod tests {
         assert_eq!(d.value(0, "N").unwrap(), &Value::Int(99));
         assert!(d.set_value(0, "N", Value::Float(1.0)).is_err());
         assert!(d.set_value(99, "N", Value::Int(1)).is_err());
-    }
-
-    #[test]
-    fn append_derived_column() {
-        let mut d = ds();
-        d.append_column(
-            Attribute::derived("SALARY_K", DataType::Float),
-            |row| match row[1].as_f64() {
-                Some(x) => Value::Float(x / 1000.0),
-                None => Value::Missing,
-            },
-        )
-        .unwrap();
-        assert_eq!(d.schema().len(), 4);
-        assert_eq!(
-            d.schema().attribute("SALARY_K").unwrap().role,
-            AttributeRole::Derived
-        );
-        assert_eq!(d.value(0, "SALARY_K").unwrap(), &Value::Float(30.0));
-        assert_eq!(d.value(3, "SALARY_K").unwrap(), &Value::Missing);
     }
 
     #[test]

@@ -79,28 +79,6 @@ impl MetadataGraph {
         );
     }
 
-    /// Remove a node and all its edges.
-    pub fn remove_node(&mut self, name: &str) -> Result<()> {
-        if self.nodes.remove(name).is_none() {
-            return Err(DataError::NoSuchNode(name.to_string()));
-        }
-        if let Some(kids) = self.children.remove(name) {
-            for k in kids {
-                if let Some(ps) = self.parents.get_mut(&k) {
-                    ps.remove(name);
-                }
-            }
-        }
-        if let Some(ps) = self.parents.remove(name) {
-            for p in ps {
-                if let Some(ks) = self.children.get_mut(&p) {
-                    ks.remove(name);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Link `parent` → `child`. Rejects unknown nodes and edges that
     /// would create a cycle.
     pub fn add_edge(&mut self, parent: &str, child: &str) -> Result<()> {
@@ -160,15 +138,6 @@ impl MetadataGraph {
             .flatten()
             .map(|n| &self.nodes[n])
             .collect())
-    }
-
-    /// Nodes with no parent — the "fairly high level" entry points.
-    #[must_use]
-    pub fn roots(&self) -> Vec<&Node> {
-        self.nodes
-            .values()
-            .filter(|n| self.parents.get(&n.name).is_none_or(BTreeSet::is_empty))
-            .collect()
     }
 
     /// Number of nodes.
@@ -306,11 +275,8 @@ mod tests {
     }
 
     #[test]
-    fn roots_and_children() {
+    fn children_of_lists_direct_children() {
         let g = demo_graph();
-        let mut roots: Vec<&str> = g.roots().iter().map(|n| n.name.as_str()).collect();
-        roots.sort_unstable();
-        assert_eq!(roots, vec!["Demographics", "Economics"]);
         let kids = g.children_of("census").unwrap();
         assert_eq!(kids.len(), 2);
     }
@@ -357,15 +323,6 @@ mod tests {
         let mut s = g.navigate_from("Demographics").unwrap();
         s.ascend();
         assert_eq!(s.current().name, "Demographics");
-    }
-
-    #[test]
-    fn remove_node_cleans_edges() {
-        let mut g = demo_graph();
-        g.remove_node("census.INCOME").unwrap();
-        assert!(g.node("census.INCOME").is_err());
-        assert_eq!(g.children_of("census").unwrap().len(), 1);
-        assert!(g.remove_node("census.INCOME").is_err());
     }
 
     #[test]

@@ -176,17 +176,6 @@ impl Schema {
         &self.attributes[i]
     }
 
-    /// Positions of all category attributes (the composite key).
-    #[must_use]
-    pub fn category_positions(&self) -> Vec<usize> {
-        self.attributes
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.role == AttributeRole::Category)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Names of all attributes, in order.
     #[must_use]
     pub fn names(&self) -> Vec<&str> {
@@ -286,12 +275,6 @@ mod tests {
             Attribute::measured("X", DataType::Float),
         ]);
         assert!(matches!(r, Err(DataError::DuplicateAttribute(_))));
-    }
-
-    #[test]
-    fn category_positions_form_key() {
-        let s = schema();
-        assert_eq!(s.category_positions(), vec![0, 1]);
     }
 
     #[test]

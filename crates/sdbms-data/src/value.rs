@@ -99,29 +99,11 @@ impl Value {
         }
     }
 
-    /// Integer view, if the value is an integer.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// String view, if the value is a string.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Code view, if the value is an encoded category.
-    #[must_use]
-    pub fn as_code(&self) -> Option<u32> {
-        match self {
-            Value::Code(c) => Some(*c),
             _ => None,
         }
     }

@@ -12,9 +12,6 @@
 //! - [`KernelPredicate`] is a comparison tree over batch slots that
 //!   evaluates to a *selection bitmap* (`Vec<u64>`, one bit per row)
 //!   with branchless word-at-a-time accumulation.
-//! - [`profile_selected`] fuses filter and aggregate: it folds exactly
-//!   the selected rows of a batch into a profile in one pass, no
-//!   intermediate index vector.
 //!
 //! Every kernel is bit-compatible with its scalar counterpart: a
 //! profile built here is `==` to [`ColumnProfile::from_values`] on the
@@ -147,30 +144,6 @@ impl KernelPredicate {
                 complement_in_place(&mut x, rows);
                 x
             }
-        }
-    }
-
-    /// Batch slots the predicate reads, ascending and deduplicated —
-    /// what a driver must fetch before calling [`KernelPredicate::eval`].
-    #[must_use]
-    pub fn referenced_slots(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.collect_slots(&mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    fn collect_slots(&self, out: &mut Vec<usize>) {
-        match self {
-            KernelPredicate::True => {}
-            KernelPredicate::IsMissing(s) => out.push(*s),
-            KernelPredicate::Cmp { col, .. } => out.push(*col),
-            KernelPredicate::And(a, b) | KernelPredicate::Or(a, b) => {
-                a.collect_slots(out);
-                b.collect_slots(out);
-            }
-            KernelPredicate::Not(p) => p.collect_slots(out),
         }
     }
 }
@@ -427,22 +400,6 @@ fn count_ints(profile: &mut ColumnProfile, xs: &[i64]) {
     }
 }
 
-/// Fused filter + aggregate: fold exactly the rows a selection bitmap
-/// selects into `profile`, equal to running
-/// [`ColumnProfile::from_values`] over the selected subsequence. One
-/// pass, no index vector, no `Value` decode for typed lanes.
-pub fn profile_selected(batch: &ColumnBatch, sel: &[u64], profile: &mut ColumnProfile) {
-    debug_assert!(sel.len() >= selection_words(batch.rows()));
-    for (w, &word) in sel.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            add_row(profile, batch, w * 64 + b);
-        }
-    }
-}
-
 /// Morsel-parallel batch filter with zone-map pushdown: the ascending
 /// row indices matching `pred`, identical at every worker count.
 /// `fetch(m)` returns the predicate's column batches for morsel `m`,
@@ -661,11 +618,6 @@ mod tests {
         assert_bitmap_matches_scalar(&q, &cols);
         assert_bitmap_matches_scalar(&KernelPredicate::True, &cols);
         assert_bitmap_matches_scalar(&KernelPredicate::IsMissing(1), &cols);
-        assert_eq!(p.referenced_slots(), vec![0, 1]);
-        assert_eq!(
-            KernelPredicate::True.referenced_slots(),
-            Vec::<usize>::new()
-        );
     }
 
     #[test]
@@ -733,28 +685,6 @@ mod tests {
         let mut got = ColumnProfile::default();
         add_batch(&mut got, &batch);
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn profile_selected_equals_scalar_subsequence() {
-        let col = mixed_float_col(500);
-        let batch = ColumnBatch::from_values(&col);
-        let pred = cmp(0, KernelCmp::Lt, Value::Float(0.0));
-        let sel = pred.eval(std::slice::from_ref(&batch), batch.rows());
-        let cols = vec![col.clone()];
-        let selected: Vec<Value> = (0..col.len())
-            .filter(|&i| scalar_eval(&pred, &cols, i))
-            .map(|i| col[i].clone())
-            .collect();
-        let expect = ColumnProfile::from_values(&selected);
-        let mut got = ColumnProfile::default();
-        profile_selected(&batch, &sel, &mut got);
-        assert!(profile_bits_eq(&got, &expect));
-        // An all-false selection folds nothing.
-        let none = vec![0u64; selection_words(batch.rows())];
-        let mut empty = ColumnProfile::default();
-        profile_selected(&batch, &none, &mut empty);
-        assert_eq!(empty, ColumnProfile::default());
     }
 
     #[test]
@@ -852,13 +782,6 @@ mod tests {
             let expect: Vec<usize> =
                 (0..cols[0].len()).filter(|&i| scalar_eval(&pred, &cols, i)).collect();
             proptest::prop_assert_eq!(got, expect);
-            // And the fused aggregate over that selection equals the
-            // scalar profile of the selected subsequence.
-            let selected: Vec<Value> = expect.iter().map(|&i| cols[0][i].clone()).collect();
-            let want = ColumnProfile::from_values(&selected);
-            let mut fused = ColumnProfile::default();
-            profile_selected(&batch, &sel, &mut fused);
-            proptest::prop_assert!(profile_bits_eq(&fused, &want));
         }
     }
 }

@@ -130,15 +130,6 @@ impl ViewCatalog {
         rec.visibility = Visibility::Published;
         Ok(())
     }
-
-    /// Views visible to `analyst`: their own plus published ones.
-    #[must_use]
-    pub fn visible_to(&self, analyst: &str) -> Vec<&ViewRecord> {
-        self.views
-            .values()
-            .filter(|r| r.owner == analyst || r.visibility == Visibility::Published)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -187,18 +178,6 @@ mod tests {
         assert!(c.publish("males", "bob").is_err());
         c.publish("males", "alice").unwrap();
         assert_eq!(c.view("males").unwrap().visibility, Visibility::Published);
-    }
-
-    #[test]
-    fn visibility_lists() {
-        let mut c = ViewCatalog::new();
-        c.register(def("a_view", "M"), "alice").unwrap();
-        c.register(def("b_view", "F"), "bob").unwrap();
-        c.publish("b_view", "bob").unwrap();
-        let alice_sees = c.visible_to("alice");
-        assert_eq!(alice_sees.len(), 2, "her own + bob's published");
-        let carol_sees = c.visible_to("carol");
-        assert_eq!(carol_sees.len(), 1);
     }
 
     #[test]

@@ -25,10 +25,6 @@ pub enum ManagementError {
         /// Attribute name.
         attribute: String,
     },
-    /// The aggregate expression contains a subterm with no incremental
-    /// form (§4.2: "it is not clear … whether finite differencing can
-    /// be applied to more complicated functions such as median").
-    NotDifferentiable(&'static str),
     /// Underlying data-model failure.
     Data(DataError),
 }
@@ -46,9 +42,6 @@ impl fmt::Display for ManagementError {
                     f,
                     "no rule for derived attribute {attribute:?} of view {view:?}"
                 )
-            }
-            ManagementError::NotDifferentiable(what) => {
-                write!(f, "no incremental form: {what}")
             }
             ManagementError::Data(e) => write!(f, "data error: {e}"),
         }

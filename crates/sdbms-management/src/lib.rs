@@ -13,24 +13,19 @@
 //!   rollback-to-checkpoint and the shareable cleaning log.
 //! - [`rules`] — derived-attribute maintenance rules: row-local,
 //!   regenerate-whole-vector (residuals), or mark-stale.
-//! - [`differencing`] — automatic finite differencing of aggregate
-//!   definitions (Koenig & Paige, §4.2): an [`differencing::AggExpr`]
-//!   in "high-level form" becomes a [`differencing::DifferentialProgram`]
-//!   with O(1) per-update cost, or is rejected when the definition
-//!   contains order statistics. It reproduces paper Figure 5; the
-//!   engine's own maintenance rules live in `sdbms-summary`.
+//!
+//! The rules that keep cached summaries current under updates (§4.2's
+//! finite differencing) live in `sdbms-summary`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod catalog;
-pub mod differencing;
 pub mod error;
 pub mod history;
 pub mod rules;
 
 pub use catalog::{ViewCatalog, ViewRecord, Visibility};
-pub use differencing::{differentiate, AggExpr, DifferentialProgram, RowTerm};
 pub use error::{ManagementError, Result};
 pub use history::{ChangeRecord, UpdateHistory, Version};
 pub use rules::{DerivedRule, RuleStore, VectorGenerator};

@@ -161,19 +161,6 @@ impl RuleStore {
         out
     }
 
-    /// All rules of one view, sorted by attribute.
-    #[must_use]
-    pub fn rules_for_view(&self, view: &str) -> Vec<(&str, &DerivedRule)> {
-        let mut out: Vec<(&str, &DerivedRule)> = self
-            .rules
-            .iter()
-            .filter(|((v, _), _)| v == view)
-            .map(|((_, attr), rule)| (attr.as_str(), rule))
-            .collect();
-        out.sort_by_key(|(attr, _)| attr.to_string());
-        out
-    }
-
     /// Drop every rule of a view (when the view is destroyed).
     pub fn drop_view(&mut self, view: &str) {
         self.rules.retain(|(v, _), _| v != view);
@@ -186,13 +173,6 @@ impl RuleStore {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Is there a rule for this derived attribute?
-    #[must_use]
-    pub fn has_rule(&self, view: &str, attribute: &str) -> bool {
-        self.rules
-            .contains_key(&(view.to_string(), attribute.to_string()))
     }
 }
 
@@ -282,8 +262,8 @@ mod tests {
     fn drop_view_removes_all() {
         let mut s = store();
         s.drop_view("v1");
-        assert!(s.rules_for_view("v1").is_empty());
-        assert_eq!(s.rules_for_view("v2").len(), 1);
+        assert!(s.rule("v1", "LOG_INCOME").is_err() && s.rule("v1", "RESID").is_err());
+        assert!(s.rule("v2", "NOTES_COL").is_ok());
     }
 
     #[test]

@@ -64,40 +64,10 @@ pub fn extend(ds: &DataSet, name: &str, dtype: DataType, expr: &Expr) -> Result<
     DataSet::from_rows(&format!("{}_extend", ds.name()), schema, rows)
 }
 
-/// Equi-join on `left.left_on = right.right_on` (nested loops — the
-/// baseline; see [`hash_join`]). Missing join keys never match. Output
+/// Equi-join on `left.left_on = right.right_on` via a hash table on the
+/// right input, O(|L| + |R|). Missing join keys never match. Output
 /// columns: all of `left`, then all of `right` except `right_on`;
 /// name clashes from the right side get a `right_` prefix.
-pub fn nested_loop_join(
-    left: &DataSet,
-    right: &DataSet,
-    left_on: &str,
-    right_on: &str,
-) -> Result<DataSet> {
-    let li = left.schema().require(left_on)?;
-    let ri = right.schema().require(right_on)?;
-    let (schema, rkeep) = join_schema(left, right, right_on)?;
-    let mut rows = Vec::new();
-    for lrow in left.rows() {
-        if lrow[li].is_missing() {
-            continue;
-        }
-        for rrow in right.rows() {
-            if rrow[ri].is_missing() || !lrow[li].group_eq(&rrow[ri]) {
-                continue;
-            }
-            rows.push(join_row(lrow, rrow, &rkeep));
-        }
-    }
-    DataSet::from_rows(
-        &format!("{}_join_{}", left.name(), right.name()),
-        schema,
-        rows,
-    )
-}
-
-/// Equi-join via a hash table on the right input — same output as
-/// [`nested_loop_join`], O(|L| + |R|) instead of O(|L|·|R|).
 pub fn hash_join(
     left: &DataSet,
     right: &DataSet,
@@ -383,6 +353,35 @@ mod tests {
     use sdbms_data::census::figure1;
     use sdbms_data::CodeBook;
 
+    /// The nested-loop equi-join: [`hash_join`]'s oracle.
+    fn nested_loop_join(
+        left: &DataSet,
+        right: &DataSet,
+        left_on: &str,
+        right_on: &str,
+    ) -> Result<DataSet> {
+        let li = left.schema().require(left_on)?;
+        let ri = right.schema().require(right_on)?;
+        let (schema, rkeep) = join_schema(left, right, right_on)?;
+        let mut rows = Vec::new();
+        for lrow in left.rows() {
+            if lrow[li].is_missing() {
+                continue;
+            }
+            for rrow in right.rows() {
+                if rrow[ri].is_missing() || !lrow[li].group_eq(&rrow[ri]) {
+                    continue;
+                }
+                rows.push(join_row(lrow, rrow, &rkeep));
+            }
+        }
+        DataSet::from_rows(
+            &format!("{}_join_{}", left.name(), right.name()),
+            schema,
+            rows,
+        )
+    }
+
     #[test]
     fn select_males_from_figure1() {
         let out = select(&figure1(), &Predicate::col_eq("SEX", "M")).unwrap();
@@ -466,10 +465,10 @@ mod tests {
     #[test]
     fn sort_and_distinct() {
         let sorted = sort_by(&figure1(), &["AVE_SALARY"]).unwrap();
-        let sal: Vec<i64> = sorted
+        let sal: Vec<f64> = sorted
             .column("AVE_SALARY")
             .unwrap()
-            .map(|v| v.as_i64().unwrap())
+            .map(|v| v.as_f64().unwrap())
             .collect();
         assert!(sal.windows(2).all(|w| w[0] <= w[1]));
         let sexes = project(&figure1(), &["SEX"]).unwrap();

@@ -168,21 +168,6 @@ impl ViewDefinition {
         self.with_step(ViewStep::Sample { k, seed })
     }
 
-    /// Every source data set the definition reads (the scan source plus
-    /// all join partners).
-    #[must_use]
-    pub fn sources(&self) -> Vec<String> {
-        let mut out = vec![self.source.clone()];
-        for s in &self.steps {
-            if let ViewStep::Join { with, .. } = s {
-                out.push(with.clone());
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
     /// Execute the pipeline. `resolve` maps a source name to its data
     /// set (in `sdbms-core` this is an archive extraction).
     pub fn execute(&self, resolve: &mut dyn FnMut(&str) -> Result<DataSet>) -> Result<DataSet> {
@@ -340,17 +325,6 @@ mod tests {
             .execute(&mut resolver())
             .unwrap();
         assert_eq!(all.len(), 9);
-    }
-
-    #[test]
-    fn sources_include_join_partners() {
-        let def = ViewDefinition::scan("v", "figure1")
-            .join("age_codes", "AGE_GROUP", "CATEGORY")
-            .join("age_codes", "AGE_GROUP", "CATEGORY");
-        assert_eq!(
-            def.sources(),
-            vec!["age_codes".to_string(), "figure1".to_string()]
-        );
     }
 
     #[test]

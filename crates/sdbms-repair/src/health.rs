@@ -160,12 +160,6 @@ impl HealthRegistry {
             .map_or(ViewHealth::Healthy, |r| r.state)
     }
 
-    /// Full record for `view`, if damage was ever recorded.
-    #[must_use]
-    pub fn record(&self, view: &str) -> Option<&HealthRecord> {
-        self.records.get(view)
-    }
-
     /// True while reads of `view` must degrade to archive fallback
     /// (and their results must not be cached).
     #[must_use]
@@ -255,11 +249,6 @@ impl HealthRegistry {
         rec.state = ViewHealth::Unrecoverable;
         rec.last_finding = Some(reason.to_owned());
     }
-
-    /// Views currently tracked (i.e. ever damaged), sorted by name.
-    pub fn tracked(&self) -> impl Iterator<Item = (&str, &HealthRecord)> {
-        self.records.iter().map(|(k, v)| (k.as_str(), v))
-    }
 }
 
 #[cfg(test)]
@@ -271,7 +260,7 @@ mod tests {
         let reg = HealthRegistry::new();
         assert_eq!(reg.health("v"), ViewHealth::Healthy);
         assert!(!reg.is_impaired("v"));
-        assert!(reg.record("v").is_none());
+        assert!(!reg.records.contains_key("v"));
     }
 
     #[test]
@@ -285,7 +274,7 @@ mod tests {
         assert!(reg.is_impaired("v"));
         reg.repair_succeeded("v");
         assert_eq!(reg.health("v"), ViewHealth::Healthy);
-        assert_eq!(reg.record("v").unwrap().attempts, 0);
+        assert_eq!(reg.records.get("v").unwrap().attempts, 0);
     }
 
     #[test]
@@ -296,7 +285,7 @@ mod tests {
         for attempt in 1..MAX_REPAIR_ATTEMPTS {
             reg.begin_repair("v", now).unwrap();
             reg.repair_failed("v", now, "still bad");
-            let rec = reg.record("v").unwrap().clone();
+            let rec = reg.records.get("v").unwrap().clone();
             assert_eq!(rec.attempts, attempt);
             assert_eq!(
                 rec.backoff_until_ops,
@@ -327,7 +316,7 @@ mod tests {
         reg.mark_degraded("v", "second");
         assert_eq!(reg.health("v"), ViewHealth::Repairing);
         assert_eq!(
-            reg.record("v").unwrap().last_finding.as_deref(),
+            reg.records.get("v").unwrap().last_finding.as_deref(),
             Some("second")
         );
     }

@@ -167,13 +167,6 @@ impl AdmissionController {
         deficit.div_ceil(quota.refill_per_tick_milli)
     }
 
-    /// Logical ticks until `tenant`'s bucket refills past zero (0 for
-    /// a positive balance or a never-seen tenant).
-    #[must_use]
-    pub fn ticks_until_positive(&self, tenant: &str) -> u64 {
-        Self::ticks_until_positive_from(&self.quota, self.balance_milli(tenant))
-    }
-
     /// A tenant's ledger (zeroed default for a never-seen tenant).
     #[must_use]
     pub fn usage(&self, tenant: &str) -> TenantUsage {
@@ -318,24 +311,24 @@ mod tests {
             refill_per_tick_milli: 100,
             min_charge_milli: 0,
         });
-        assert_eq!(ac.ticks_until_positive("t"), 0, "full bucket needs none");
-        assert!(ac.try_admit("t", 0).is_ok());
+        assert!(ac.try_admit("t", 0).is_ok(), "a full bucket admits");
         ac.charge("t", &io(1), 1_500); // balance -500
-                                       // Needs 501 milli-units → ceil(501/100) = 6 ticks.
-        assert_eq!(ac.ticks_until_positive("t"), 6);
         match ac.try_admit("t", 0) {
             Err(ServeError::QuotaExceeded { retry_after_ms, .. }) => {
+                // Needs 501 milli-units → ceil(501/100) = 6 ticks.
                 assert_eq!(retry_after_ms, 6, "try_admit carries the tick count");
             }
             other => panic!("expected QuotaExceeded, got {other:?}"),
         }
         // Zero refill: an honest "much later", not a divide-by-zero.
-        let ac = AdmissionController::new(QuotaConfig {
+        let never = QuotaConfig {
             capacity_milli: 10,
             refill_per_tick_milli: 0,
             min_charge_milli: 0,
-        });
-        assert_eq!(ac.ticks_until_positive("never"), 0);
+        };
+        let ticks = |balance| AdmissionController::ticks_until_positive_from(&never, balance);
+        assert_eq!(ticks(10), 0);
+        assert_eq!(ticks(-5), u64::MAX / 2);
     }
 
     #[test]

@@ -62,19 +62,6 @@ pub struct FrontCacheStats {
     pub purged: u64,
 }
 
-impl FrontCacheStats {
-    /// Hit fraction over all lookups, 0.0 when none happened.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct Slot {
     payload: Payload,
     /// Recency stamp; also the key into the recency index.
@@ -347,17 +334,5 @@ mod tests {
         assert!(c.is_empty());
         assert!(c.get(&key("v", 1, "a"), 1).is_none());
         assert_eq!(c.stats().insertions, 0);
-    }
-
-    #[test]
-    fn hit_rate_arithmetic() {
-        let mut c = ResultCache::new(4, 1000);
-        assert_eq!(c.stats().hit_rate(), 0.0);
-        c.insert(key("v", 1, "a"), payload(1.0), 0);
-        c.get(&key("v", 1, "a"), 1);
-        c.get(&key("v", 1, "a"), 2);
-        c.get(&key("v", 1, "zzz"), 3);
-        let s = c.stats();
-        assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 }

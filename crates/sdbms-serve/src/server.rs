@@ -748,12 +748,6 @@ impl Server {
         self.inner.admission.lock().usage(tenant)
     }
 
-    /// A tenant's current bucket balance in milli-units.
-    #[must_use]
-    pub fn tenant_balance_milli(&self, tenant: &str) -> i64 {
-        self.inner.admission.lock().balance_milli(tenant)
-    }
-
     /// The commit log so far, in version order.
     #[must_use]
     pub fn commit_log(&self) -> Vec<CommitRecord> {

@@ -83,56 +83,6 @@ pub fn std_dev(xs: &[f64]) -> Result<f64> {
     Ok(variance(xs)?.sqrt())
 }
 
-/// Sample skewness (bias-adjusted, g1 · correction).
-pub fn skewness(xs: &[f64]) -> Result<f64> {
-    let n = xs.len() as f64;
-    if xs.len() < 3 {
-        return Err(StatsError::NotEnoughData {
-            needed: 3,
-            got: xs.len(),
-        });
-    }
-    let m = mean(xs)?;
-    let (mut m2, mut m3) = (0.0, 0.0);
-    for &x in xs {
-        let d = x - m;
-        m2 += d * d;
-        m3 += d * d * d;
-    }
-    m2 /= n;
-    m3 /= n;
-    if m2 == 0.0 {
-        return Ok(0.0);
-    }
-    let g1 = m3 / m2.powf(1.5);
-    Ok(g1 * (n * (n - 1.0)).sqrt() / (n - 2.0))
-}
-
-/// Excess kurtosis (bias-adjusted G2).
-pub fn kurtosis(xs: &[f64]) -> Result<f64> {
-    let n = xs.len() as f64;
-    if xs.len() < 4 {
-        return Err(StatsError::NotEnoughData {
-            needed: 4,
-            got: xs.len(),
-        });
-    }
-    let m = mean(xs)?;
-    let (mut m2, mut m4) = (0.0, 0.0);
-    for &x in xs {
-        let d = x - m;
-        m2 += d * d;
-        m4 += d * d * d * d;
-    }
-    m2 /= n;
-    m4 /= n;
-    if m2 == 0.0 {
-        return Ok(0.0);
-    }
-    let g2 = m4 / (m2 * m2) - 3.0;
-    Ok(((n + 1.0) * g2 + 6.0) * (n - 1.0) / ((n - 2.0) * (n - 3.0)))
-}
-
 /// The standard one-look summary of a column.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Describe {
@@ -204,24 +154,6 @@ mod tests {
     fn empty_and_small_inputs_error() {
         assert!(mean(&[]).is_err());
         assert!(variance(&[1.0]).is_err());
-        assert!(skewness(&[1.0, 2.0]).is_err());
-        assert!(kurtosis(&[1.0, 2.0, 3.0]).is_err());
-    }
-
-    #[test]
-    fn skewness_sign() {
-        let right_skewed = [1.0, 1.0, 1.0, 2.0, 10.0];
-        assert!(skewness(&right_skewed).unwrap() > 0.5);
-        let symmetric = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert!(skewness(&symmetric).unwrap().abs() < 1e-12);
-        let constant = [3.0; 5];
-        assert_eq!(skewness(&constant).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn kurtosis_of_uniformish_is_negative() {
-        let xs: Vec<f64> = (0..100).map(f64::from).collect();
-        assert!(kurtosis(&xs).unwrap() < -1.0, "flat data is platykurtic");
     }
 
     #[test]

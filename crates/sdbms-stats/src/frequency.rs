@@ -110,12 +110,6 @@ impl FrequencyTable {
         self.counts.len()
     }
 
-    /// Occurrences of `v`.
-    #[must_use]
-    pub fn count_of(&self, v: &Value) -> u64 {
-        self.counts.get(&OrdValue(v.clone())).copied().unwrap_or(0)
-    }
-
     /// The most frequent value (ties broken by value order) and its
     /// count.
     pub fn mode(&self) -> Result<(Value, u64)> {
@@ -130,33 +124,14 @@ impl FrequencyTable {
     pub fn entries(&self) -> impl Iterator<Item = (&Value, u64)> {
         self.counts.iter().map(|(v, c)| (&v.0, *c))
     }
+}
 
-    /// Relative frequency of `v` in [0, 1].
-    #[must_use]
-    pub fn relative(&self, v: &Value) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.count_of(v) as f64 / self.total as f64
-        }
-    }
-
-    /// Shannon entropy (bits) of the value distribution — a "measure of
-    /// frequency of values" usable for detecting near-constant columns.
-    #[must_use]
-    pub fn entropy(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let n = self.total as f64;
-        -self
-            .counts
-            .values()
-            .map(|&c| {
-                let p = c as f64 / n;
-                p * p.log2()
-            })
-            .sum::<f64>()
+/// The unit tests' view of one bucket.
+#[cfg(test)]
+impl FrequencyTable {
+    /// Occurrences of `v`.
+    fn count_of(&self, v: &Value) -> u64 {
+        self.counts.get(&OrdValue(v.clone())).copied().unwrap_or(0)
     }
 }
 
@@ -216,22 +191,6 @@ mod tests {
         t.remove(&Value::Int(5)).unwrap();
         assert_eq!(t.unique_count(), 0);
         assert_eq!(t.total(), 0);
-    }
-
-    #[test]
-    fn relative_and_entropy() {
-        let t = table();
-        assert!((t.relative(&Value::Str("M".into())) - 0.5).abs() < 1e-12);
-        let mut constant = FrequencyTable::new();
-        for _ in 0..10 {
-            constant.add(&Value::Int(1));
-        }
-        assert_eq!(constant.entropy(), 0.0);
-        let mut fair = FrequencyTable::new();
-        fair.add(&Value::Int(0));
-        fair.add(&Value::Int(1));
-        assert!((fair.entropy() - 1.0).abs() < 1e-12);
-        assert_eq!(FrequencyTable::new().entropy(), 0.0);
     }
 
     #[test]

@@ -160,26 +160,6 @@ impl Histogram {
     }
 }
 
-/// Freedman–Diaconis bin count suggestion: width = 2·IQR·n^(-1/3).
-pub fn freedman_diaconis_bins(xs: &[f64]) -> Result<usize> {
-    if xs.len() < 4 {
-        return Err(StatsError::NotEnoughData {
-            needed: 4,
-            got: xs.len(),
-        });
-    }
-    let (q1, _, q3) = crate::quantile::quartiles(xs)?;
-    let iqr = q3 - q1;
-    let lo = crate::descriptive::min(xs)?;
-    let hi = crate::descriptive::max(xs)?;
-    if iqr <= 0.0 || hi <= lo {
-        return Ok(1);
-    }
-    let width = 2.0 * iqr / (xs.len() as f64).cbrt();
-    // lint: allow(lossy-cast): float-to-int casts saturate, and the clamp to [1, 10_000] immediately bounds the result
-    Ok((((hi - lo) / width).ceil() as usize).clamp(1, 10_000))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,15 +241,6 @@ mod tests {
         assert!(Histogram::with_range(1.0, 1.0, 4).is_err());
         assert!(Histogram::with_range(2.0, 1.0, 4).is_err());
         assert!(Histogram::with_range(f64::NEG_INFINITY, 1.0, 4).is_err());
-    }
-
-    #[test]
-    fn fd_bins_reasonable() {
-        let xs: Vec<f64> = (0..1000).map(f64::from).collect();
-        let bins = freedman_diaconis_bins(&xs).unwrap();
-        assert!((5..=30).contains(&bins), "bins {bins}");
-        assert_eq!(freedman_diaconis_bins(&[5.0; 10]).unwrap(), 1);
-        assert!(freedman_diaconis_bins(&[1.0, 2.0]).is_err());
     }
 
     #[test]

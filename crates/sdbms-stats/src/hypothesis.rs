@@ -4,7 +4,7 @@
 //! attribute does indeed follow a hypothesized distribution or a
 //! chi-squared test may be applied to a cross-tabulation". Implemented:
 //! chi-squared independence (on a [`CrossTab`]), chi-squared
-//! goodness-of-fit, and one- and two-sample Kolmogorov–Smirnov.
+//! goodness-of-fit, and one-sample Kolmogorov–Smirnov.
 
 use crate::crosstab::CrossTab;
 use crate::error::{Result, StatsError};
@@ -20,14 +20,6 @@ pub struct TestResult {
     /// The p-value (probability of a statistic at least this extreme
     /// under the null hypothesis).
     pub p_value: f64,
-}
-
-impl TestResult {
-    /// Reject the null hypothesis at significance level `alpha`?
-    #[must_use]
-    pub fn significant_at(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
 }
 
 /// Pearson chi-squared test of independence on a contingency table.
@@ -122,42 +114,6 @@ pub fn ks_one_sample(xs: &[f64], cdf: impl Fn(f64) -> f64) -> Result<TestResult>
     })
 }
 
-/// Two-sample Kolmogorov–Smirnov test (are two columns drawn from the
-/// same distribution?).
-pub fn ks_two_sample(xs: &[f64], ys: &[f64]) -> Result<TestResult> {
-    if xs.is_empty() || ys.is_empty() {
-        return Err(StatsError::NotEnoughData {
-            needed: 1,
-            got: xs.len().min(ys.len()),
-        });
-    }
-    let mut a = xs.to_vec();
-    let mut b = ys.to_vec();
-    a.sort_by(f64::total_cmp);
-    b.sort_by(f64::total_cmp);
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut d = 0.0f64;
-    while i < a.len() && j < b.len() {
-        let x = a[i].min(b[j]);
-        while i < a.len() && a[i] <= x {
-            i += 1;
-        }
-        while j < b.len() && b[j] <= x {
-            j += 1;
-        }
-        d = d.max((i as f64 / na - j as f64 / nb).abs());
-    }
-    let ne = na * nb / (na + nb);
-    let sqrt_ne = ne.sqrt();
-    let lambda = (sqrt_ne + 0.12 + 0.11 / sqrt_ne) * d;
-    Ok(TestResult {
-        statistic: d,
-        df: 0.0,
-        p_value: kolmogorov_sf(lambda),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +142,7 @@ mod tests {
         let dependent = table(&[("x", "p", 40), ("x", "q", 5), ("y", "p", 5), ("y", "q", 40)]);
         let r = chi_squared_independence(&dependent).unwrap();
         assert!(r.statistic > 20.0);
-        assert!(r.significant_at(0.001));
+        assert!(r.p_value < 0.001);
         assert_eq!(r.df, 1.0);
         // Perfect independence.
         let indep = table(&[
@@ -213,11 +169,11 @@ mod tests {
         let probs = [1.0 / 6.0; 6];
         let r = chi_squared_goodness_of_fit(&fair, &probs).unwrap();
         assert_eq!(r.df, 5.0);
-        assert!(!r.significant_at(0.05), "p = {}", r.p_value);
+        assert!(r.p_value >= 0.05, "p = {}", r.p_value);
         // Heavily loaded die.
         let loaded = [60u64, 2, 2, 2, 2, 2];
         let r2 = chi_squared_goodness_of_fit(&loaded, &probs).unwrap();
-        assert!(r2.significant_at(0.001));
+        assert!(r2.p_value < 0.001);
     }
 
     #[test]
@@ -237,25 +193,12 @@ mod tests {
         assert!(r.p_value > 0.9);
         // Same points against a wrong null (all mass near 0).
         let r2 = ks_one_sample(&xs, |x| x.clamp(0.0, 1.0).sqrt().sqrt()).unwrap();
-        assert!(r2.significant_at(0.01), "p = {}", r2.p_value);
-    }
-
-    #[test]
-    fn ks_two_sample_same_vs_shifted() {
-        let xs: Vec<f64> = (0..200).map(|i| f64::from(i) / 10.0).collect();
-        let same: Vec<f64> = xs.iter().map(|x| x + 0.001).collect();
-        let r = ks_two_sample(&xs, &same).unwrap();
-        assert!(!r.significant_at(0.05));
-        let shifted: Vec<f64> = xs.iter().map(|x| x + 8.0).collect();
-        let r2 = ks_two_sample(&xs, &shifted).unwrap();
-        assert!(r2.significant_at(0.001));
-        assert!(r2.statistic > 0.3);
+        assert!(r2.p_value < 0.01, "p = {}", r2.p_value);
     }
 
     #[test]
     fn ks_empty_errors() {
         assert!(ks_one_sample(&[], |_| 0.5).is_err());
-        assert!(ks_two_sample(&[1.0], &[]).is_err());
     }
 
     proptest::proptest! {

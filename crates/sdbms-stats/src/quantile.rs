@@ -2,11 +2,8 @@
 //!
 //! §3.1's examples: "the analyst may be interested in finding out the
 //! 5th and 95th quantiles. Later, the analyst may ask for the trimmed
-//! mean… bounded by the 5th and 95th quantile values", and less general
-//! order statistics like "the 10th largest value". Quantiles use the
-//! type-7 (linear interpolation) definition; exact order statistics use
-//! quickselect so a single order statistic costs O(n) average rather
-//! than a sort.
+//! mean… bounded by the 5th and 95th quantile values". Quantiles use the
+//! type-7 (linear interpolation) definition.
 
 use crate::error::{Result, StatsError};
 
@@ -62,103 +59,6 @@ pub fn quartiles(xs: &[f64]) -> Result<(f64, f64, f64)> {
     ))
 }
 
-/// Five-number summary: min, Q1, median, Q3, max.
-pub fn five_number_summary(xs: &[f64]) -> Result<[f64; 5]> {
-    if xs.is_empty() {
-        return Err(StatsError::NotEnoughData { needed: 1, got: 0 });
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    Ok([
-        sorted[0],
-        quantile_sorted(&sorted, 0.25),
-        quantile_sorted(&sorted, 0.5),
-        quantile_sorted(&sorted, 0.75),
-        sorted[sorted.len() - 1],
-    ])
-}
-
-/// Exact `k`-th smallest value (0-based) via quickselect — O(n)
-/// average, no full sort.
-pub fn kth_smallest(xs: &[f64], k: usize) -> Result<f64> {
-    if k >= xs.len() {
-        return Err(StatsError::NotEnoughData {
-            needed: k + 1,
-            got: xs.len(),
-        });
-    }
-    let mut buf = xs.to_vec();
-    Ok(quickselect(&mut buf, k))
-}
-
-/// Exact `k`-th largest value (0-based: `k = 0` is the maximum).
-pub fn kth_largest(xs: &[f64], k: usize) -> Result<f64> {
-    if k >= xs.len() {
-        return Err(StatsError::NotEnoughData {
-            needed: k + 1,
-            got: xs.len(),
-        });
-    }
-    kth_smallest(xs, xs.len() - 1 - k)
-}
-
-fn quickselect(buf: &mut [f64], k: usize) -> f64 {
-    let mut lo = 0usize;
-    let mut hi = buf.len();
-    let mut k = k;
-    loop {
-        if hi - lo <= 8 {
-            buf[lo..hi].sort_by(f64::total_cmp);
-            return buf[lo + k];
-        }
-        // Median-of-three pivot to dodge quadratic behavior on sorted
-        // input.
-        let mid = lo + (hi - lo) / 2;
-        let (a, b, c) = (buf[lo], buf[mid], buf[hi - 1]);
-        let pivot = if a.total_cmp(&b).is_le() {
-            if b.total_cmp(&c).is_le() {
-                b
-            } else if a.total_cmp(&c).is_le() {
-                c
-            } else {
-                a
-            }
-        } else if a.total_cmp(&c).is_le() {
-            a
-        } else if b.total_cmp(&c).is_le() {
-            c
-        } else {
-            b
-        };
-        // Three-way partition.
-        let (mut lt, mut i, mut gt) = (lo, lo, hi);
-        while i < gt {
-            match buf[i].total_cmp(&pivot) {
-                std::cmp::Ordering::Less => {
-                    buf.swap(lt, i);
-                    lt += 1;
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    gt -= 1;
-                    buf.swap(i, gt);
-                }
-                std::cmp::Ordering::Equal => i += 1,
-            }
-        }
-        let n_lt = lt - lo;
-        let n_eq = gt - lt;
-        if k < n_lt {
-            hi = lt;
-        } else if k < n_lt + n_eq {
-            return pivot;
-        } else {
-            k -= n_lt + n_eq;
-            lo = gt;
-        }
-    }
-}
-
 /// Trimmed mean: the mean of observations between the `lo_q` and
 /// `hi_q` quantiles inclusive (§3.1's "mean of all the values in a
 /// given range bounded by the 5th and 95th quantile values").
@@ -211,34 +111,9 @@ mod tests {
     }
 
     #[test]
-    fn quartiles_and_five_numbers_agree() {
+    fn quartiles_of_reversed_input() {
         let xs: Vec<f64> = (0..101).map(f64::from).rev().collect();
-        let (q1, q2, q3) = quartiles(&xs).unwrap();
-        let five = five_number_summary(&xs).unwrap();
-        assert_eq!(five, [0.0, q1, q2, q3, 100.0]);
-        assert_eq!(q2, 50.0);
-    }
-
-    #[test]
-    fn kth_order_statistics() {
-        let xs = [9.0, 1.0, 8.0, 2.0, 7.0, 3.0, 6.0, 4.0, 5.0];
-        assert_eq!(kth_smallest(&xs, 0).unwrap(), 1.0);
-        assert_eq!(kth_smallest(&xs, 4).unwrap(), 5.0);
-        assert_eq!(kth_smallest(&xs, 8).unwrap(), 9.0);
-        // "The 10th largest value" style query (here: 2nd largest).
-        assert_eq!(kth_largest(&xs, 0).unwrap(), 9.0);
-        assert_eq!(kth_largest(&xs, 1).unwrap(), 8.0);
-        assert!(kth_smallest(&xs, 9).is_err());
-    }
-
-    #[test]
-    fn quickselect_handles_duplicates_and_sorted_input() {
-        let mut xs: Vec<f64> = (0..1000).map(|i| f64::from(i / 10)).collect();
-        assert_eq!(kth_smallest(&xs, 500).unwrap(), 50.0);
-        xs.reverse();
-        assert_eq!(kth_smallest(&xs, 0).unwrap(), 0.0);
-        let all_same = vec![3.0; 100];
-        assert_eq!(kth_smallest(&all_same, 57).unwrap(), 3.0);
+        assert_eq!(quartiles(&xs).unwrap(), (25.0, 50.0, 75.0));
     }
 
     #[test]
@@ -253,16 +128,6 @@ mod tests {
     }
 
     proptest::proptest! {
-        #[test]
-        fn prop_quickselect_matches_sort(
-            xs in proptest::collection::vec(-1e6f64..1e6, 1..300),
-            k_idx in proptest::prelude::any::<proptest::sample::Index>()
-        ) {
-            let k = k_idx.index(xs.len());
-            let mut sorted = xs.clone();
-            sorted.sort_by(f64::total_cmp);
-            proptest::prop_assert_eq!(kth_smallest(&xs, k).unwrap(), sorted[k]);
-        }
 
         #[test]
         fn prop_quantiles_monotone(

@@ -37,37 +37,6 @@ pub fn sample_indices(n: usize, k: usize, seed: u64) -> Result<Vec<usize>> {
     Ok(out)
 }
 
-/// Reservoir sampling (algorithm R): `k` items from a stream of
-/// unknown length, one pass — the right tool against a tape reel.
-pub fn reservoir_sample<T>(items: impl IntoIterator<Item = T>, k: usize, seed: u64) -> Vec<T> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut reservoir: Vec<T> = Vec::with_capacity(k);
-    if k == 0 {
-        return reservoir;
-    }
-    for (i, item) in items.into_iter().enumerate() {
-        if i < k {
-            reservoir.push(item);
-        } else {
-            let j = rng.gen_range(0..=i);
-            if j < k {
-                reservoir[j] = item;
-            }
-        }
-    }
-    reservoir
-}
-
-/// Bernoulli sampling: keep each item independently with probability
-/// `p` (sample size is random; expectation `p·n`).
-pub fn bernoulli_indices(n: usize, p: f64, seed: u64) -> Result<Vec<usize>> {
-    if !(0.0..=1.0).contains(&p) {
-        return Err(StatsError::InvalidParameter("probability not in [0,1]"));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    Ok((0..n).filter(|_| rng.gen::<f64>() < p).collect())
-}
-
 /// A simple random sample of a data set's rows, as a new data set.
 pub fn sample_dataset(ds: &DataSet, k: usize, seed: u64) -> Result<DataSet> {
     let idx = sample_indices(ds.len(), k, seed)?;
@@ -116,40 +85,6 @@ mod tests {
                 "stratum {i}: {h} hits vs {expect} expected"
             );
         }
-    }
-
-    #[test]
-    fn reservoir_basics() {
-        let r = reservoir_sample(0..1000, 50, 3);
-        assert_eq!(r.len(), 50);
-        let all: std::collections::HashSet<_> = r.iter().collect();
-        assert_eq!(all.len(), 50, "no duplicates from a duplicate-free stream");
-        // Short stream: everything kept.
-        let short = reservoir_sample(0..5, 50, 3);
-        assert_eq!(short, vec![0, 1, 2, 3, 4]);
-        assert!(reservoir_sample(0..5, 0, 3).is_empty());
-    }
-
-    #[test]
-    fn reservoir_is_unbiased_ish() {
-        // Item 999 should appear in ~k/n of samples.
-        let mut count = 0;
-        for seed in 0..400 {
-            if reservoir_sample(0..1000, 100, seed).contains(&999) {
-                count += 1;
-            }
-        }
-        // Expect ~40; allow generous slack.
-        assert!((15..=70).contains(&count), "hit count {count}");
-    }
-
-    #[test]
-    fn bernoulli_expectation() {
-        let s = bernoulli_indices(10_000, 0.1, 11).unwrap();
-        assert!((800..1200).contains(&s.len()), "got {}", s.len());
-        assert!(bernoulli_indices(10, 1.5, 0).is_err());
-        assert_eq!(bernoulli_indices(10, 0.0, 0).unwrap().len(), 0);
-        assert_eq!(bernoulli_indices(10, 1.0, 0).unwrap().len(), 10);
     }
 
     #[test]

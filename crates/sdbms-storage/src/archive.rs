@@ -165,43 +165,12 @@ impl ArchiveStore {
         Ok(())
     }
 
-    /// Number of blocks on a reel.
-    pub fn block_count(&self, name: &str) -> Result<usize> {
-        let reels = self.reels.lock();
-        reels
-            .get(name)
-            .map(|r| r.blocks.len())
-            .ok_or_else(|| StorageError::NoSuchReel(name.to_string()))
-    }
-
     /// Names of all reels, sorted.
     #[must_use]
     pub fn reel_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.reels.lock().keys().cloned().collect();
         names.sort();
         names
-    }
-
-    /// Flip one bit of the stored copy of block `index` on `name`
-    /// without updating its CRC (test hook for corruption-detection
-    /// paths). Readers opened after the corruption will see it.
-    pub fn corrupt_block(&self, name: &str, index: usize, bit: usize) -> Result<()> {
-        let mut reels = self.reels.lock();
-        let reel = reels
-            .get_mut(name)
-            .ok_or_else(|| StorageError::NoSuchReel(name.to_string()))?;
-        let block = reel.blocks.get_mut(index).ok_or(StorageError::EndOfReel {
-            reel: name.to_string(),
-            position: index,
-        })?;
-        let mut data = block.data.to_vec();
-        if data.is_empty() {
-            return Ok(());
-        }
-        let byte = (bit / 8) % data.len();
-        data[byte] ^= 1 << (bit % 8);
-        block.data = Arc::from(data);
-        Ok(())
     }
 
     /// Mount a reel for reading. The head starts at block 0.
@@ -386,7 +355,6 @@ mod tests {
         let a = archive();
         assert!(a.open("nope").is_err());
         assert!(a.append_block("nope", b"x").is_err());
-        assert!(a.block_count("nope").is_err());
     }
 
     #[test]
@@ -486,7 +454,13 @@ mod tests {
         a.create_reel("r").unwrap();
         a.append_block("r", b"good block").unwrap();
         a.append_block("r", b"bad block").unwrap();
-        a.corrupt_block("r", 1, 13).unwrap();
+        // Flip one bit of the stored copy without updating its CRC.
+        let mut reels = a.reels.lock();
+        let block = &mut reels.get_mut("r").unwrap().blocks[1];
+        let mut data = block.data.to_vec();
+        data[1] ^= 1 << 5;
+        block.data = Arc::from(data);
+        drop(reels);
         let mut rd = a.open("r").unwrap();
         assert!(rd.read_next().is_ok());
         assert!(matches!(

@@ -488,23 +488,6 @@ impl BTree {
             pid = next;
         }
     }
-
-    /// Tree height (1 = a single leaf). Walks the leftmost spine.
-    pub fn height(&self) -> Result<usize> {
-        let mut pid = self.state.lock().root;
-        let mut h = 1;
-        let mut guard = ChainGuard::default();
-        loop {
-            guard.visit(pid)?;
-            match self.load(pid)? {
-                Node::Leaf { .. } => return Ok(h),
-                Node::Internal { children, .. } => {
-                    pid = children[0];
-                    h += 1;
-                }
-            }
-        }
-    }
 }
 
 enum InsertOutcome {
@@ -531,12 +514,27 @@ mod tests {
     use super::*;
     use crate::cost::Tracker;
     use crate::disk::DiskManager;
-    use crate::keyenc::encode_u64;
 
     fn tree(frames: usize) -> BTree {
         let disk = Arc::new(DiskManager::new(Tracker::new()));
         let pool = Arc::new(BufferPool::new(disk, frames));
         BTree::create(pool).unwrap()
+    }
+
+    /// Big-endian, so byte order is numeric order.
+    fn encode_u64(v: u64) -> [u8; 8] {
+        v.to_be_bytes()
+    }
+
+    /// Levels from the root down to the leftmost leaf.
+    fn height(t: &BTree) -> usize {
+        let mut pid = t.state.lock().root;
+        let mut h = 1;
+        while let Node::Internal { children, .. } = t.load(pid).unwrap() {
+            pid = children[0];
+            h += 1;
+        }
+        h
     }
 
     #[test]
@@ -566,7 +564,7 @@ mod tests {
             assert!(t.insert(&encode_u64(k), k * 2).unwrap());
         }
         assert_eq!(t.len(), 1000);
-        assert!(t.height().unwrap() > 1, "tree should have split");
+        assert!(height(&t) > 1, "tree should have split");
         let all = t.range(None, None).unwrap();
         assert_eq!(all.len(), 1000);
         for (i, (k, v)) in all.iter().enumerate() {
@@ -592,7 +590,7 @@ mod tests {
         for v in 0..2000u64 {
             assert!(t.insert(b"hot-key", v).unwrap());
         }
-        assert!(t.height().unwrap() > 1);
+        assert!(height(&t) > 1);
         let vals = t.get(b"hot-key").unwrap();
         assert_eq!(vals, (0..2000).collect::<Vec<_>>());
         // contains() must find pairs on both sides of splits.

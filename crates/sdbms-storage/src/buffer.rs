@@ -256,20 +256,6 @@ impl BufferPool {
         ))
     }
 
-    /// Drop page `pid` from the pool (without write-back) and free it
-    /// on disk. Fails if the page is pinned.
-    pub fn free_page(&self, pid: PageId) -> Result<()> {
-        let mut state = self.state.lock();
-        if let Some(&frame) = state.map.get(&pid) {
-            if state.meta[frame].pin_count > 0 {
-                return Err(StorageError::PoolExhausted);
-            }
-            state.map.remove(&pid);
-            state.meta[frame] = FrameMeta::empty();
-        }
-        self.disk.deallocate(pid)
-    }
-
     /// Write every dirty frame back to disk (frames stay resident).
     ///
     /// Frames are flushed in ascending page-id order so the simulated
@@ -312,12 +298,6 @@ impl BufferPool {
         }
         state.clock_hand = 0;
         Ok(lost)
-    }
-
-    /// Number of currently resident pages.
-    #[must_use]
-    pub fn resident_pages(&self) -> usize {
-        self.state.lock().map.len()
     }
 
     /// Pick a victim frame, evicting (with write-back if dirty) as
@@ -444,16 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn free_page_rejects_pinned() {
-        let p = pool(2);
-        let (pid, g) = p.new_page().unwrap();
-        assert!(p.free_page(pid).is_err());
-        drop(g);
-        p.free_page(pid).unwrap();
-        assert!(p.fetch(pid).is_err());
-    }
-
-    #[test]
     fn many_pages_through_small_pool() {
         let p = pool(3);
         let mut pids = Vec::new();
@@ -466,7 +436,7 @@ mod tests {
             let g = p.fetch(pid).unwrap();
             assert_eq!(g.with(|pg| pg.get_u32(0)), i as u32);
         }
-        assert!(p.resident_pages() <= 3);
+        assert!(p.state.lock().map.len() <= 3);
     }
 
     #[test]

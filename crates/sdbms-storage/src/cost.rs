@@ -285,10 +285,6 @@ impl Tracker {
     pub fn count_archive_reposition(&self, blocks: u64) {
         self.charge(|s| s.archive_repositioned_blocks.add(blocks));
     }
-    /// Charge `n` tuples produced by an operator.
-    pub fn count_tuples(&self, n: u64) {
-        self.charge(|s| s.tuples.add(n));
-    }
     /// Charge one retried I/O attempt.
     pub fn count_retry(&self) {
         self.charge(|s| s.retries.add(1));
@@ -408,7 +404,7 @@ mod tests {
         t.count_pool_hit();
         t.count_archive_read();
         t.count_archive_reposition(10);
-        t.count_tuples(5);
+        t.charge(|s| s.tuples.add(5));
         let s = t.snapshot();
         assert_eq!(s.page_reads, 2);
         assert_eq!(s.page_writes, 1);
@@ -552,9 +548,9 @@ mod tests {
                         let private = Tracker::new();
                         for _ in 0..OPS {
                             shared.count_page_read();
-                            shared.count_tuples(2);
+                            shared.charge(|s| s.tuples.add(2));
                             private.count_page_read();
-                            private.count_tuples(2);
+                            private.charge(|s| s.tuples.add(2));
                         }
                         private.snapshot()
                     })
@@ -582,7 +578,7 @@ mod tests {
         t.count_page_read(); // before the scope — not mirrored
         let scope = IoScope::enter(Arc::new(IoStats::default()));
         t.count_page_read();
-        t.count_tuples(3);
+        t.charge(|s| s.tuples.add(3));
         t.absorb(&IoSnapshot {
             seeks: 2,
             ..IoSnapshot::default()
@@ -649,7 +645,7 @@ mod tests {
                         let guard = IoScope::enter(Arc::new(IoStats::default()));
                         for _ in 0..OPS {
                             shared.count_page_read();
-                            shared.count_tuples(i + 1);
+                            shared.charge(|s| s.tuples.add(i + 1));
                         }
                         let s = guard.stats().snapshot();
                         (i, s)

@@ -109,12 +109,6 @@ impl DiskManager {
         &self.injector
     }
 
-    /// The retry policy applied to transient faults.
-    #[must_use]
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Allocate a fresh zeroed page and return its id.
     ///
     /// Allocation itself is free (the page is materialized on first

@@ -2,86 +2,33 @@
 
 use std::fmt;
 
-/// Which file in the storage hierarchy a damaged page belongs to.
-/// Carried by [`StorageError::Corrupt`] so repair triage and
-/// user-facing messages can name the blast radius instead of guessing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileRole {
-    /// View data pages (row images or column segments).
-    Data,
-    /// Persisted zone-map records.
-    Zone,
-    /// Summary Database pages (cached entries or their index).
-    Summary,
-    /// A write-ahead intent-log page.
-    Wal,
-    /// An archive block of the raw database.
-    Archive,
-    /// Not yet attributed to a file (the layer that detected the
-    /// damage doesn't know which file it was reading for).
-    Unknown,
-}
-
-impl fmt::Display for FileRole {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FileRole::Data => "data",
-            FileRole::Zone => "zone",
-            FileRole::Summary => "summary",
-            FileRole::Wal => "wal",
-            FileRole::Archive => "archive",
-            FileRole::Unknown => "unknown",
-        })
-    }
-}
-
 /// Context of a [`StorageError::Corrupt`]: what check failed, and —
-/// when the detecting layer knows — where the damage sits.
+/// when the detecting layer knows — which page the damage sits on.
 ///
-/// Construction sites deep in the storage layer only know the reason
-/// (and sometimes the page); callers annotate role and view on the way
-/// up via [`StorageError::at_page`] and [`StorageError::in_context`],
-/// which fill only the fields still unknown.
+/// Construction sites deep in the storage layer only know the reason;
+/// a caller that knows the page adds it on the way up via
+/// [`StorageError::at_page`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorruptDetail {
     /// The structural sanity check that failed.
     pub reason: &'static str,
     /// Page id (disk) or block index (archive) of the damaged bytes.
     pub page: Option<u64>,
-    /// Which file the damaged page belongs to.
-    pub role: FileRole,
-    /// The view whose data was damaged, when attributable.
-    pub view: Option<String>,
 }
 
 impl CorruptDetail {
     /// Detail with only the failed check known.
     #[must_use]
     pub fn new(reason: &'static str) -> Self {
-        CorruptDetail {
-            reason,
-            page: None,
-            role: FileRole::Unknown,
-            view: None,
-        }
+        CorruptDetail { reason, page: None }
     }
 }
 
 impl fmt::Display for CorruptDetail {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.reason)?;
-        let mut parts: Vec<String> = Vec::new();
-        if !matches!(self.role, FileRole::Unknown) {
-            parts.push(format!("{} file", self.role));
-        }
         if let Some(p) = self.page {
-            parts.push(format!("page {p}"));
-        }
-        if let Some(v) = &self.view {
-            parts.push(format!("view {v:?}"));
-        }
-        if !parts.is_empty() {
-            write!(f, " [{}]", parts.join(", "))?;
+            write!(f, " [page {p}]")?;
         }
         Ok(())
     }
@@ -129,8 +76,7 @@ pub enum StorageError {
     /// A file with this name already exists in the catalog.
     FileExists(String),
     /// On-page bytes failed a structural sanity check (corruption).
-    /// The detail names the failed check and, where known, the page,
-    /// file role, and view so triage doesn't have to guess.
+    /// The detail names the failed check and, where known, the page.
     Corrupt(CorruptDetail),
     /// An injected transient fault: the operation failed but a retry
     /// may succeed. Normally retried inside the storage layer (see
@@ -183,9 +129,8 @@ pub enum StorageError {
 }
 
 impl StorageError {
-    /// A corruption error carrying only the failed check; location
-    /// context is attached later via [`StorageError::at_page`] and
-    /// [`StorageError::in_context`].
+    /// A corruption error carrying only the failed check; the page is
+    /// attached later via [`StorageError::at_page`].
     #[must_use]
     pub fn corrupt(reason: &'static str) -> Self {
         StorageError::Corrupt(CorruptDetail::new(reason))
@@ -207,39 +152,6 @@ impl StorageError {
         }
     }
 
-    /// Attach the file role and owning view to a `Corrupt` error.
-    /// A no-op on other variants; fills only fields still unknown.
-    #[must_use]
-    pub fn in_context(self, role: FileRole, view: Option<&str>) -> Self {
-        match self {
-            StorageError::Corrupt(mut d) => {
-                if matches!(d.role, FileRole::Unknown) {
-                    d.role = role;
-                }
-                if d.view.is_none() {
-                    d.view = view.map(str::to_owned);
-                }
-                StorageError::Corrupt(d)
-            }
-            other => other,
-        }
-    }
-
-    /// True for errors produced by the fault-injection machinery —
-    /// the class upper layers may respond to by quarantining and
-    /// recomputing rather than failing outright.
-    #[must_use]
-    pub fn is_fault(&self) -> bool {
-        matches!(
-            self,
-            StorageError::TransientFault { .. }
-                | StorageError::PermanentFault { .. }
-                | StorageError::RetriesExhausted { .. }
-                | StorageError::ChecksumMismatch { .. }
-                | StorageError::Crashed
-        )
-    }
-
     /// True only for the simulated-crash error: callers must stop and
     /// wait for a restart rather than degrade around it.
     #[must_use]
@@ -249,12 +161,11 @@ impl StorageError {
 
     /// True for the cooperative-stop errors raised when a request's
     /// budget trips ([`StorageError::Cancelled`] /
-    /// [`StorageError::DeadlineExceeded`]). Deliberately *not* part of
-    /// [`StorageError::is_fault`]: nothing is wrong with the storage,
-    /// so quarantine, repair, and circuit-breaker machinery must not
-    /// react to them — and not part of [`StorageError::is_crash`], so
-    /// a cancelled batch commit takes the clean-abort path rather than
-    /// leaving a pending intent.
+    /// [`StorageError::DeadlineExceeded`]). Deliberately *not* a fault:
+    /// nothing is wrong with the storage, so quarantine, repair, and
+    /// circuit-breaker machinery must not react to them — and not part
+    /// of [`StorageError::is_crash`], so a cancelled batch commit takes
+    /// the clean-abort path rather than leaving a pending intent.
     #[must_use]
     pub fn is_budget(&self) -> bool {
         matches!(

@@ -138,15 +138,6 @@ impl FaultPlan {
     pub fn none() -> Self {
         Self::default()
     }
-
-    /// An empty plan with the given RNG seed.
-    #[must_use]
-    pub fn with_seed(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            ..Self::default()
-        }
-    }
 }
 
 /// A deterministic, explicitly scripted fault.
@@ -445,11 +436,6 @@ impl FaultInjector {
     /// crash-at-operation-N that already fired does not re-fire.
     pub fn restart(&self) {
         self.inner.lock().crashed = false;
-    }
-
-    /// Mark a block permanently lost (test hook).
-    pub fn kill_block(&self, device: Device, target: u64) {
-        self.inner.lock().dead.insert((device, target));
     }
 
     /// Counts of faults fired so far.

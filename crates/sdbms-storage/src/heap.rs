@@ -381,15 +381,6 @@ impl HeapFile {
             buf_pos: 0,
         }
     }
-
-    /// Free every page of the file. The file must not be used after.
-    pub fn destroy(self) -> Result<()> {
-        let state = self.state.into_inner();
-        for pid in state.pages {
-            self.pool.free_page(pid)?;
-        }
-        Ok(())
-    }
 }
 
 /// Iterator over the live records of a heap file.
@@ -597,19 +588,5 @@ mod tests {
             Err(StorageError::Corrupt(d)) => assert_eq!(d.page, Some(u64::from(pid))),
             other => panic!("expected Corrupt at page {pid}, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn destroy_frees_pages() {
-        let disk = Arc::new(DiskManager::new(Tracker::new()));
-        let pool = Arc::new(BufferPool::new(disk.clone(), 8));
-        let h = HeapFile::create(pool.clone()).unwrap();
-        for _ in 0..50 {
-            h.insert(&[0u8; 400]).unwrap();
-        }
-        let live_before = disk.allocated_pages();
-        assert!(live_before > 1);
-        h.destroy().unwrap();
-        assert_eq!(disk.allocated_pages(), 0);
     }
 }

@@ -1,65 +1,9 @@
 //! Order-preserving key encodings.
 //!
 //! B+tree keys are compared as raw bytes, so anything indexed must be
-//! encoded such that byte order equals logical order. These encodings
-//! are used by the Summary Database's `(function, attribute)` secondary
-//! index and by relational sort keys.
-
-/// Encode a `u64` big-endian (byte order == numeric order).
-#[must_use]
-pub fn encode_u64(v: u64) -> [u8; 8] {
-    v.to_be_bytes()
-}
-
-/// Decode [`encode_u64`].
-#[must_use]
-pub fn decode_u64(b: &[u8]) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b[..8]);
-    u64::from_be_bytes(a)
-}
-
-/// Encode an `i64` so byte order equals numeric order (flip the sign
-/// bit, then big-endian).
-#[must_use]
-pub fn encode_i64(v: i64) -> [u8; 8] {
-    ((v as u64) ^ (1u64 << 63)).to_be_bytes()
-}
-
-/// Decode [`encode_i64`].
-#[must_use]
-pub fn decode_i64(b: &[u8]) -> i64 {
-    (decode_u64(b) ^ (1u64 << 63)) as i64
-}
-
-/// Encode an `f64` so byte order equals numeric order.
-///
-/// Positive floats get the sign bit set; negative floats are bitwise
-/// inverted. Total order: -inf < ... < -0.0 < +0.0 < ... < +inf. NaNs
-/// sort above +inf (quiet NaN bit patterns); callers should filter NaNs
-/// before indexing.
-#[must_use]
-pub fn encode_f64(v: f64) -> [u8; 8] {
-    let bits = v.to_bits();
-    let mapped = if bits & (1u64 << 63) == 0 {
-        bits | (1u64 << 63)
-    } else {
-        !bits
-    };
-    mapped.to_be_bytes()
-}
-
-/// Decode [`encode_f64`].
-#[must_use]
-pub fn decode_f64(b: &[u8]) -> f64 {
-    let mapped = decode_u64(b);
-    let bits = if mapped & (1u64 << 63) != 0 {
-        mapped & !(1u64 << 63)
-    } else {
-        !mapped
-    };
-    f64::from_bits(bits)
-}
+//! encoded such that byte order equals logical order. The Summary
+//! Database's `(attribute, function)` secondary index is keyed by
+//! [`composite_str_key`].
 
 /// Append a string to a composite key such that the composite ordering
 /// is (this string, then whatever follows).
@@ -96,61 +40,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn u64_order_preserved() {
-        let vals = [0u64, 1, 255, 256, 1 << 40, u64::MAX];
-        for w in vals.windows(2) {
-            assert!(encode_u64(w[0]) < encode_u64(w[1]));
-        }
-        for v in vals {
-            assert_eq!(decode_u64(&encode_u64(v)), v);
-        }
-    }
-
-    #[test]
-    fn i64_order_preserved() {
-        let vals = [i64::MIN, -1_000_000, -1, 0, 1, 42, i64::MAX];
-        for w in vals.windows(2) {
-            assert!(encode_i64(w[0]) < encode_i64(w[1]));
-        }
-        for v in vals {
-            assert_eq!(decode_i64(&encode_i64(v)), v);
-        }
-    }
-
-    #[test]
-    fn f64_order_preserved() {
-        let vals = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -1.0,
-            -1e-300,
-            -0.0,
-            0.0,
-            1e-300,
-            1.0,
-            1e300,
-            f64::INFINITY,
-        ];
-        for w in vals.windows(2) {
-            assert!(
-                encode_f64(w[0]) <= encode_f64(w[1]),
-                "{} should encode <= {}",
-                w[0],
-                w[1]
-            );
-        }
-        for v in vals {
-            let d = decode_f64(&encode_f64(v));
-            assert!(d == v || (d == 0.0 && v == 0.0));
-        }
-    }
-
-    #[test]
-    fn f64_negative_zero_vs_positive_zero() {
-        assert!(encode_f64(-0.0) < encode_f64(0.0));
-    }
-
-    #[test]
     fn string_prefix_orders_first() {
         let a = composite_str_key(&["abc"]);
         let b = composite_str_key(&["abcd"]);
@@ -175,19 +64,6 @@ mod tests {
     }
 
     proptest::proptest! {
-        #[test]
-        fn prop_i64_roundtrip_and_order(a: i64, b: i64) {
-            proptest::prop_assert_eq!(decode_i64(&encode_i64(a)), a);
-            proptest::prop_assert_eq!(encode_i64(a) < encode_i64(b), a < b);
-        }
-
-        #[test]
-        fn prop_f64_order(a: f64, b: f64) {
-            proptest::prop_assume!(!a.is_nan() && !b.is_nan());
-            let (ea, eb) = (encode_f64(a), encode_f64(b));
-            if a < b { proptest::prop_assert!(ea < eb); }
-            if a > b { proptest::prop_assert!(ea > eb); }
-        }
 
         #[test]
         fn prop_composite_str_order(a in "[a-z]{0,8}", b in "[a-z]{0,8}") {

@@ -25,8 +25,7 @@
 //!   (the varying-length Summary Database entries need them).
 //! - [`btree`] — a B+tree over the pool, byte-ordered keys, duplicate
 //!   keys allowed (unique `(key, value)` pairs), lazy deletes.
-//! - [`keyenc`] — order-preserving encodings for ints, floats, and
-//!   composite string keys.
+//! - [`keyenc`] — order-preserving composite string keys.
 //! - [`archive`] — the sequential "tape" store holding the raw
 //!   database, where repositioning is the dominant cost.
 //!
@@ -74,7 +73,7 @@ pub use buffer::{BufferPool, PageGuard};
 pub use checksum::crc32;
 pub use cost::{CostModel, IoScope, IoSnapshot, IoStats, Tracker};
 pub use disk::DiskManager;
-pub use error::{CorruptDetail, FileRole, Result, StorageError};
+pub use error::{CorruptDetail, Result, StorageError};
 pub use fault::{
     Device, DeviceFaults, FaultInjector, FaultKind, FaultPlan, FaultStats, InjectedFault, IoOp,
     ScriptedFault,
@@ -141,12 +140,6 @@ impl StorageEnv {
         }
     }
 
-    /// Default-sized environment (256 pool pages = 1 MiB of buffer).
-    #[must_use]
-    pub fn default_env() -> Self {
-        Self::new(256)
-    }
-
     /// True while a simulated crash is in effect.
     #[must_use]
     pub fn is_crashed(&self) -> bool {
@@ -205,7 +198,14 @@ mod tests {
 
     #[test]
     fn faulty_env_shares_one_injector_across_devices() {
-        let env = StorageEnv::with_faults(8, FaultPlan::with_seed(7), RetryPolicy::default());
+        let env = StorageEnv::with_faults(
+            8,
+            FaultPlan {
+                seed: 7,
+                ..FaultPlan::none()
+            },
+            RetryPolicy::default(),
+        );
         env.archive.create_reel("raw").unwrap();
         env.archive.append_block("raw", b"b0").unwrap();
         env.injector.crash_now();

@@ -141,12 +141,6 @@ impl LongRecordFile {
         self.insert(bytes)
     }
 
-    /// Number of live chunks (diagnostics).
-    #[must_use]
-    pub fn chunk_count(&self) -> u64 {
-        self.file.record_count()
-    }
-
     /// Number of disk pages used.
     #[must_use]
     pub fn page_count(&self) -> usize {
@@ -177,7 +171,7 @@ mod tests {
         let f = file(8);
         let rid = f.insert(b"short").unwrap();
         assert_eq!(f.get(rid).unwrap(), b"short");
-        assert_eq!(f.chunk_count(), 1);
+        assert_eq!(f.file.record_count(), 1);
     }
 
     #[test]
@@ -186,7 +180,7 @@ mod tests {
         let rid = f.insert(&[]).unwrap();
         assert_eq!(f.get(rid).unwrap(), Vec::<u8>::new());
         f.delete(rid).unwrap();
-        assert_eq!(f.chunk_count(), 0);
+        assert_eq!(f.file.record_count(), 0);
     }
 
     #[test]
@@ -195,7 +189,7 @@ mod tests {
         // 3.5 chunks worth.
         let data = blob(CHUNK_PAYLOAD * 3 + CHUNK_PAYLOAD / 2, 7);
         let rid = f.insert(&data).unwrap();
-        assert_eq!(f.chunk_count(), 4);
+        assert_eq!(f.file.record_count(), 4);
         assert_eq!(f.get(rid).unwrap(), data);
     }
 
@@ -217,11 +211,11 @@ mod tests {
     #[test]
     fn delete_frees_all_chunks() {
         let f = file(16);
-        let before = f.chunk_count();
+        let before = f.file.record_count();
         let rid = f.insert(&blob(CHUNK_PAYLOAD * 5, 3)).unwrap();
-        assert_eq!(f.chunk_count(), before + 5);
+        assert_eq!(f.file.record_count(), before + 5);
         f.delete(rid).unwrap();
-        assert_eq!(f.chunk_count(), before);
+        assert_eq!(f.file.record_count(), before);
         assert!(f.get(rid).is_err(), "head chunk gone");
     }
 
@@ -232,11 +226,11 @@ mod tests {
         let small = blob(100, 2);
         let rid2 = f.update(rid, &small).unwrap();
         assert_eq!(f.get(rid2).unwrap(), small);
-        assert_eq!(f.chunk_count(), 1);
+        assert_eq!(f.file.record_count(), 1);
         let big = blob(CHUNK_PAYLOAD * 6, 3);
         let rid3 = f.update(rid2, &big).unwrap();
         assert_eq!(f.get(rid3).unwrap(), big);
-        assert_eq!(f.chunk_count(), 6);
+        assert_eq!(f.file.record_count(), 6);
     }
 
     #[test]

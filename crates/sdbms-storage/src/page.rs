@@ -95,17 +95,6 @@ impl Page {
         self.data[off..off + 8].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Read an `f64` stored little-endian at `off`.
-    #[must_use]
-    pub fn get_f64(&self, off: usize) -> f64 {
-        f64::from_bits(self.get_u64(off))
-    }
-
-    /// Write an `f64` little-endian at `off`.
-    pub fn put_f64(&mut self, off: usize, v: f64) {
-        self.put_u64(off, v.to_bits());
-    }
-
     /// A byte slice `[off, off+len)` of the page.
     #[must_use]
     pub fn slice(&self, off: usize, len: usize) -> &[u8] {
@@ -163,14 +152,10 @@ mod tests {
     }
 
     #[test]
-    fn u64_and_f64_roundtrip() {
+    fn u64_roundtrip() {
         let mut p = Page::new();
         p.put_u64(0, u64::MAX - 7);
         assert_eq!(p.get_u64(0), u64::MAX - 7);
-        p.put_f64(8, -123.456e78);
-        assert_eq!(p.get_f64(8), -123.456e78);
-        p.put_f64(16, f64::NEG_INFINITY);
-        assert_eq!(p.get_f64(16), f64::NEG_INFINITY);
     }
 
     #[test]

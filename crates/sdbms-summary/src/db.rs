@@ -136,11 +136,6 @@ impl SummaryDb {
         self.stats.get()
     }
 
-    /// Reset the counters (between experiment phases).
-    pub fn reset_stats(&self) {
-        self.stats.set(CacheStats::default());
-    }
-
     fn bump(&self, f: impl FnOnce(&mut CacheStats)) {
         let mut s = self.stats.get();
         f(&mut s);

@@ -12,8 +12,8 @@
 //! name what that profile must hold.
 //! Every route — miss, stale refresh, maintenance recompute, warm-up,
 //! snapshot, server, scrub — scans typed batches into a profile and
-//! ends here; [`StatFunction::compute`] / [`StatFunction::build_aux`]
-//! profile an in-memory slice and do the same.
+//! ends here; [`StatFunction::compute`] profiles an in-memory slice
+//! and does the same.
 
 use std::fmt;
 
@@ -272,12 +272,6 @@ impl StatFunction {
         self.answer(&ColumnProfile::of(values, self.accumulators()))
     }
 
-    /// [`StatFunction::aux_state`] over an in-memory column.
-    #[must_use]
-    pub fn build_aux(&self, values: &[Value]) -> Option<AuxState> {
-        self.aux_state(&ColumnProfile::of(values, self.aux_accumulators()))
-    }
-
     /// Re-derive the cached result from auxiliary state alone (no data
     /// access) — the payoff of finite differencing. Returns `None` when
     /// the state cannot answer (e.g. window ran off), in which case the
@@ -360,6 +354,15 @@ pub fn standing_summary_functions() -> Vec<StatFunction> {
         StatFunction::UniqueCount,
         StatFunction::Histogram(20),
     ]
+}
+
+/// The unit tests' aux-state oracle.
+#[cfg(test)]
+impl StatFunction {
+    /// [`StatFunction::aux_state`] over an in-memory column.
+    pub(crate) fn build_aux(&self, values: &[Value]) -> Option<AuxState> {
+        self.aux_state(&ColumnProfile::of(values, self.aux_accumulators()))
+    }
 }
 
 #[cfg(test)]

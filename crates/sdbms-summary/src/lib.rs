@@ -19,9 +19,10 @@
 //!   `(attribute, function)`, freshness flags, and hit/miss counters.
 //! - [`median_window`] — the §4.2 "histogram with a pointer" for order
 //!   statistics.
-//! - [`maintain`] — the update engine: incremental / invalidate-lazy /
-//!   eager policies, user accuracy tolerances, warm-up, and the one
-//!   compute-on-miss lookup path (batch scan → profile → answer).
+//! - [`maintain`] — the update engine: incremental maintenance through
+//!   auxiliary state, invalidation of entries without it, user accuracy
+//!   tolerances, warm-up, and the one compute-on-miss lookup path
+//!   (batch scan → profile → answer).
 //! - [`inference`] — §5.1's "Database Abstract" rules: derive a missing
 //!   function exactly from other cached entries (mean = sum/count) or
 //!   as a histogram-based estimate.
@@ -46,7 +47,7 @@ pub use function::{standing_summary_functions, AuxState, MaintenanceClass, StatF
 pub use inference::{infer, Inferred};
 pub use maintain::{
     apply_updates, get_or_compute_resilient, quarantinable, warm_attribute, AccuracyPolicy,
-    ComputeSource, MaintenancePolicy, MaintenanceReport, ProfileSource, UpdateDelta,
+    ComputeSource, MaintenanceReport, ProfileSource, UpdateDelta,
 };
 pub use median_window::{MedianWindow, DEFAULT_WINDOW};
 /// The histogram a [`SummaryValue::Histogram`] carries.

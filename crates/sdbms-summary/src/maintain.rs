@@ -10,8 +10,10 @@
 //! associated with the updated attribute will be marked as invalid" and
 //! regenerated lazily.
 //!
-//! [`MaintenancePolicy`] spans that whole spectrum, and experiment E6
-//! sweeps it. [`AccuracyPolicy`] is the user-communicated tolerance of
+//! [`apply_updates`] does both, per entry: an entry with auxiliary
+//! state absorbs a delta through it (and is recomputed at once when the
+//! state gives up), an entry without goes stale until its next exact
+//! lookup. [`AccuracyPolicy`] is the user-communicated tolerance of
 //! §3.2 ("the user should have the capability of communicating his
 //! wishes regarding the desired accuracy").
 //!
@@ -30,20 +32,6 @@ use crate::db::{Entry, Freshness, SummaryDb};
 use crate::error::{Result, SummaryError};
 use crate::function::{AuxState, StatFunction};
 use crate::value::SummaryValue;
-
-/// How the Summary Database reacts to updates of the underlying view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaintenancePolicy {
-    /// Incrementally recompute through auxiliary state; recompute from
-    /// data only when the state signals it (extreme deleted, median
-    /// window ran off). The paper's preferred design.
-    Incremental,
-    /// Mark entries stale; recompute lazily at next lookup. The §4.3
-    /// fallback.
-    InvalidateLazy,
-    /// Recompute every affected entry from data immediately.
-    EagerRecompute,
-}
 
 /// How fresh a served answer must be (per-query, user-specified).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,13 +134,16 @@ fn fresh_entry(
 }
 
 /// Apply one batch of updates on `attribute` to every cached entry of
-/// that attribute. `profile` scans the post-update column and is called
-/// at most once, for exactly the entries that must be recomputed.
+/// that attribute: an entry with auxiliary state absorbs the deltas
+/// through it (§3.2); an entry without goes stale, to be regenerated
+/// by its next exact lookup (§4.3); an entry whose state gives up
+/// (extreme deleted, median window ran off) is recomputed now.
+/// `profile` scans the post-update column and is called at most once,
+/// for all the entries that gave up.
 pub fn apply_updates(
     db: &SummaryDb,
     attribute: &str,
     deltas: &[UpdateDelta],
-    policy: MaintenancePolicy,
     profile: &mut ProfileSource<'_>,
 ) -> Result<MaintenanceReport> {
     let mut report = MaintenanceReport::default();
@@ -165,38 +156,27 @@ pub fn apply_updates(
         entry.updates_since_refresh = entry
             .updates_since_refresh
             .saturating_add(deltas.len() as u32);
-        match policy {
-            MaintenancePolicy::InvalidateLazy => {
-                entry.freshness = Freshness::Stale;
-                entry.aux = None;
-                report.invalidated += 1;
+        // A stale entry stays stale (no aux to maintain).
+        let (Freshness::Fresh, Some(aux)) = (entry.freshness, entry.aux.as_mut()) else {
+            entry.freshness = Freshness::Stale;
+            entry.aux = None;
+            report.invalidated += 1;
+            db.put(&entry)?;
+            continue;
+        };
+        let maintained = apply_deltas_to_aux(aux, deltas)
+            .then(|| entry.function.result_from_aux(aux))
+            .flatten();
+        match maintained {
+            Some(result) => {
+                entry.result = result;
+                db.note_incremental();
+                report.incremental += 1;
                 db.put(&entry)?;
             }
-            MaintenancePolicy::EagerRecompute => rescan.push(entry.function),
-            MaintenancePolicy::Incremental => {
-                // A stale entry stays stale (no aux to maintain).
-                let (Freshness::Fresh, Some(aux)) = (entry.freshness, entry.aux.as_mut()) else {
-                    entry.freshness = Freshness::Stale;
-                    entry.aux = None;
-                    report.invalidated += 1;
-                    db.put(&entry)?;
-                    continue;
-                };
-                let maintained = apply_deltas_to_aux(aux, deltas)
-                    .then(|| entry.function.result_from_aux(aux))
-                    .flatten();
-                match maintained {
-                    Some(result) => {
-                        entry.result = result;
-                        db.note_incremental();
-                        report.incremental += 1;
-                        db.put(&entry)?;
-                    }
-                    // Aux signalled a rescan (deleted extreme, window
-                    // ran off, or non-derivable result): recompute.
-                    None => rescan.push(entry.function),
-                }
-            }
+            // Aux signalled a rescan (deleted extreme, window ran off,
+            // or non-derivable result): recompute.
+            None => rescan.push(entry.function),
         }
     }
     if !rescan.is_empty() {
@@ -457,13 +437,9 @@ mod tests {
         // Interior update: 5 -> 7 (doesn't touch min/max extremes).
         data[4] = 7;
         let new_col = int_col(&data);
-        let report = apply_updates(
-            &db,
-            "X",
-            &[delta(5, 7)],
-            MaintenancePolicy::Incremental,
-            &mut |_| panic!("incremental maintenance must not read the column"),
-        )
+        let report = apply_updates(&db, "X", &[delta(5, 7)], &mut |_| {
+            panic!("incremental maintenance must not read the column")
+        })
         .unwrap();
         assert_eq!(report.incremental, fns.len());
         assert_eq!(report.recomputed, 0);
@@ -488,7 +464,6 @@ mod tests {
             &db,
             "X",
             &[delta(1, 4)], // removes the minimum
-            MaintenancePolicy::Incremental,
             &mut |feeds| {
                 fetches += 1;
                 assert_eq!(feeds, accumulators_for([&StatFunction::Min]), "min only");
@@ -505,47 +480,43 @@ mod tests {
 
     #[test]
     fn invalidate_lazy_then_tolerated_then_exact() {
+        // A trimmed mean has no incremental form, so an update leaves
+        // it stale until an exact read regenerates it.
         let db = db();
-        let col = int_col(&[1, 2, 3, 4, 100]);
-        seed(&db, "X", &col, &[StatFunction::Median]);
-        apply_updates(
+        let f = StatFunction::TrimmedMean(250, 750);
+        seed(
             &db,
             "X",
-            &[delta(100, 5)],
-            MaintenancePolicy::InvalidateLazy,
-            &mut |_| panic!("lazy policy must not read data"),
-        )
+            &int_col(&[1, 2, 3, 4, 100]),
+            std::slice::from_ref(&f),
+        );
+        let report = apply_updates(&db, "X", &[delta(3, 30)], &mut |_| {
+            panic!("an entry without aux is invalidated, not read")
+        })
         .unwrap();
+        assert_eq!(report.invalidated, 1);
         // Tolerant read serves the stale value without data access.
-        let (v, src) = look_up(
-            &db,
-            "X",
-            &StatFunction::Median,
-            AccuracyPolicy::Tolerate(5),
-            &mut |_| panic!("tolerated read must not read data"),
-        )
+        let (v, src) = look_up(&db, "X", &f, AccuracyPolicy::Tolerate(5), &mut |_| {
+            panic!("tolerated read must not read data")
+        })
         .unwrap();
         assert_eq!(src, ComputeSource::CacheTolerated);
-        assert_eq!(v, SummaryValue::Scalar(3.0), "old median");
+        assert_eq!(v, SummaryValue::Scalar(3.0), "old trimmed mean");
         // Exact read recomputes.
         let (v, src) = look_up(
             &db,
             "X",
-            &StatFunction::Median,
+            &f,
             AccuracyPolicy::Exact,
-            &mut source(&int_col(&[1, 2, 3, 4, 5])),
+            &mut source(&int_col(&[1, 2, 30, 4, 100])),
         )
         .unwrap();
         assert_eq!(src, ComputeSource::Computed);
-        assert_eq!(v, SummaryValue::Scalar(3.0));
+        assert_eq!(v, SummaryValue::Scalar(12.0));
         // Now fresh again.
-        let (_, src) = look_up(
-            &db,
-            "X",
-            &StatFunction::Median,
-            AccuracyPolicy::Exact,
-            &mut |_| panic!("fresh"),
-        )
+        let (_, src) = look_up(&db, "X", &f, AccuracyPolicy::Exact, &mut |_| {
+            panic!("fresh")
+        })
         .unwrap();
         assert_eq!(src, ComputeSource::Cache);
     }
@@ -553,64 +524,30 @@ mod tests {
     #[test]
     fn tolerance_exceeded_forces_recompute() {
         let db = db();
-        let col = int_col(&[1, 2, 3]);
-        seed(&db, "X", &col, &[StatFunction::Mean]);
-        // 3 updates under lazy policy.
-        let deltas: Vec<UpdateDelta> = (0..3).map(|i| delta(i, i + 10)).collect();
-        apply_updates(
-            &db,
-            "X",
-            &deltas,
-            MaintenancePolicy::InvalidateLazy,
-            &mut |_| unreachable!(),
-        )
-        .unwrap();
+        let f = StatFunction::TrimmedMean(250, 750);
+        seed(&db, "X", &int_col(&[1, 2, 3]), std::slice::from_ref(&f));
+        // 3 updates to an entry without aux.
+        let deltas: Vec<UpdateDelta> = (1..4).map(|i| delta(i, i + 10)).collect();
+        apply_updates(&db, "X", &deltas, &mut |_| unreachable!()).unwrap();
         let (_, src) = look_up(
             &db,
             "X",
-            &StatFunction::Mean,
+            &f,
             AccuracyPolicy::Tolerate(2),
-            &mut source(&int_col(&[10, 11, 12])),
+            &mut source(&int_col(&[11, 12, 13])),
         )
         .unwrap();
         assert_eq!(src, ComputeSource::Computed, "3 updates > tolerance 2");
     }
 
     #[test]
-    fn eager_policy_recomputes_everything_once() {
-        let db = db();
-        let col = int_col(&[1, 2, 3, 4]);
-        seed(&db, "X", &col, &[StatFunction::Mean, StatFunction::Max]);
-        let mut fetches = 0;
-        let report = apply_updates(
-            &db,
-            "X",
-            &[delta(1, 9)],
-            MaintenancePolicy::EagerRecompute,
-            &mut |feeds| {
-                fetches += 1;
-                source(&int_col(&[9, 2, 3, 4]))(feeds)
-            },
-        )
-        .unwrap();
-        assert_eq!(report.recomputed, 2);
-        assert_eq!(fetches, 1, "column fetched once for the whole batch");
-        let max = db.lookup_fresh("X", &StatFunction::Max).unwrap().unwrap();
-        assert_eq!(max.result, SummaryValue::Scalar(9.0));
-    }
-
-    #[test]
-    fn non_incremental_function_invalidates_under_incremental_policy() {
+    fn non_incremental_function_is_invalidated() {
         let db = db();
         let col = int_col(&(1..=100).collect::<Vec<_>>());
         seed(&db, "X", &col, &[StatFunction::TrimmedMean(50, 950)]);
-        let report = apply_updates(
-            &db,
-            "X",
-            &[delta(50, 51)],
-            MaintenancePolicy::Incremental,
-            &mut |_| panic!("should invalidate, not recompute"),
-        )
+        let report = apply_updates(&db, "X", &[delta(50, 51)], &mut |_| {
+            panic!("should invalidate, not recompute")
+        })
         .unwrap();
         assert_eq!(report.invalidated, 1);
         assert!(db
@@ -642,7 +579,6 @@ mod tests {
                 old: Value::Int(30),
                 new: Value::Missing,
             }],
-            MaintenancePolicy::Incremental,
             &mut |_| unreachable!(),
         )
         .unwrap();
@@ -660,7 +596,6 @@ mod tests {
                 old: Value::Missing,
                 new: Value::Int(35),
             }],
-            MaintenancePolicy::Incremental,
             &mut |_| unreachable!(),
         )
         .unwrap();
@@ -671,14 +606,8 @@ mod tests {
     #[test]
     fn updates_to_uncached_attributes_are_free() {
         let db = db();
-        let report = apply_updates(
-            &db,
-            "NEVER_CACHED",
-            &[delta(1, 2)],
-            MaintenancePolicy::Incremental,
-            &mut |_| unreachable!(),
-        )
-        .unwrap();
+        let report =
+            apply_updates(&db, "NEVER_CACHED", &[delta(1, 2)], &mut |_| unreachable!()).unwrap();
         assert_eq!(report, MaintenanceReport::default());
     }
 
@@ -690,63 +619,6 @@ mod tests {
                 _ => Value::Int((i * 37) % 101),
             })
             .collect()
-    }
-
-    #[test]
-    fn eager_pass_refreshes_stale_entries_of_every_class() {
-        let db = db();
-        let col = mixed_col();
-        let mut fns = crate::function::standing_summary_functions();
-        fns.extend([
-            StatFunction::Sum,
-            StatFunction::Variance,
-            StatFunction::Quantile(250),
-            StatFunction::TrimmedMean(100, 900),
-        ]);
-        seed(&db, "X", &col, &fns);
-        let change = [UpdateDelta {
-            old: col[1].clone(),
-            new: Value::Int(2),
-        }];
-        // Stale everything via the lazy policy…
-        apply_updates(
-            &db,
-            "X",
-            &change,
-            MaintenancePolicy::InvalidateLazy,
-            &mut |_| unreachable!("lazy policy reads no data"),
-        )
-        .unwrap();
-        // …then one eager pass regenerates all of them from one scan.
-        let mut new_col = col.clone();
-        new_col[1] = Value::Int(2);
-        let mut fetches = 0;
-        let report = apply_updates(
-            &db,
-            "X",
-            &change,
-            MaintenancePolicy::EagerRecompute,
-            &mut |feeds| {
-                fetches += 1;
-                assert_eq!(
-                    feeds,
-                    Accumulators::ALL,
-                    "the standing set reads everything"
-                );
-                source(&new_col)(feeds)
-            },
-        )
-        .unwrap();
-        assert_eq!((report.recomputed, fetches), (fns.len(), 1));
-        for f in &fns {
-            let entry = db
-                .lookup_fresh("X", f)
-                .unwrap()
-                .unwrap_or_else(|| panic!("{f} should be fresh after regeneration"));
-            assert_eq!(entry.updates_since_refresh, 0);
-            assert_eq!(entry.result, f.compute(&new_col).unwrap(), "{f}");
-            assert_eq!(entry.aux, f.build_aux(&new_col), "{f}");
-        }
     }
 
     #[test]

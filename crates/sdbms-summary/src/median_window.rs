@@ -61,12 +61,6 @@ impl MedianWindow {
         self.below + self.window.len() as u64 + self.above
     }
 
-    /// Number of values currently held in the window.
-    #[must_use]
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     /// Regenerate from the full column — the paper's "single pass over
     /// the data" (one column scan; the in-memory sort is CPU, not I/O).
     pub fn rebuild(&mut self, data: &[f64]) {

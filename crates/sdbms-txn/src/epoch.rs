@@ -99,12 +99,6 @@ impl EpochRegistry {
         self.inner.lock().pins.values().sum()
     }
 
-    /// Deferred destructors not yet run.
-    #[must_use]
-    pub fn retired_len(&self) -> usize {
-        self.inner.lock().retired.len()
-    }
-
     /// The oldest epoch a live [`EpochPin`] still protects, if any.
     /// `epoch() - oldest_pinned()` is the *pin lag*: how far the
     /// slowest pinned reader trails the live version — the serving
@@ -149,18 +143,6 @@ impl EpochRegistry {
         for a in ready {
             a();
         }
-    }
-
-    /// Run every deferred destructor no live pin can still reference.
-    /// Returns how many ran. Called automatically on unpin and retire;
-    /// public for tests and explicit quiesce points.
-    pub fn try_reclaim(&self) -> usize {
-        let ready = self.inner.lock().drain_ready();
-        let n = ready.len();
-        for a in ready {
-            a();
-        }
-        n
     }
 
     fn unpin(&self, epoch: u64) {
@@ -215,6 +197,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Deferred destructors not yet run.
+    fn retired_len(reg: &EpochRegistry) -> usize {
+        reg.inner.lock().retired.len()
+    }
+
     fn counter_action(c: &Arc<AtomicUsize>) -> impl FnOnce() + Send + 'static {
         let c = Arc::clone(c);
         move || {
@@ -228,7 +215,7 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         reg.retire(counter_action(&ran));
         assert_eq!(ran.load(Ordering::SeqCst), 1);
-        assert_eq!(reg.retired_len(), 0);
+        assert_eq!(retired_len(&reg), 0);
         assert_eq!(reg.epoch(), 1);
     }
 
@@ -239,10 +226,10 @@ mod tests {
         let pin = reg.pin();
         reg.retire(counter_action(&ran));
         assert_eq!(ran.load(Ordering::SeqCst), 0, "pin predates the retire");
-        assert_eq!(reg.retired_len(), 1);
+        assert_eq!(retired_len(&reg), 1);
         drop(pin);
         assert_eq!(ran.load(Ordering::SeqCst), 1, "last pin drained");
-        assert_eq!(reg.retired_len(), 0);
+        assert_eq!(retired_len(&reg), 0);
     }
 
     #[test]
@@ -303,19 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn try_reclaim_counts() {
-        let reg = Arc::new(EpochRegistry::new());
-        let pin = reg.pin();
-        reg.retire(|| {});
-        reg.retire(|| {});
-        assert_eq!(reg.try_reclaim(), 0);
-        drop(pin);
-        // The drop already reclaimed; nothing left.
-        assert_eq!(reg.try_reclaim(), 0);
-        assert_eq!(reg.retired_len(), 0);
-    }
-
-    #[test]
     fn pins_from_many_threads() {
         let reg = Arc::new(EpochRegistry::new());
         let ran = Arc::new(AtomicUsize::new(0));
@@ -332,9 +306,8 @@ mod tests {
                 });
             }
         });
-        reg.try_reclaim();
         assert_eq!(ran.load(Ordering::SeqCst), 8 * 200, "every action ran");
         assert_eq!(reg.pinned(), 0);
-        assert_eq!(reg.retired_len(), 0);
+        assert_eq!(retired_len(&reg), 0);
     }
 }

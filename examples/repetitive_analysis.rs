@@ -3,25 +3,24 @@
 //!
 //! A months-long analysis asks for the same medians, means, and
 //! extremes over and over, interleaved with occasional edits. This
-//! example runs that workload twice — once with the Summary Database
-//! maintaining results incrementally, once recomputing everything from
-//! data — and prints the I/O and timing difference.
+//! example runs that workload twice — once through the Summary Database,
+//! which maintains results incrementally, once computing every answer
+//! from the stored column — and prints the I/O and timing difference.
 //!
 //! Run with: `cargo run --release --example repetitive_analysis`
 
 use std::time::Instant;
 
-use sdbms::core::{
-    AccuracyPolicy, Expr, MaintenancePolicy, Predicate, StatDbms, StatFunction, ViewDefinition,
-};
+use sdbms::core::{AccuracyPolicy, Expr, Predicate, StatDbms, StatFunction, ViewDefinition};
 use sdbms::data::census::{microdata_census, CensusConfig};
 
 /// One "analysis day": a burst of summary queries plus a couple of
-/// corrections.
+/// corrections. Without a Summary Database every query reads the
+/// column and computes its answer from scratch.
 fn analysis_day(
     dbms: &mut StatDbms,
     day: usize,
-    accuracy: AccuracyPolicy,
+    summary_db: bool,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let queries = [
         ("INCOME", StatFunction::Median),
@@ -35,7 +34,11 @@ fn analysis_day(
         ("INCOME", StatFunction::Quantile(950)),
     ];
     for (attr, f) in &queries {
-        dbms.compute("survey", attr, f, accuracy)?;
+        if summary_db {
+            dbms.compute("survey", attr, f, AccuracyPolicy::Exact)?;
+        } else {
+            f.compute(&dbms.column("survey", attr)?)?;
+        }
     }
     // Two corrections per day (§3.1: outliers get investigated and
     // fixed as the analysis proceeds).
@@ -50,10 +53,7 @@ fn analysis_day(
     Ok(())
 }
 
-fn run_with_policy(
-    policy: Option<MaintenancePolicy>,
-    days: usize,
-) -> Result<(u128, u64, String), Box<dyn std::error::Error>> {
+fn run(summary_db: bool, days: usize) -> Result<(u128, u64, String), Box<dyn std::error::Error>> {
     let mut dbms = StatDbms::new(1024);
     let raw = microdata_census(&CensusConfig {
         rows: 5_000,
@@ -66,20 +66,10 @@ fn run_with_policy(
         ViewDefinition::scan("survey", "census_microdata"),
         "analyst",
     )?;
-    // `None` models a system without a Summary Database: every query
-    // recomputes. We emulate it by always demanding exactness and
-    // invalidating eagerly after every update — worst case — plus
-    // clearing between queries is unnecessary because InvalidateLazy +
-    // an update each day already forces recomputation.
-    if let Some(p) = policy {
-        dbms.set_policy("survey", p)?;
-    } else {
-        dbms.set_policy("survey", MaintenancePolicy::InvalidateLazy)?;
-    }
     dbms.env().tracker.reset();
     let t0 = Instant::now();
     for day in 0..days {
-        analysis_day(&mut dbms, day, AccuracyPolicy::Exact)?;
+        analysis_day(&mut dbms, day, summary_db)?;
     }
     let elapsed = t0.elapsed().as_micros();
     let io = dbms.io();
@@ -97,11 +87,11 @@ fn run_with_policy(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let days = 60;
     println!("workload: {days} analysis days × 9 summary queries + 2 corrections\n");
-    let (t_inc, io_inc, s_inc) = run_with_policy(Some(MaintenancePolicy::Incremental), days)?;
-    let (t_lazy, io_lazy, s_lazy) = run_with_policy(None, days)?;
+    let (t_inc, io_inc, s_inc) = run(true, days)?;
+    let (t_plain, io_plain, s_plain) = run(false, days)?;
     println!("incremental Summary DB : {t_inc:>9} µs  cost {io_inc:>7}  {s_inc}");
-    println!("recompute-on-demand    : {t_lazy:>9} µs  cost {io_lazy:>7}  {s_lazy}");
-    let speedup = t_lazy as f64 / t_inc.max(1) as f64;
+    println!("no Summary DB          : {t_plain:>9} µs  cost {io_plain:>7}  {s_plain}");
+    let speedup = t_plain as f64 / t_inc.max(1) as f64;
     println!("\nspeedup from caching + incremental maintenance: {speedup:.1}×");
     Ok(())
 }

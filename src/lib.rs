@@ -49,7 +49,7 @@
 //! | [`relational`] | select/project/join/aggregate + predicates and view-definition lineage |
 //! | [`stats`] | the statistical functions: descriptive, quantiles, histograms, tests, regression, sampling |
 //! | [`summary`] | the Summary Database (§3.2) with incremental maintenance and the §4.2 median window |
-//! | [`management`] | the Management Database: catalog, histories/undo, rules, finite differencing |
+//! | [`management`] | the Management Database: catalog, histories/undo, derived-attribute rules |
 //! | [`repair`] | self-healing: health registry, scrub cursors, corruption triage |
 //! | [`txn`] | multi-analyst concurrency: epoch registry/pins for snapshot reclamation, the per-view lock table |
 //! | [`core`] | the DBMS façade tying it all together (paper Figure 3) |

@@ -2,8 +2,8 @@
 //! raw tape to confirmatory analysis, exercising every layer together.
 
 use sdbms::core::{
-    AccuracyPolicy, CmpOp, Expr, MaintenancePolicy, Predicate, ScalarFunc, StatDbms, StatFunction,
-    SummaryValue, ViewDefinition,
+    AccuracyPolicy, CmpOp, Expr, Predicate, ScalarFunc, StatDbms, StatFunction, SummaryValue,
+    ViewDefinition,
 };
 use sdbms::data::census::{microdata_census, region_codebook, CensusConfig};
 use sdbms::data::{CodeBook, DataType};
@@ -87,11 +87,9 @@ fn exploratory_to_confirmatory_session() {
 #[test]
 fn cached_summaries_track_any_update_sequence() {
     // The central invariant: after an arbitrary sequence of predicate
-    // updates under the incremental policy, every cached summary equals
-    // a from-scratch recomputation.
+    // updates, every cached summary equals a from-scratch
+    // recomputation.
     let mut dbms = setup(1_500);
-    dbms.set_policy("survey", MaintenancePolicy::Incremental)
-        .expect("policy");
     let functions = [
         StatFunction::Count,
         StatFunction::Sum,

@@ -4,8 +4,8 @@
 use sdbms::core::{paper_demo_dbms, AccuracyPolicy, StatFunction, ViewDefinition};
 use sdbms::data::census::figure1;
 use sdbms::data::{CodeBook, Value};
-use sdbms::management::{differentiate, AggExpr};
 use sdbms::relational::ops;
+use sdbms::stats::Moments;
 
 #[test]
 fn figure1_every_cell() {
@@ -128,17 +128,17 @@ fn figure5_differenced_program_equals_loop() {
         naive.push(sdbms::stats::descriptive::mean(&data).expect("mean"));
     }
 
-    // Differenced loop.
-    let mut program = differentiate(&AggExpr::mean()).expect("differentiable");
+    // Differenced loop: f' is the O(1) replace on the moments the
+    // Summary DB keeps as a mean's auxiliary state (`AuxState::Moments`).
     data[1] = 0.0;
-    program.initialize(&data);
+    let mut moments = Moments::from_slice(&data);
     let mut prev = 0.0;
     let mut diffed = Vec::new();
     for i in 0..50 {
         let next = g(i);
-        program.replace(prev, next);
+        moments.replace(prev, next).expect("replace");
         prev = next;
-        diffed.push(program.evaluate().expect("eval"));
+        diffed.push(moments.mean().expect("mean"));
     }
     for (a, b) in naive.iter().zip(&diffed) {
         assert!((a - b).abs() < 1e-9, "{a} != {b}");
