@@ -78,6 +78,25 @@ pub trait TableStore {
     /// Overwrite one cell, returning the previous value.
     fn set_cell(&mut self, row: usize, attribute: &str, value: Value) -> Result<Value>;
 
+    /// Overwrite the cells `(row, value)` of one column, in order, and
+    /// push each cell's previous value onto `olds` once the cell has
+    /// reached the store. A row given twice ends with its last value,
+    /// and its second old value is its first new one. On `Err`, `olds`
+    /// holds the old values of exactly the cells written before the
+    /// failure. The default is the [`TableStore::set_cell`] loop;
+    /// segmented layouts override it to store each segment once.
+    fn set_cells(
+        &mut self,
+        attribute: &str,
+        cells: &[(usize, Value)],
+        olds: &mut Vec<Value>,
+    ) -> Result<()> {
+        for (row, value) in cells {
+            olds.push(self.set_cell(*row, attribute, value.clone())?);
+        }
+        Ok(())
+    }
+
     /// Append one row.
     fn append_row(&mut self, row: Vec<Value>) -> Result<()>;
 

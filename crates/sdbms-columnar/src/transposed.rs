@@ -472,18 +472,51 @@ impl TableStore for TransposedFile {
     }
 
     fn set_cell(&mut self, row: usize, attribute: &str, value: Value) -> Result<Value> {
-        let ci = self.schema.check_cell(attribute, &value)?;
-        if row >= self.rows {
-            return Err(DataError::NoSuchRow(row));
+        let mut old = Vec::with_capacity(1);
+        self.set_cells(attribute, &[(row, value)], &mut old)?;
+        old.pop()
+            .ok_or(DataError::Decode("segment directory out of sync"))
+    }
+
+    /// Each maximal run of consecutive cells in one segment is one
+    /// load, one store and one zone map: an update whose rows ascend
+    /// or descend stores each touched segment once. The cells are
+    /// checked before anything is written, and a run's old values
+    /// reach `olds` only after its segment has been stored.
+    fn set_cells(
+        &mut self,
+        attribute: &str,
+        cells: &[(usize, Value)],
+        olds: &mut Vec<Value>,
+    ) -> Result<()> {
+        let ci = self.schema.require(attribute)?;
+        for (row, value) in cells {
+            self.schema.check_cell(attribute, value)?;
+            if *row >= self.rows {
+                return Err(DataError::NoSuchRow(*row));
+            }
         }
         let generation = self.generation;
         let col = &mut self.columns[ci];
-        let si = Self::segment_of_row(col, row)?;
-        let mut vals = Self::load_segment(col, si)?;
-        let off = row - col.segments[si].start_row;
-        let old = std::mem::replace(&mut vals[off], value);
-        Self::store_segment(col, si, &vals, generation)?;
-        Ok(old)
+        let mut rest = cells;
+        while let Some(&(first, _)) = rest.first() {
+            let si = Self::segment_of_row(col, first)?;
+            let SegmentInfo { start_row, len, .. } = col.segments[si];
+            let n = rest
+                .iter()
+                .position(|(row, _)| !(start_row..start_row + len).contains(row))
+                .unwrap_or(rest.len());
+            let (run, tail) = rest.split_at(n);
+            let mut vals = Self::load_segment(col, si)?;
+            let mut replaced = Vec::with_capacity(run.len());
+            for (row, value) in run {
+                replaced.push(std::mem::replace(&mut vals[row - start_row], value.clone()));
+            }
+            Self::store_segment(col, si, &vals, generation)?;
+            olds.append(&mut replaced);
+            rest = tail;
+        }
+        Ok(())
     }
 
     fn add_column(&mut self, attr: sdbms_data::Attribute, values: Vec<Value>) -> Result<()> {
@@ -704,6 +737,103 @@ mod tests {
         t.set_cell(300, "AGE", Value::Missing).unwrap();
         let ages = t.read_column("AGE").unwrap();
         assert_eq!(ages.iter().filter(|v| v.is_missing()).count(), 1);
+    }
+
+    /// Cells over four segments: ascending, a row written twice, then
+    /// descending.
+    fn spread_cells() -> Vec<(usize, Value)> {
+        let up = (0..900).step_by(7).map(|r| (r, Value::Int(r as i64 % 90)));
+        let again = [(301, Value::Int(5)), (301, Value::Int(6))];
+        let down = (0..900).rev().step_by(50).map(|r| (r, Value::Missing));
+        up.chain(again).chain(down).collect()
+    }
+
+    #[test]
+    fn set_cells_equals_the_set_cell_loop() {
+        let ds = micro(1000);
+        let env = StorageEnv::new(256);
+        let mut batched = TransposedFile::from_dataset(env.pool.clone(), &ds).unwrap();
+        let mut looped = TransposedFile::from_dataset(env.pool, &ds).unwrap();
+        let cells = spread_cells();
+        let mut olds = Vec::new();
+        batched.set_cells("AGE", &cells, &mut olds).unwrap();
+        let looped_olds: Vec<Value> = cells
+            .iter()
+            .map(|(row, v)| looped.set_cell(*row, "AGE", v.clone()).unwrap())
+            .collect();
+        assert_eq!(olds, looped_olds);
+        // The second write of a row returns the first one's value.
+        let at = cells.iter().rposition(|&(r, _)| r == 301).unwrap() - 1;
+        assert_eq!(olds[at + 1], Value::Int(5));
+        for si in 0..batched.segment_count("AGE") {
+            assert_eq!(
+                batched.encoded_segment("AGE", si).unwrap(),
+                looped.encoded_segment("AGE", si).unwrap(),
+                "segment {si}"
+            );
+        }
+        assert_eq!(zone_map_count(&batched, "AGE"), 4);
+        // Every cell is checked before the first write.
+        let bad = [(0, Value::Int(1)), (1_000, Value::Int(1))];
+        assert!(batched.set_cells("AGE", &bad, &mut olds).is_err());
+        let bad = [(0, Value::Int(1)), (1, Value::Str("x".into()))];
+        assert!(batched.set_cells("AGE", &bad, &mut olds).is_err());
+        assert_eq!(olds.len(), cells.len());
+        assert_eq!(
+            batched.read_column("AGE").unwrap(),
+            looped.read_column("AGE").unwrap()
+        );
+    }
+
+    #[test]
+    fn set_cells_stores_each_run_of_a_segment_once() {
+        let ds = micro(1000);
+        let env = StorageEnv::new(256);
+        let mut t = TransposedFile::from_dataset(env.pool.clone(), &ds).unwrap();
+        // Page accesses of one write, in the pool or from disk.
+        let touched = |t: &mut TransposedFile, cells: &[(usize, Value)]| {
+            env.tracker.reset();
+            t.set_cells("INCOME", cells, &mut Vec::new()).unwrap();
+            let io = env.tracker.snapshot();
+            io.page_reads + io.pool_hits
+        };
+        let one_per_segment: Vec<_> = (0..4).map(|s| (s * 256, Value::Float(1.0))).collect();
+        let dense: Vec<_> = (0..1000).map(|r| (r, Value::Float(r as f64))).collect();
+        let (few, many) = (touched(&mut t, &one_per_segment), touched(&mut t, &dense));
+        assert_eq!(few, many, "4 cells and 1000 cells over the same 4 segments");
+    }
+
+    #[test]
+    fn a_failed_set_cells_reports_whole_segments_written() {
+        use sdbms_storage::FaultPlan;
+        let ds = micro(1000);
+        let cells = spread_cells();
+        // Cells before which a new segment run starts, and the end.
+        let mut boundaries: Vec<usize> = (1..cells.len())
+            .filter(|&i| cells[i].0 / SEGMENT_ROWS != cells[i - 1].0 / SEGMENT_ROWS)
+            .collect();
+        boundaries.extend([0, cells.len()]);
+        let mut failed = 0;
+        for offset in 1..40 {
+            // A pool of 4 pages, so storing segments reaches the disk.
+            let env = StorageEnv::new(4);
+            let mut t = TransposedFile::from_dataset(env.pool.clone(), &ds).unwrap();
+            let ops = env.injector.ops();
+            env.injector.set_plan(FaultPlan {
+                crash_at_op: Some(ops + offset),
+                ..FaultPlan::none()
+            });
+            let mut olds = Vec::new();
+            if t.set_cells("AGE", &cells, &mut olds).is_err() {
+                failed += 1;
+                assert!(
+                    boundaries.contains(&olds.len()),
+                    "+{offset}: {} olds is not a segment boundary",
+                    olds.len()
+                );
+            }
+        }
+        assert!(failed > 0, "no offset failed the write");
     }
 
     #[test]

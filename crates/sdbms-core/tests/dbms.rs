@@ -927,3 +927,18 @@ fn every_writer_respects_an_open_batch() {
     assert_eq!(v.layout, Layout::Row);
     assert_eq!(v.store.schema().len(), before.0.schema().len() + 2);
 }
+
+#[test]
+fn a_sample_reads_its_rows_and_equals_the_draw_from_the_whole_view() {
+    let mut dbms = micro_dbms(3_000);
+    dbms.materialize(ViewDefinition::scan("v", "census_microdata"), "a")
+        .unwrap();
+    let whole = dbms.dataset("v").unwrap();
+    for (k, seed) in [(0, 1), (1, 2), (37, 7), (500, 42), (3_000, 5), (9_999, 6)] {
+        let drawn = sdbms_stats::sample::sample_dataset(&whole, k.min(whole.len()), seed).unwrap();
+        let sample = dbms.sample("v", k, seed).unwrap();
+        assert_eq!(sample.name(), drawn.name(), "k {k}");
+        assert_eq!(sample.schema(), drawn.schema(), "k {k}");
+        assert_eq!(sample.rows(), drawn.rows(), "k {k}, seed {seed}");
+    }
+}

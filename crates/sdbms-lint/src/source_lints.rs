@@ -215,6 +215,7 @@ pub const CONTAINMENT: &[Containment] = &[
     // applier and WAL intents begun by the one writer prologue
     // (`begin_repair` is repair's own).
     (EDIT_PIPELINE_BYPASS, ". set_cell (", CORE, EDIT, APPLIER),
+    (EDIT_PIPELINE_BYPASS, ". set_cells (", CORE, EDIT, APPLIER),
     (EDIT_PIPELINE_BYPASS, ". append_row (", CORE, EDIT, APPLIER),
     (EDIT_PIPELINE_BYPASS, "wal . begin (", CORE, EDIT, PROLOGUE),
     (EDIT_PIPELINE_BYPASS, "begin_txn (", CORE, EDIT, PROLOGUE),
@@ -223,6 +224,7 @@ pub const CONTAINMENT: &[Containment] = &[
     // immutable. Reads on `.store` are fine, and `==` is one token, so
     // a comparison is not an assignment.
     (SNAPSHOT_BYPASS, ". store . set_cell", CORE, &[], SNAPSHOT),
+    (SNAPSHOT_BYPASS, ". store . set_cells", CORE, &[], SNAPSHOT),
     (SNAPSHOT_BYPASS, ". store . append_row", CORE, &[], SNAPSHOT),
     (SNAPSHOT_BYPASS, ". store . add_column", CORE, &[], SNAPSHOT),
     (
@@ -679,11 +681,11 @@ mod tests {
 
     #[test]
     fn store_writes_and_intents_in_core_belong_to_the_edit_module() {
-        let src = "fn f(s: &mut S, w: &W) {\n    s.set_cell(0, a, v);\n    s.append_row(r);\n    wal.begin(&attrs);\n    w.begin_txn();\n    w.begin_repair();\n}\n";
+        let src = "fn f(s: &mut S, w: &W) {\n    s.set_cell(0, a, v);\n    s.append_row(r);\n    wal.begin(&attrs);\n    w.begin_txn();\n    w.begin_repair();\n    s.set_cells(a, &cells, &mut olds);\n}\n";
         let bypass = |line| ("edit-pipeline-bypass".to_string(), line);
         assert_eq!(
             ids_at("crates/sdbms-core/src/repair.rs", src),
-            vec![bypass(2), bypass(3), bypass(4), bypass(5)]
+            vec![bypass(2), bypass(3), bypass(4), bypass(5), bypass(7)]
         );
         assert!(ids_at("crates/sdbms-core/src/edit.rs", src).is_empty());
         assert!(ids_at("crates/sdbms-columnar/src/rowstore.rs", src).is_empty());
@@ -708,6 +710,8 @@ mod tests {
             ids_at(EDIT_FILE, src),
             vec![("snapshot-bypass".into(), 1), ("snapshot-bypass".into(), 1)]
         );
+        let src = "fn h(v: &mut V) { v.store.set_cells(a, &cells, &mut olds); }\n";
+        assert_eq!(ids_at(EDIT_FILE, src), vec![("snapshot-bypass".into(), 1)]);
     }
 
     #[test]

@@ -87,9 +87,10 @@ fn txn_and_snapshot_fixture_fires_at_expected_lines() {
     assert_eq!(
         findings_as(EDIT_FILE, "txn_and_snapshot.rs"),
         vec![
-            ("txn-lock-order".to_string(), 12),
-            ("snapshot-bypass".to_string(), 17),
-            ("snapshot-bypass".to_string(), 22),
+            ("txn-lock-order".to_string(), 13),
+            ("snapshot-bypass".to_string(), 18),
+            ("snapshot-bypass".to_string(), 19),
+            ("snapshot-bypass".to_string(), 24),
         ]
     );
 }
@@ -115,18 +116,19 @@ fn containment_fixture_fires_where_the_rows_apply() {
     assert_eq!(
         findings_as(CORE_FILE, "containment.rs"),
         vec![
-            ("edit-pipeline-bypass".to_string(), 12),
             ("edit-pipeline-bypass".to_string(), 13),
-            ("evaluator-twin".to_string(), 19),
-            ("evaluator-twin".to_string(), 20),
+            ("edit-pipeline-bypass".to_string(), 14),
+            ("edit-pipeline-bypass".to_string(), 15),
+            ("evaluator-twin".to_string(), 21),
+            ("evaluator-twin".to_string(), 22),
         ]
     );
     // In the edit module the writes belong; the twins belong nowhere.
     assert_eq!(
         findings_as(EDIT_FILE, "containment.rs"),
         vec![
-            ("evaluator-twin".to_string(), 19),
-            ("evaluator-twin".to_string(), 20),
+            ("evaluator-twin".to_string(), 21),
+            ("evaluator-twin".to_string(), 22),
         ]
     );
 }

@@ -1,8 +1,9 @@
 //! Known-bad fixture: unordered lock acquisition and in-place store
 //! mutation. Expected findings (see ../fixtures.rs):
-//!   line 12  txn-lock-order     (acquire_raw in library code)
-//!   line 17  snapshot-bypass    (.store.set_cell mutates in place)
-//!   line 22  snapshot-bypass    (.store = assignment skips install)
+//!   line 13  txn-lock-order     (acquire_raw in library code)
+//!   line 18  snapshot-bypass    (.store.set_cell mutates in place)
+//!   line 19  snapshot-bypass    (.store.set_cells mutates in place)
+//!   line 24  snapshot-bypass    (.store = assignment skips install)
 
 /// Grabs a lock below the session's current maximum — acquire_raw
 /// skips the order check that would have caught it.
@@ -12,9 +13,10 @@ pub fn sneak_lock(locks: &std::sync::Arc<LockTable>, session: u64) -> LockGuard 
     locks.acquire_raw(session, "aardvark")
 }
 
-/// Writes a cell straight through a possibly-pinned store.
+/// Writes cells straight through a possibly-pinned store.
 pub fn poke(v: &mut ConcreteView) {
     v.store.set_cell(0, 3, Value::Int(9));
+    v.store.set_cells("AGE", &[(1, Value::Int(9))], &mut Vec::new());
 }
 
 /// Swaps the store without a version bump or epoch retire.

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use sdbms::columnar::{rle, RowStore, TableStore, TransposedFile};
+use sdbms::columnar::{rle, RowStore, TableStore, TransposedFile, SEGMENT_ROWS};
 use sdbms::core::{AccuracyPolicy, Expr, Predicate, StatDbms, StatFunction, ViewDefinition};
 use sdbms::data::census::{aggregate_census, microdata_census, CensusConfig};
 use sdbms::data::{DataSet, RawDatabase, Value};
@@ -346,4 +346,191 @@ fn e13_zone_maps_skip_the_pages_of_refuted_segments() {
         filter_pages * 10 <= column_pages,
         "filter {filter_pages} pages vs column read {column_pages}"
     );
+}
+
+/// Page reads of `op` on a cold pool: each distinct page once.
+fn cold_reads<T>(dbms: &mut StatDbms, op: impl FnOnce(&mut StatDbms) -> T) -> (u64, T) {
+    let pool = dbms.env().pool.clone();
+    pool.flush_all().expect("flush");
+    pool.discard_frames().expect("cold pool");
+    let start = dbms.io();
+    let out = op(dbms);
+    (dbms.io().since(&start).page_reads, out)
+}
+
+/// Pages an operation touched on a warm pool, from disk or from the
+/// pool.
+fn warm_touched<T>(dbms: &mut StatDbms, op: impl FnOnce(&mut StatDbms) -> T) -> (u64, T) {
+    let start = dbms.io();
+    let out = op(dbms);
+    (touched(&dbms.io().since(&start)), out)
+}
+
+/// `PERSON_ID < 256 * segments`: every row of the first `segments`
+/// segments of a view loaded in `PERSON_ID` order.
+fn first_segments(segments: usize) -> Predicate {
+    use sdbms::core::CmpOp;
+    let bound = Expr::lit((segments * SEGMENT_ROWS) as i64);
+    Predicate::cmp(Expr::col("PERSON_ID"), CmpOp::Lt, bound)
+}
+
+/// §2.6 applied to writes (ROADMAP 2): a predicate update over *k*
+/// segments of one column stores each of them once, so the pages its
+/// writes touch do not grow with the cells it changes.
+#[test]
+fn e17_a_predicate_update_stores_each_touched_segment_once() {
+    const ROWS: usize = 8_000;
+    for k in [2usize, 8] {
+        let mut dbms = dbms_with_view(ROWS);
+        let predicate = first_segments(k);
+        let exec = ExecConfig::from_env();
+        // Borrowed, not cloned: a second owner of the store would make
+        // the update copy it first.
+        let (planning, rows) = warm_touched(&mut dbms, |dbms| {
+            let store = &*dbms.view("v").expect("view").store;
+            sdbms::relational::filter_table_rows(store, &predicate, &exec).expect("filter")
+        });
+        let (update, report) = warm_touched(&mut dbms, |dbms| {
+            dbms.update_where("v", &predicate, &[("INCOME", Expr::lit(1.5))])
+                .expect("update")
+        });
+        let writes = update - planning;
+        println!(
+            "E17 {k} segments: {} cells changed, update {update} pages, \
+             of which writing {writes}",
+            report.cells_changed
+        );
+        assert_eq!(rows.len(), k * SEGMENT_ROWS);
+        assert_eq!(report.cells_changed, k * SEGMENT_ROWS);
+        assert!(
+            writes <= 6 * k as u64,
+            "{k} segments, {} cells: {writes} pages touched writing",
+            report.cells_changed
+        );
+    }
+}
+
+/// The same update's planning reads the columns of its predicate and
+/// assignment and no other: on a cold pool it reads exactly as many
+/// pages over the full eight-column view as over a view of only those
+/// three columns.
+#[test]
+fn e17_a_predicate_update_reads_only_the_columns_it_names() {
+    use sdbms::core::{BinOp, CmpOp};
+    const ROWS: usize = 8_000;
+    let named = ["PERSON_ID", "AGE", "INCOME"];
+    let predicate = first_segments(8).and(Predicate::cmp(
+        Expr::col("AGE"),
+        CmpOp::Gt,
+        Expr::lit(30i64),
+    ));
+    let raise = Expr::col("INCOME").binary(BinOp::Add, Expr::lit(25i64));
+    let mut reads = Vec::new();
+    for definition in [
+        ViewDefinition::scan("v", "census_microdata"),
+        ViewDefinition::scan("v", "census_microdata").project(&named),
+    ] {
+        let mut dbms = StatDbms::new(1024);
+        dbms.load_raw(&clean_micro(ROWS, 1982)).expect("load raw");
+        dbms.materialize(definition, "analyst")
+            .expect("materialize");
+        let width = dbms.view("v").expect("view").store.schema().len();
+        let (pages, report) = cold_reads(&mut dbms, |dbms| {
+            dbms.update_where("v", &predicate, &[("INCOME", raise.clone())])
+                .expect("update")
+        });
+        println!(
+            "E17 {width} columns: {} cells changed, {pages} pages read cold",
+            report.cells_changed
+        );
+        assert!(report.cells_changed > 0);
+        reads.push(pages);
+    }
+    assert_eq!(reads[0], reads[1], "the five unnamed columns cost pages");
+}
+
+/// §3.2's regenerate rule (E8), counted: regenerating an `Expression`
+/// derived column writes each of its segments once, so it touches a
+/// few pages per segment where a row-at-a-time rewrite touches several
+/// per row.
+#[test]
+fn e8_regenerating_a_derived_column_writes_each_segment_once() {
+    use sdbms::core::BinOp;
+    use sdbms::data::DataType;
+    use sdbms::management::{DerivedRule, VectorGenerator};
+    for rows in [2_000usize, 8_000] {
+        let mut dbms = dbms_with_view(rows);
+        let expr = Expr::col("INCOME").binary(BinOp::Mul, Expr::lit(0.5));
+        dbms.add_derived_column("v", "HALF_INCOME", DataType::Float, expr.clone())
+            .expect("derived column");
+        let edit = |dbms: &mut StatDbms, k: i64| {
+            dbms.update_where(
+                "v",
+                &Predicate::col_eq("PERSON_ID", k),
+                &[("INCOME", Expr::lit(100.0 + k as f64))],
+            )
+            .expect("update")
+        };
+        let (local, _) = warm_touched(&mut dbms, |dbms| edit(dbms, 1));
+        let generator = VectorGenerator::Expression(expr);
+        dbms.set_derived_rule("v", "HALF_INCOME", DerivedRule::Regenerate { generator })
+            .expect("rule");
+        let (regenerate, _) = warm_touched(&mut dbms, |dbms| edit(dbms, 2));
+        let segments = rows.div_ceil(SEGMENT_ROWS) as u64;
+        println!(
+            "E8 {rows} rows ({segments} segments): local rule {local} pages, \
+             regenerate {regenerate}"
+        );
+        let column = dbms.column("v", "HALF_INCOME").expect("column");
+        assert_eq!(column[2], Value::Float(51.0));
+        assert!(
+            regenerate <= local + 6 * segments,
+            "{rows} rows: regenerate {regenerate} pages vs local {local}"
+        );
+        assert!(
+            regenerate > local + segments,
+            "the regeneration touched every segment"
+        );
+    }
+}
+
+/// §2.2 sampling (E7), counted: a sample reads only the segments that
+/// hold its rows, where it used to read the whole view first. A 0.1%
+/// sample reads under a third of the view's pages; a 1% one already
+/// lands in ~92% of the 256-row segments (1 − 0.99^256), so it saves
+/// little I/O, but its estimates are within a few percent.
+#[test]
+fn e7_a_sample_reads_only_the_segments_of_its_rows() {
+    use sdbms::stats::{descriptive::mean, quantile::median};
+    const ROWS: usize = 20_000;
+    let mut dbms = dbms_with_view(ROWS);
+    let (full_pages, full) = cold_reads(&mut dbms, |dbms| dbms.dataset("v").expect("dataset"));
+    let (full_income, _) = full.column_f64("INCOME").expect("income");
+    // (rows, largest share of the view's pages, largest relative error)
+    for (k, page_share, error) in [
+        (20usize, 1.0 / 3.0, None),
+        (200, 1.0, Some(0.05)),
+        (2_000, 1.0, Some(0.03)),
+    ] {
+        let (pages, sample) = cold_reads(&mut dbms, |dbms| dbms.sample("v", k, 7).expect("sample"));
+        let (income, _) = sample.column_f64("INCOME").expect("income");
+        let rel = |f: fn(&[f64]) -> sdbms::stats::Result<f64>| {
+            let (s, w) = (f(&income).expect("sample"), f(&full_income).expect("full"));
+            (s - w).abs() / w
+        };
+        let (mean_err, median_err) = (rel(mean), rel(median));
+        println!(
+            "E7 {k} of {ROWS} rows: {pages} of {full_pages} pages; INCOME mean error \
+             {:.2}%, median error {:.2}%",
+            mean_err * 100.0,
+            median_err * 100.0
+        );
+        assert!(
+            pages as f64 <= page_share * full_pages as f64,
+            "{k} rows: {pages} of {full_pages} pages"
+        );
+        if let Some(bound) = error {
+            assert!(mean_err <= bound && median_err <= bound, "{k} rows");
+        }
+    }
 }
