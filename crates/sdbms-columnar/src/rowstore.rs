@@ -17,7 +17,9 @@ use crate::store::{Result, TableStore};
 pub struct RowStore {
     schema: Schema,
     file: HeapFile,
-    /// Row index → record id (updates may move records).
+    /// Row index → record id. Updates may move records, and a write to
+    /// a successor that copies a shared page moves every record on it:
+    /// each write ends with `file.relocate(&mut rids)`.
     rids: Vec<Rid>,
 }
 
@@ -77,16 +79,16 @@ impl TableStore for RowStore {
         let mut by_rid: std::collections::HashMap<Rid, usize> =
             self.rids.iter().enumerate().map(|(i, &r)| (r, i)).collect();
         let mut out = vec![Value::Missing; self.rids.len()];
-        for rec in self.file.scan() {
-            let (rid, bytes) = rec.map_err(DataError::Storage)?;
+        self.file.scan(|rid, bytes| -> Result<()> {
             if let Some(row_idx) = by_rid.remove(&rid) {
-                let row = decode_row(&bytes)?;
+                let row = decode_row(bytes)?;
                 out[row_idx] = row
                     .get(col)
                     .cloned()
                     .ok_or(DataError::Decode("row shorter than schema"))?;
             }
-        }
+            Ok(())
+        })?;
         if !by_rid.is_empty() {
             return Err(DataError::Decode("row store directory out of sync"));
         }
@@ -132,11 +134,11 @@ impl TableStore for RowStore {
         let mut vals = self.read_row(row)?;
         let old = std::mem::replace(&mut vals[col], value);
         let rid = self.rid(row)?;
-        let new_rid = self
+        self.rids[row] = self
             .file
             .update(rid, &encode_row(&vals))
             .map_err(DataError::Storage)?;
-        self.rids[row] = new_rid;
+        self.file.relocate(&mut self.rids);
         Ok(old)
     }
 
@@ -147,20 +149,16 @@ impl TableStore for RowStore {
             .insert(&encode_row(&row))
             .map_err(DataError::Storage)?;
         self.rids.push(rid);
+        self.file.relocate(&mut self.rids);
         Ok(())
     }
 
     fn boxed_clone(&self) -> Result<Box<dyn TableStore + Send + Sync>> {
-        // Shadow copy onto fresh pages, record for record in row order;
-        // the original's are never written, which is what makes
-        // copy-on-write installs atomic.
-        let mut next = Self::create(self.file.pool().clone(), self.schema.clone())?;
-        for &rid in &self.rids {
-            let bytes = self.file.get(rid).map_err(DataError::Storage)?;
-            let copy = next.file.insert(&bytes).map_err(DataError::Storage)?;
-            next.rids.push(copy);
-        }
-        Ok(Box::new(next))
+        Ok(Box::new(RowStore {
+            schema: self.schema.clone(),
+            file: self.file.successor(),
+            rids: self.rids.clone(),
+        }))
     }
 
     fn add_column(&mut self, attr: sdbms_data::Attribute, values: Vec<Value>) -> Result<()> {
@@ -184,6 +182,7 @@ impl TableStore for RowStore {
                 .map_err(DataError::Storage)?;
             self.rids[i] = new_rid;
         }
+        self.file.relocate(&mut self.rids);
         self.schema = new_schema;
         Ok(())
     }
@@ -193,6 +192,7 @@ impl TableStore for RowStore {
 mod tests {
     use super::*;
     use sdbms_data::census::figure1;
+    use sdbms_data::{value::DataType, Attribute};
     use sdbms_storage::StorageEnv;
 
     fn store() -> RowStore {
@@ -251,20 +251,33 @@ mod tests {
     }
 
     #[test]
-    fn boxed_clone_copies_data_onto_fresh_pages() {
+    fn boxed_clone_shares_pages_until_a_write_copies_one() {
         let s = store();
         let mut shadow = s.boxed_clone().unwrap();
         assert_eq!(shadow.len(), s.len());
-        assert_eq!(
-            shadow.to_dataset("shadow").unwrap().rows(),
-            s.to_dataset("s").unwrap().rows()
-        );
-        assert_eq!(shadow.store_generation(), 0, "row layout tracks none");
+        assert_eq!(shadow.data_page_ids(), s.data_page_ids());
+        let before = s.to_dataset("s").unwrap();
+        shadow.set_cell(2, "POPULATION", Value::Int(0)).unwrap();
+        shadow
+            .add_column(
+                Attribute::derived("X", DataType::Int),
+                vec![Value::Int(7); s.len()],
+            )
+            .unwrap();
+        // The original reads as before, from pages the shadow no longer
+        // lists; the shadow reads its writes, row by row and by column.
+        assert_eq!(s.to_dataset("s").unwrap().rows(), before.rows());
         let s_pages: std::collections::HashSet<_> = s.data_page_ids().into_iter().collect();
         assert!(shadow.data_page_ids().iter().all(|p| !s_pages.contains(p)));
-        let before = s.get_cell(2, "POPULATION").unwrap();
-        shadow.set_cell(2, "POPULATION", Value::Int(0)).unwrap();
-        assert_eq!(s.get_cell(2, "POPULATION").unwrap(), before);
+        assert_eq!(shadow.get_cell(2, "POPULATION").unwrap(), Value::Int(0));
+        let pops = shadow.read_column("POPULATION").unwrap();
+        let want = s.read_column("POPULATION").unwrap();
+        assert_eq!(pops[..2], want[..2]);
+        assert_eq!(pops[3..], want[3..]);
+        assert_eq!(
+            shadow.read_column("X").unwrap(),
+            vec![Value::Int(7); s.len()]
+        );
     }
 
     #[test]

@@ -79,11 +79,9 @@ pub trait TableStore {
     fn set_cell(&mut self, row: usize, attribute: &str, value: Value) -> Result<Value>;
 
     /// Overwrite the cells `(row, value)` of one column, in order, and
-    /// push each cell's previous value onto `olds` once the cell has
-    /// reached the store. A row given twice ends with its last value,
-    /// and its second old value is its first new one. On `Err`, `olds`
-    /// holds the old values of exactly the cells written before the
-    /// failure. The default is the [`TableStore::set_cell`] loop;
+    /// push each cell's previous value onto `olds`. A row given twice
+    /// ends with its last value, and its second old value is its first
+    /// new one. The default is the [`TableStore::set_cell`] loop;
     /// segmented layouts override it to store each segment once.
     fn set_cells(
         &mut self,
@@ -153,21 +151,15 @@ pub trait TableStore {
         Ok(None)
     }
 
-    /// Deep-copy this store into freshly allocated pages of the same
-    /// buffer pool, carrying the data, layout, and (for layouts that
-    /// track one) a *successor* store generation. This is the shadow
-    /// half of copy-on-write versioning: a transactional batch clones
-    /// the live store, applies its staged operations to the clone, and
-    /// installs it atomically — the original's pages are never written,
-    /// which is what makes batch commit all-or-nothing under any crash.
+    /// The successor version of this store, for a writer to write and
+    /// install (Lorie's shadow pages): it shares every page with this
+    /// store and does no page I/O, and (for layouts that track one) it
+    /// carries the next store generation. A write to the successor
+    /// copies each shared page it touches to a fresh page first, so
+    /// this store's pages are never written and it reads as before —
+    /// for as long as its pages are not freed, which is when the
+    /// successor is installed and this version retired.
     fn boxed_clone(&self) -> Result<Box<dyn TableStore + Send + Sync>>;
-
-    /// The version generation this store's persisted artifacts (zone
-    /// maps) are stamped with. Layouts without generation tracking
-    /// report 0.
-    fn store_generation(&self) -> u64 {
-        0
-    }
 }
 
 /// Which layout a store uses (reported by the core for diagnostics and

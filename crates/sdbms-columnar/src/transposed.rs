@@ -7,6 +7,12 @@
 //! "informational" (whole-row) queries. Each column is a chain of
 //! [`crate::segment`] records in its own heap file; a small in-memory
 //! directory maps row ranges to segment records.
+//!
+//! A store version is its directory. [`TableStore::boxed_clone`] gives
+//! the successor version: every column's files succeed their
+//! predecessors' ([`HeapFile::successor`]) and the directory is copied,
+//! so a write to the successor copies only the pages it touches and the
+//! predecessor reads as before.
 
 use std::sync::Arc;
 
@@ -27,8 +33,13 @@ struct SegmentInfo {
     /// column's *zones* file. `None` means no map: the segment is
     /// scanned unpruned. Writers clear this before touching segment
     /// data and only restore it after a map for the *new* contents is
-    /// durably written, so a map is never stale.
+    /// written, so a map is never stale.
     zone: Option<Rid>,
+    /// The store generation that wrote this segment, stamped into its
+    /// zone map. A map with any other stamp is not this segment's and
+    /// never prunes; a segment shared by several versions keeps its map
+    /// in all of them.
+    generation: u64,
 }
 
 struct Column {
@@ -50,6 +61,28 @@ impl Column {
             compression,
         })
     }
+
+    /// The successor of this column: the same directory over successor
+    /// files. No I/O.
+    fn successor(&self) -> Column {
+        Column {
+            file: self.file.successor(),
+            zones: self.zones.successor(),
+            segments: self.segments.clone(),
+            compression: self.compression,
+        }
+    }
+
+    /// Point the directory at the pages its records live on now: a
+    /// write may have copied a shared page, moving every record on it.
+    /// Until then a rid still reads the shared page, where the record
+    /// is as it was, and still writes the copy.
+    fn relocate(&mut self) {
+        self.file
+            .relocate(self.segments.iter_mut().map(|s| &mut s.rid));
+        let zones = self.segments.iter_mut().filter_map(|s| s.zone.as_mut());
+        self.zones.relocate(zones);
+    }
 }
 
 /// A view stored column-at-a-time (transposed files).
@@ -58,10 +91,8 @@ pub struct TransposedFile {
     schema: Schema,
     columns: Vec<Column>,
     rows: usize,
-    /// Version generation stamped into every persisted zone map. A map
-    /// whose stamp disagrees is ignored ("scan unpruned"), so maps from
-    /// a retired store version — or from before a rebuild — can never
-    /// prune this version's scans.
+    /// This version's generation, stamped into every zone map it
+    /// writes; each successor and each zone-map rebuild takes the next.
     generation: u64,
 }
 
@@ -131,13 +162,6 @@ impl TransposedFile {
         Ok(store)
     }
 
-    /// The generation this store stamps into (and requires of) its
-    /// persisted zone maps.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Append all rows of `ds` (schema must match).
     pub fn bulk_append(&mut self, ds: &DataSet) -> Result<()> {
         if ds.schema() != &self.schema {
@@ -163,13 +187,15 @@ impl TransposedFile {
         for chunk in values.chunks(SEGMENT_ROWS) {
             let bytes = encode_segment(chunk, col.compression);
             let rid = col.file.insert(&bytes).map_err(DataError::Storage)?;
-            let zone = Self::write_zone(&mut col.zones, chunk, generation);
+            let zone = Self::write_zone(&col.zones, chunk, generation);
             col.segments.push(SegmentInfo {
                 rid,
                 start_row: start,
                 len: chunk.len(),
                 zone,
+                generation,
             });
+            col.relocate();
             start += chunk.len();
         }
         Ok(())
@@ -228,7 +254,7 @@ impl TransposedFile {
     /// returning its record id. Returns `None` on any write failure —
     /// zone maps are advisory, so losing one degrades scans to
     /// unpruned, never fails the data operation that triggered it.
-    fn write_zone(zones: &mut HeapFile, values: &[Value], generation: u64) -> Option<Rid> {
+    fn write_zone(zones: &HeapFile, values: &[Value], generation: u64) -> Option<Rid> {
         zones
             .insert(&ZoneMap::build(values).encode_tagged(generation))
             .ok()
@@ -237,19 +263,13 @@ impl TransposedFile {
     /// Load one segment's zone map. Returns `None` — "scan unpruned" —
     /// when the segment has no map, the record read fails (torn or
     /// corrupt page fails its checksum), the bytes don't decode, the
-    /// map's generation stamp disagrees with the store's, or the map
+    /// map's generation stamp is not the segment's, or the map
     /// disagrees with the directory about the row count.
-    fn load_zone(col: &Column, si: usize, generation: u64) -> Option<ZoneMap> {
-        Self::zone_record(col, si, generation).map(|(zm, _)| zm)
-    }
-
-    /// One segment's zone map and the record it was decoded from, if
-    /// [`Self::load_zone`] would serve it.
-    fn zone_record(col: &Column, si: usize, generation: u64) -> Option<(ZoneMap, Vec<u8>)> {
+    fn load_zone(col: &Column, si: usize) -> Option<ZoneMap> {
         let info = col.segments[si];
         let bytes = col.zones.get(info.zone?).ok()?;
         let (zm, stamp) = ZoneMap::decode_tagged(&bytes).ok()?;
-        (stamp == generation && zm.rows == info.len).then_some((zm, bytes))
+        (stamp == info.generation && zm.rows == info.len).then_some(zm)
     }
 
     /// Fetch one segment's raw record, verifying the stored row count
@@ -303,23 +323,29 @@ impl TransposedFile {
         Self::decode_rows(col, si, off, off + 1, out)
     }
 
+    /// Rewrite segment `si` of `col` as `values`, with the zone map of
+    /// `values` stamped `generation`.
     fn store_segment(col: &mut Column, si: usize, values: &[Value], generation: u64) -> Result<()> {
-        // Invalidate-first: drop the old zone map before the data
-        // changes so a failure between the two writes leaves the
+        // Invalidate-first: detach the old zone map before the data
+        // changes, so a failure between the two writes leaves the
         // segment unpruned rather than pruned by a stale map.
-        if let Some(z) = col.segments[si].zone.take() {
-            // The zone entry is already detached — a failed delete leaks a dead zone-map page, never a stale pruning decision
-            let _ = col.zones.delete(z);
-        }
+        let zone = col.segments[si].zone.take();
         let bytes = encode_segment(values, col.compression);
-        let info = col.segments[si];
-        let new_rid = col
+        let info = &mut col.segments[si];
+        info.rid = col
             .file
             .update(info.rid, &bytes)
             .map_err(DataError::Storage)?;
-        col.segments[si].rid = new_rid;
-        col.segments[si].len = values.len();
-        col.segments[si].zone = Self::write_zone(&mut col.zones, values, generation);
+        info.len = values.len();
+        info.generation = generation;
+        // Zone maps are advisory: a map that cannot be written leaves
+        // the segment unpruned, never fails the data write.
+        let map = ZoneMap::build(values).encode_tagged(generation);
+        info.zone = match zone {
+            Some(z) => col.zones.update(z, &map).ok(),
+            None => col.zones.insert(&map).ok(),
+        };
+        col.relocate();
         Ok(())
     }
 
@@ -348,57 +374,16 @@ impl TransposedFile {
         Ok(())
     }
 
-    /// The successor version of this store: fresh pages throughout (the
-    /// original's are never written), each column under the encoding it
-    /// has here, and the next generation, so its zone maps can never be
-    /// confused with the original's.
-    ///
-    /// It copies records, not values. Each segment's encoded record and
-    /// directory entry go over as they are. Each zone map that this
-    /// version would serve goes over with only its generation stamp
-    /// rewritten. A segment is decoded only when its map is missing or
-    /// invalid, to build it a fresh one.
-    fn successor(&self) -> Result<TransposedFile> {
-        let generation = self.generation + 1;
-        let mut columns = Vec::with_capacity(self.columns.len());
-        for col in &self.columns {
-            let mut next = Column::create(&self.pool, col.compression)?;
-            for (si, info) in col.segments.iter().enumerate() {
-                let bytes = Self::segment_bytes(col, si)?;
-                let rid = next.file.insert(&bytes).map_err(DataError::Storage)?;
-                let zone = match Self::zone_record(col, si, self.generation) {
-                    Some((_, mut record)) => {
-                        ZoneMap::restamp_tagged(&mut record, generation);
-                        next.zones.insert(&record).ok()
-                    }
-                    None => {
-                        let values = Self::load_segment(col, si)?;
-                        Self::write_zone(&mut next.zones, &values, generation)
-                    }
-                };
-                next.segments.push(SegmentInfo { rid, zone, ..*info });
-            }
-            columns.push(next);
-        }
-        Ok(TransposedFile {
+    /// The successor version of this store: every column's directory
+    /// over successor files, and the next generation. No I/O.
+    fn successor(&self) -> TransposedFile {
+        TransposedFile {
             pool: self.pool.clone(),
             schema: self.schema.clone(),
-            columns,
+            columns: self.columns.iter().map(Column::successor).collect(),
             rows: self.rows,
-            generation,
-        })
-    }
-
-    /// Pages holding zone-map records (across all columns), disjoint
-    /// from data pages. Exposed so fault-injection tests can corrupt
-    /// exactly the advisory statistics and assert scans degrade to
-    /// unpruned rather than answer wrongly.
-    #[must_use]
-    pub fn zone_page_ids(&self) -> Vec<PageId> {
-        let mut out: Vec<PageId> = self.columns.iter().flat_map(|c| c.zones.pages()).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+            generation: self.generation + 1,
+        }
     }
 }
 
@@ -437,8 +422,8 @@ impl TableStore for TransposedFile {
         // (conservative — a superset of the range). Any failure — bad
         // range, unknown attribute, one missing map — is "no statistics".
         self.for_each_overlap(attribute, start, len, |col, si, _, _| {
-            let zone = Self::load_zone(col, si, self.generation)
-                .ok_or(DataError::Decode("segment has no zone map"))?;
+            let zone =
+                Self::load_zone(col, si).ok_or(DataError::Decode("segment has no zone map"))?;
             merged.merge(&zone);
             Ok(())
         })
@@ -481,8 +466,7 @@ impl TableStore for TransposedFile {
     /// Each maximal run of consecutive cells in one segment is one
     /// load, one store and one zone map: an update whose rows ascend
     /// or descend stores each touched segment once. The cells are
-    /// checked before anything is written, and a run's old values
-    /// reach `olds` only after its segment has been stored.
+    /// checked before anything is written.
     fn set_cells(
         &mut self,
         attribute: &str,
@@ -508,12 +492,10 @@ impl TableStore for TransposedFile {
                 .unwrap_or(rest.len());
             let (run, tail) = rest.split_at(n);
             let mut vals = Self::load_segment(col, si)?;
-            let mut replaced = Vec::with_capacity(run.len());
             for (row, value) in run {
-                replaced.push(std::mem::replace(&mut vals[row - start_row], value.clone()));
+                olds.push(std::mem::replace(&mut vals[row - start_row], value.clone()));
             }
             Self::store_segment(col, si, &vals, generation)?;
-            olds.append(&mut replaced);
             rest = tail;
         }
         Ok(())
@@ -545,14 +527,16 @@ impl TableStore for TransposedFile {
     }
 
     fn zone_map_page_ids(&self) -> Vec<PageId> {
-        self.zone_page_ids()
+        let mut out: Vec<PageId> = self.columns.iter().flat_map(|c| c.zones.pages()).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     fn rebuild_zone_maps(&mut self) -> Result<usize> {
         let pool = self.pool.clone();
-        // Move to the next generation before writing anything: even if
-        // an abandoned pre-rebuild map page were somehow consulted
-        // again, its stamp no longer matches and it cannot prune.
+        // Move to the next generation before writing anything: every
+        // rebuilt map carries a stamp no abandoned map carries.
         self.generation += 1;
         let generation = self.generation;
         let mut written = 0usize;
@@ -563,11 +547,13 @@ impl TableStore for TransposedFile {
             // derived purely from segment data (the rung's authority);
             // an unreadable segment propagates as an error, telling the
             // caller this damage is above the zone-map rung.
-            let mut zones = HeapFile::create(pool.clone()).map_err(DataError::Storage)?;
+            let zones = HeapFile::create(pool.clone()).map_err(DataError::Storage)?;
             for si in 0..col.segments.len() {
                 let vals = Self::load_segment(col, si)?;
-                col.segments[si].zone = Self::write_zone(&mut zones, &vals, generation);
-                if col.segments[si].zone.is_some() {
+                let info = &mut col.segments[si];
+                info.zone = Self::write_zone(&zones, &vals, generation);
+                info.generation = generation;
+                if info.zone.is_some() {
                     written += 1;
                 }
             }
@@ -593,11 +579,7 @@ impl TableStore for TransposedFile {
     }
 
     fn boxed_clone(&self) -> Result<Box<dyn TableStore + Send + Sync>> {
-        Ok(Box::new(self.successor()?))
-    }
-
-    fn store_generation(&self) -> u64 {
-        self.generation
+        Ok(Box::new(self.successor()))
     }
 
     fn segment_count(&self, attribute: &str) -> usize {
@@ -657,7 +639,7 @@ mod tests {
     fn zone_map_count(t: &TransposedFile, attribute: &str) -> usize {
         let col = column(t, attribute);
         (0..col.segments.len())
-            .filter(|&si| TransposedFile::load_zone(col, si, t.generation).is_some())
+            .filter(|&si| TransposedFile::load_zone(col, si).is_some())
             .count()
     }
 
@@ -942,7 +924,7 @@ mod tests {
         assert!(t.range_stats("AGE", 0, 700).is_some());
         env.pool.flush_all().unwrap();
         env.pool.discard_frames().unwrap();
-        for pid in t.zone_page_ids() {
+        for pid in t.zone_map_page_ids() {
             env.disk.corrupt_page(pid, 5).unwrap();
         }
         // Stats gone (checksum rejects the pages)…
@@ -973,32 +955,51 @@ mod tests {
         );
     }
 
+    /// Every page of a store, data and zone maps.
+    fn all_pages(t: &dyn TableStore) -> std::collections::BTreeSet<PageId> {
+        let pages = t.data_page_ids().into_iter();
+        pages.chain(t.zone_map_page_ids()).collect()
+    }
+
     #[test]
-    fn boxed_clone_is_successor_version_on_fresh_pages() {
+    fn boxed_clone_shares_every_page_and_a_write_copies_only_what_it_touches() {
         let env = StorageEnv::new(256);
-        let ds = micro(600);
-        let t = TransposedFile::from_dataset(env.pool, &ds).unwrap();
-        assert_eq!(t.store_generation(), 0);
+        let ds = micro(1000);
+        let t = TransposedFile::from_dataset(env.pool.clone(), &ds).unwrap();
+        env.tracker.reset();
         let mut shadow = t.boxed_clone().unwrap();
-        assert_eq!(shadow.store_generation(), 1);
+        let io = env.tracker.snapshot();
+        assert_eq!(
+            (io.page_reads, io.page_writes, io.pool_hits),
+            (0, 0, 0),
+            "a clone is a directory copy"
+        );
         assert_eq!(shadow.len(), t.len());
-        // Disjoint pages: mutating the clone leaves the original alone.
-        let t_pages: std::collections::HashSet<_> = t
-            .data_page_ids()
-            .into_iter()
-            .chain(t.zone_map_page_ids())
-            .collect();
-        assert!(shadow
-            .data_page_ids()
-            .iter()
-            .chain(shadow.zone_map_page_ids().iter())
-            .all(|p| !t_pages.contains(p)));
-        let before = t.get_cell(10, "AGE").unwrap();
-        shadow.set_cell(10, "AGE", Value::Int(101)).unwrap();
-        assert_eq!(t.get_cell(10, "AGE").unwrap(), before);
-        // The clone's zone maps are live at its own generation.
-        let zm = shadow.range_stats("AGE", 0, 600).expect("clone has maps");
-        assert_eq!(zm.rows, 600);
+        assert_eq!(all_pages(&*shadow), all_pages(&t), "every page shared");
+        let before = t.read_column("AGE").unwrap();
+        shadow.set_cell(300, "AGE", Value::Int(101)).unwrap();
+        // The original reads as before; the shadow has its write.
+        assert_eq!(t.read_column("AGE").unwrap(), before);
+        assert_eq!(shadow.get_cell(300, "AGE").unwrap(), Value::Int(101));
+        assert_eq!(shadow.get_cell(299, "AGE").unwrap(), before[299]);
+        // Only the pages the write touched were copied: the segment's
+        // data page and its zone-map page.
+        let (old, new) = (all_pages(&t), all_pages(&*shadow));
+        assert_eq!(old.difference(&new).count(), 2, "{old:?} vs {new:?}");
+        assert_eq!(new.difference(&old).count(), 2, "{old:?} vs {new:?}");
+        // Every other record of a copied page moved with it.
+        for attr in ds.schema().attributes() {
+            let name = &attr.name;
+            let want: Vec<Value> = ds.column(name).unwrap().cloned().collect();
+            let got = shadow.read_column(name).unwrap();
+            let wrong = (0..1000).filter(|&r| got[r] != want[r] && r != 300).count();
+            assert_eq!(wrong, 0, "{name}");
+        }
+        // Both versions serve zone maps, each its own.
+        let zm = shadow.range_stats("AGE", 0, 1000).expect("clone has maps");
+        assert_eq!(zm, ZoneMap::build(&shadow.read_column("AGE").unwrap()));
+        let zm = t.range_stats("AGE", 0, 1000).expect("original has maps");
+        assert_eq!(zm, ZoneMap::build(&before));
     }
 
     #[test]
@@ -1049,17 +1050,15 @@ mod tests {
         }
     }
 
-    /// Each column's zone-map records, decoded: `(map, stamp)` per
-    /// segment, `None` where the segment has no readable record.
-    fn zone_records(t: &TransposedFile) -> Vec<Vec<Option<(ZoneMap, u64)>>> {
+    /// Each column's zone-map stamps: the segment's generation where
+    /// the segment's map is served, `None` where it is not.
+    fn served_stamps(t: &TransposedFile) -> Vec<Vec<Option<u64>>> {
         t.columns
             .iter()
             .map(|col| {
-                col.segments
-                    .iter()
-                    .map(|s| {
-                        let bytes = col.zones.get(s.zone?).ok()?;
-                        ZoneMap::decode_tagged(&bytes).ok()
+                (0..col.segments.len())
+                    .map(|si| {
+                        TransposedFile::load_zone(col, si).map(|_| col.segments[si].generation)
                     })
                     .collect()
             })
@@ -1067,36 +1066,34 @@ mod tests {
     }
 
     #[test]
-    fn boxed_clone_copies_each_zone_map_at_the_next_generation() {
+    fn a_shared_segment_keeps_its_zone_map_in_every_version() {
         let env = StorageEnv::new(256);
         let mut t = TransposedFile::from_dataset(env.pool, &micro(700)).unwrap();
         t.rebuild_zone_maps().unwrap();
-        let shadow = t.successor().unwrap();
-        assert_eq!(shadow.generation(), 2);
-        let (src, copy) = (zone_records(&t), zone_records(&shadow));
-        assert_eq!(copy.len(), src.len());
-        for (s, c) in src.iter().zip(&copy) {
-            assert_eq!(s.len(), c.len());
-            for (s, c) in s.iter().zip(c) {
-                let (s, c) = (s.as_ref().unwrap(), c.as_ref().unwrap());
-                assert_eq!((&c.0, c.1), (&s.0, s.1 + 1), "same map, next stamp");
+        let mut shadow = t.successor();
+        assert_eq!(shadow.generation, 2);
+        assert_eq!(served_stamps(&shadow), served_stamps(&t));
+        shadow.set_cell(300, "AGE", Value::Int(40)).unwrap();
+        let ci = t.schema.require("AGE").unwrap();
+        let (src, copy) = (served_stamps(&t), served_stamps(&shadow));
+        for (c, (s, n)) in src.iter().zip(&copy).enumerate() {
+            for (si, (s, n)) in s.iter().zip(n).enumerate() {
+                assert_eq!(*s, Some(1), "column {c} segment {si}");
+                let want = if (c, si) == (ci, 1) { 2 } else { 1 };
+                assert_eq!(*n, Some(want), "column {c} segment {si}");
             }
         }
-        for attr in t.schema().attributes() {
-            assert_eq!(
-                zone_map_count(&shadow, &attr.name),
-                t.segment_count(&attr.name)
-            );
-        }
+        assert_no_stale_map(&t);
+        assert_no_stale_map(&shadow);
     }
 
-    /// Every zone map the clone serves is the map of its segment's
+    /// Every zone map the store serves is the map of its segment's
     /// values; returns how many it serves.
-    fn assert_no_stale_map(shadow: &TransposedFile) -> usize {
+    fn assert_no_stale_map(t: &TransposedFile) -> usize {
         let mut served = 0;
-        for (ci, col) in shadow.columns.iter().enumerate() {
+        for (ci, col) in t.columns.iter().enumerate() {
             for si in 0..col.segments.len() {
-                if let Some(zm) = TransposedFile::load_zone(col, si, shadow.generation) {
+                if let Some(zm) = TransposedFile::load_zone(col, si) {
                     let values = TransposedFile::load_segment(col, si).unwrap();
                     assert_eq!(zm, ZoneMap::build(&values), "column {ci} segment {si}");
                     served += 1;
@@ -1107,56 +1104,51 @@ mod tests {
     }
 
     #[test]
-    fn a_damaged_source_zone_page_gives_the_clone_a_rebuilt_map_never_a_stale_one() {
+    fn a_damaged_zone_page_leaves_the_clone_unpruned_never_stale() {
         let env = StorageEnv::new(64);
         let t = TransposedFile::from_dataset(env.pool.clone(), &micro(700)).unwrap();
         env.pool.flush_all().unwrap();
         env.pool.discard_frames().unwrap();
-        for pid in t.zone_page_ids() {
+        for pid in t.zone_map_page_ids() {
             env.disk.corrupt_page(pid, 5).unwrap();
         }
         assert!(t.range_stats("AGE", 0, 700).is_none());
-        let shadow = t.successor().unwrap();
-        assert!(
-            assert_no_stale_map(&shadow) > 0,
-            "the clone writes maps to fresh pages"
+        let mut shadow = t.successor();
+        assert_eq!(assert_no_stale_map(&shadow), 0);
+        // A write still lands; its segment stays unpruned until a
+        // rebuild, never pruned by a map of other values.
+        shadow.set_cell(300, "AGE", Value::Int(5000)).unwrap();
+        assert_eq!(shadow.get_cell(300, "AGE").unwrap(), Value::Int(5000));
+        assert_no_stale_map(&shadow);
+        assert_eq!(
+            shadow.rebuild_zone_maps().unwrap(),
+            3 * shadow.columns.len()
         );
+        assert_eq!(assert_no_stale_map(&shadow), 3 * shadow.columns.len());
     }
 
     #[test]
-    fn a_source_map_of_another_generation_is_rebuilt_not_restamped() {
+    fn a_map_stamped_with_another_generation_never_prunes() {
         let env = StorageEnv::new(256);
         let mut t = TransposedFile::from_dataset(env.pool, &micro(600)).unwrap();
         t.rebuild_zone_maps().unwrap();
         // Segment 0 of AGE points at a map from the previous generation
-        // claiming every AGE is 5000: the source does not serve it, so
-        // the clone must not adopt it under its own stamp.
+        // claiming every AGE is 5000: neither the store nor its
+        // successor may serve it.
         let stale = ZoneMap::build(&vec![Value::Int(5000); 256]).encode_tagged(0);
         let ci = t.schema.require("AGE").unwrap();
         let col = &mut t.columns[ci];
         col.segments[0].zone = Some(col.zones.insert(&stale).unwrap());
         assert!(t.range_stats("AGE", 0, 256).is_none());
-        let shadow = t.successor().unwrap();
-        let served = assert_no_stale_map(&shadow);
-        assert_eq!(served, 3 * shadow.columns.len(), "every segment has a map");
-    }
-
-    #[test]
-    fn a_map_at_the_source_generation_never_prunes_the_clone() {
-        let env = StorageEnv::new(256);
-        let t = TransposedFile::from_dataset(env.pool, &micro(600)).unwrap();
-        let mut shadow = t.successor().unwrap();
-        // A map for segment 0 stamped with the source's generation,
-        // claiming every AGE is 5000, so it would prune any scan for a
-        // real age.
-        let stale = ZoneMap::build(&vec![Value::Int(5000); 256]).encode_tagged(t.generation());
-        let ci = shadow.schema.require("AGE").unwrap();
-        let col = &mut shadow.columns[ci];
-        col.segments[0].zone = Some(col.zones.insert(&stale).unwrap());
-        assert!(TransposedFile::load_zone(col, 0, shadow.generation).is_none());
+        let mut shadow = t.successor();
         assert!(shadow.range_stats("AGE", 0, 256).is_none());
         assert!(shadow.range_stats("AGE", 0, 600).is_none());
         assert!(shadow.range_stats("AGE", 256, 256).is_some());
+        assert_eq!(assert_no_stale_map(&shadow), 3 * shadow.columns.len() - 1);
+        // Writing the segment gives it a map of its own again.
+        let age = shadow.get_cell(0, "AGE").unwrap();
+        shadow.set_cell(0, "AGE", age).unwrap();
+        assert_eq!(assert_no_stale_map(&shadow), 3 * shadow.columns.len());
     }
 
     #[test]
@@ -1182,9 +1174,9 @@ mod tests {
         let env = StorageEnv::new(256);
         let ds = micro(400);
         let mut t = TransposedFile::from_dataset(env.pool, &ds).unwrap();
-        assert_eq!(t.generation(), 0);
+        assert_eq!(t.generation, 0);
         t.rebuild_zone_maps().unwrap();
-        assert_eq!(t.generation(), 1);
+        assert_eq!(t.generation, 1);
         // Rebuilt maps serve the new generation exactly.
         let zm = t.range_stats("AGE", 0, 400).expect("rebuilt maps");
         assert_eq!(

@@ -209,25 +209,16 @@ impl ZoneMap {
         buf
     }
 
-    /// Serialize with a leading store-generation stamp. A map written
-    /// under one view version must never prune a scan of another, even
-    /// if a page holding it is somehow resurrected — readers check the
-    /// stamp via [`ZoneMap::decode_tagged`] and treat a mismatch as "no
-    /// map".
+    /// Serialize with a leading generation stamp: the store generation
+    /// that wrote the map's segment. A map must never prune a scan of
+    /// other contents, even if a page holding it is somehow resurrected
+    /// — readers check the stamp via [`ZoneMap::decode_tagged`] against
+    /// the segment's and treat a mismatch as "no map".
     #[must_use]
     pub fn encode_tagged(&self, generation: u64) -> Vec<u8> {
         let mut buf = generation.to_le_bytes().to_vec();
         buf.extend_from_slice(&self.encode());
         buf
-    }
-
-    /// Rewrite the generation stamp of a record made by
-    /// [`ZoneMap::encode_tagged`] in place, leaving the map's bytes as
-    /// they are. A record too short to hold a stamp is left unchanged.
-    pub fn restamp_tagged(record: &mut [u8], generation: u64) {
-        if let Some(stamp) = record.get_mut(..8) {
-            stamp.copy_from_slice(&generation.to_le_bytes());
-        }
     }
 
     /// Decode a generation-stamped zone map, returning the map and the

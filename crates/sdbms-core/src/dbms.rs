@@ -27,7 +27,9 @@ use sdbms_summary::{
 };
 use sdbms_txn::{EpochRegistry, LockTable};
 
-use crate::edit::{cell_updates, column_scans, derived_column, gather, Edit, Plan, WriteIntent};
+use crate::edit::{
+    cell_updates, column_scans, derived_column, gather, Derived, Edit, Plan, WriteIntent,
+};
 use crate::error::{CoreError, Result};
 use crate::repair::archive_column;
 use crate::session::{BatchId, BatchOp, PendingBatch};
@@ -87,16 +89,11 @@ pub struct StatDbms {
     /// Epoch registry retiring replaced store versions after the last
     /// pinned snapshot drains.
     pub(crate) epochs: Arc<EpochRegistry>,
-    /// Per-view lock table coordinating batches, legacy updates,
+    /// Per-view lock table coordinating batches, statements,
     /// scrubs, and repairs.
     pub(crate) locks: Arc<LockTable>,
     /// Open (staged, uncommitted) update batches by id.
     pub(crate) batches: HashMap<BatchId, PendingBatch>,
-    /// Per view, the history version at which a writer a crash
-    /// interrupted started. Its cell updates are in the history but
-    /// may have been lost with the buffer frames, so
-    /// [`StatDbms::recover`] writes them again.
-    pub(crate) redo: HashMap<String, Version>,
 }
 
 impl std::fmt::Debug for StatDbms {
@@ -137,7 +134,6 @@ impl StatDbms {
             epochs: Arc::new(EpochRegistry::new()),
             locks: Arc::new(LockTable::new()),
             batches: HashMap::new(),
-            redo: HashMap::new(),
         }
     }
 
@@ -314,7 +310,7 @@ impl StatDbms {
                 stale_columns: Default::default(),
                 wal,
                 epochs: Arc::clone(&self.epochs),
-                disk: self.env.disk.clone(),
+                pool: self.env.pool.clone(),
             },
         );
         if matches!(self.durability, DurabilityPolicy::CrashConsistent) {
@@ -602,16 +598,20 @@ impl StatDbms {
     /// (incrementally through its auxiliary state, else marked stale),
     /// and fires derived-attribute rules.
     ///
-    /// All-or-nothing short of a device error: every assignment is
-    /// evaluated and type-checked for every matching row before the
-    /// first write, so a statement that fails leaves no trace.
+    /// All-or-nothing, a crash included: the statement and the derived
+    /// columns it triggers are written to a successor version of the
+    /// store, flushed, and installed with one pointer swap, so a failure
+    /// or a crash before the swap leaves no trace, and after it the
+    /// whole statement is there.
     ///
     /// Under [`DurabilityPolicy::CrashConsistent`] the update follows
     /// the write-ahead intent protocol: the affected attributes
     /// (assignments plus the derived columns they trigger) are logged
     /// durably *before* any cell changes, and the intent is cleared
-    /// only after the buffer pool has been flushed. A crash anywhere in
-    /// between leaves a pending intent for [`StatDbms::recover`].
+    /// only after the Summary DB is maintained and flushed. A crash
+    /// anywhere in between leaves a pending intent for
+    /// [`StatDbms::recover`], which invalidates those attributes'
+    /// summaries.
     pub fn update_where(
         &mut self,
         view: &str,
@@ -620,13 +620,12 @@ impl StatDbms {
     ) -> Result<UpdateReport> {
         let op = BatchOp::update_where(predicate, assignments);
         let intent = assignments.iter().map(|(a, _)| (*a).to_string()).collect();
-        self.write(
-            view,
-            None,
-            WriteIntent::Attributes(intent),
-            |dbms| Plan::op(&*dbms.view(view)?.store, &op, &dbms.exec),
-            |dbms, plan| dbms.edit_in_place(view, plan),
-        )
+        self.write(view, None, WriteIntent::Attributes(intent), |dbms| {
+            dbms.edit(view, Derived::Fired, |dbms, store, applied| {
+                let plan = Plan::op(store, &op, &dbms.exec)?;
+                applied.apply(store, plan)
+            })
+        })
     }
 
     /// Flush everything buffered, then durably clear the view's intent.
@@ -648,12 +647,12 @@ impl StatDbms {
     /// Restart after a crash and repair every view's Summary Database
     /// from its write-ahead intent log: pending intents invalidate the
     /// named attributes' entries (or rebuild the cache when even that
-    /// is impossible), so no summary is ever served stale. Before that,
-    /// the cell updates a crash-interrupted writer recorded are written
-    /// again; a view whose pages cannot be read back for it is left
-    /// degraded until [`StatDbms::repair_view`]. Each action is
-    /// recorded in the view's history as a [`ChangeRecord::Recovery`]
-    /// so analysts can see what happened.
+    /// is impossible), so no summary is ever served stale. View data
+    /// needs nothing: every writer installs a flushed version with one
+    /// pointer swap, so a crash leaves each view at the version before
+    /// or after the interrupted write. Each action is recorded in the
+    /// view's history as a [`ChangeRecord::Recovery`] so analysts can
+    /// see what happened.
     ///
     /// Safe to call when no crash happened (it is then a plain restart:
     /// dirty frames are dropped and any pending intents are honored).
@@ -662,40 +661,6 @@ impl StatDbms {
             frames_lost: self.env.restart()?,
             ..RecoveryReport::default()
         };
-        // The history never lies: cell writes it holds that the crash
-        // discarded are written again, and flushed, before anything
-        // reads the view. A view leaves `redo` only once they are
-        // durable, so a recovery that fails part-way, a crash during
-        // recovery included, writes them again when it is retried.
-        let redo: Vec<(String, Version)> = self.redo.iter().map(|(n, v)| (n.clone(), *v)).collect();
-        for (name, from) in redo {
-            if self.views.contains_key(&name) {
-                let detail = match self.redo_cells(&name, from) {
-                    Ok(n) => {
-                        self.env.pool.flush_all()?;
-                        (n > 0).then(|| {
-                            format!("crash recovery: rewrote {n} cell(s) the crash may have lost")
-                        })
-                    }
-                    Err(e) if error_is_crash(&e) => return Err(e),
-                    // A damaged page: reads fall back to the archive
-                    // and the history, which hold these cells, until
-                    // repair_view replays them into a rebuilt store.
-                    Err(e) => {
-                        let detail = format!(
-                            "crash recovery: could not rewrite the cells the crash may \
-                             have lost ({e}); view degraded until repaired"
-                        );
-                        self.health.mark_degraded(&name, &detail);
-                        Some(detail)
-                    }
-                };
-                if let Some(detail) = detail {
-                    self.record(&name, [ChangeRecord::Recovery { detail }])?;
-                }
-            }
-            self.redo.remove(&name);
-        }
         let names: Vec<String> = self.views.keys().cloned().collect();
         let pool = self.env.pool.clone();
         for name in names {
@@ -748,10 +713,10 @@ impl StatDbms {
                         .to_string()
                 }
                 // A transactional batch was interrupted mid-commit. The
-                // view data is whole-version atomic (the shadow store is
-                // only installed by an in-memory pointer swap after its
-                // pages are durable), so the data is either all
-                // pre-batch or all post-batch. The summary cache cannot
+                // view data is version-atomic (a successor is installed
+                // by one in-memory pointer swap after its pages are
+                // durable), so the data is either all pre-batch or all
+                // post-batch. The summary cache cannot
                 // tell which — and post-install maintenance may have
                 // been cut short — so rebuild it conservatively; running
                 // recovery again reaches the same state (idempotent).
@@ -812,7 +777,8 @@ impl StatDbms {
     /// Regenerate a derived column on demand from its rule (for
     /// columns a [`DerivedRule::MarkStale`] rule or a batch commit left
     /// out of date). A writer like any other: view lock, write-ahead
-    /// intent, annotated in history, the column's summaries retired.
+    /// intent, a successor version, annotated in history, the column's
+    /// summaries retired.
     pub fn regenerate_column(&mut self, view: &str, derived: &str) -> Result<()> {
         let Some(generator) = self.rules.rule(view, derived)?.generator() else {
             // A mark-stale rule carries no generator; re-deriving is
@@ -820,13 +786,14 @@ impl StatDbms {
             self.view_mut(view)?.stale_columns.remove(derived);
             return Ok(());
         };
-        self.write(
-            view,
-            None,
-            WriteIntent::Attributes(vec![derived.to_string()]),
-            |dbms| Plan::column(&*dbms.view(view)?.store, derived, &generator),
-            |dbms, plan| dbms.regenerate(view, derived, plan),
-        )
+        let intent = WriteIntent::Attributes(vec![derived.to_string()]);
+        self.write(view, None, intent, |dbms| {
+            dbms.edit(view, Derived::Fired, |_, store, applied| {
+                let plan = Plan::column(store, derived, &generator)?;
+                applied.regenerate(store, derived, plan)
+            })
+        })
+        .map(drop)
     }
 
     // ---- derived columns ----------------------------------------------------
@@ -858,9 +825,10 @@ impl StatDbms {
         )
     }
 
-    /// Append the derived column `name`, filled from `rule`, and
-    /// register the rule. Under the view lock; no cached summary
-    /// depends on a column that did not exist, so no intent is logged.
+    /// Append the derived column `name`, filled from `rule`, to a
+    /// successor version, install it, and register the rule. Under the
+    /// view lock; no cached summary depends on a column that did not
+    /// exist, so no intent is logged.
     fn add_column_with_rule(
         &mut self,
         view: &str,
@@ -869,22 +837,20 @@ impl StatDbms {
         rule: DerivedRule,
     ) -> Result<()> {
         let generator = rule.generator();
-        self.write(
-            view,
-            None,
-            WriteIntent::LockOnly,
-            |dbms| derived_column(&*dbms.view(view)?.store, generator.as_ref(), dtype),
-            |dbms, values| {
-                let v = dbms.view_mut(view)?;
-                v.tracker.column_reads += generator.as_ref().map_or(0, column_scans);
-                v.store_mut()?
-                    .add_column(Attribute::derived(name, dtype), values)?;
-                dbms.rules.register(view, name, rule);
+        self.write(view, None, WriteIntent::LockOnly, |dbms| {
+            dbms.edit(view, Derived::Fired, |_, store, applied| {
+                let values = derived_column(store, generator.as_ref(), dtype)?;
+                applied.column_reads += generator.as_ref().map_or(0, column_scans);
+                store.add_column(Attribute::derived(name, dtype), values)?;
                 let attribute = name.to_string();
-                dbms.record(view, [ChangeRecord::ColumnAppended { attribute }])?;
+                applied
+                    .records
+                    .push(ChangeRecord::ColumnAppended { attribute });
                 Ok(())
-            },
-        )
+            })?;
+            dbms.rules.register(view, name, rule);
+            Ok(())
+        })
     }
 
     /// Override the maintenance rule of an existing derived column
@@ -945,23 +911,21 @@ impl StatDbms {
     /// to a previous state"). The rollback itself is recorded, so the
     /// history stays append-only and an undo can itself be undone.
     /// The inverses are known before anything is applied, so a
-    /// rollback is an ordinary in-place edit: same lock and intent, and
-    /// restoring base attributes re-derives dependent columns and
-    /// maintains the Summary DB exactly as a forward update would.
+    /// rollback is an ordinary statement: same lock, intent and
+    /// successor version, and restoring base attributes re-derives
+    /// dependent columns and maintains the Summary DB exactly as a
+    /// forward update would.
     pub fn rollback_to(&mut self, view: &str, version: Version) -> Result<usize> {
         let inverses = self.catalog.view(view)?.history.undo_to(version)?;
         let cells = || cell_updates(&inverses);
         let intent = cells().map(|(_, a, ..)| a.to_string()).collect();
-        self.write(
-            view,
-            None,
-            WriteIntent::Attributes(intent),
-            |dbms| {
+        self.write(view, None, WriteIntent::Attributes(intent), |dbms| {
+            dbms.edit(view, Derived::Fired, |_, store, applied| {
                 let edits = cells().map(|(row, a, _, new)| Edit::Cell(row, a, new.clone()));
-                Plan::resolved(&*dbms.view(view)?.store, edits.collect())
-            },
-            |dbms, plan| dbms.edit_in_place(view, plan),
-        )?;
+                let plan = Plan::resolved(store, edits.collect())?;
+                applied.apply(store, plan)
+            })
+        })?;
         Ok(inverses.len())
     }
 
@@ -1021,25 +985,21 @@ impl StatDbms {
 
     // ---- reorganization --------------------------------------------------------
 
-    /// Rebuild a view's store in a different layout. Summary entries
-    /// stay valid (the data is unchanged); only the storage moves.
+    /// Rebuild a view's store in a different layout and install it.
+    /// Summary entries stay valid (the data is unchanged); only the
+    /// storage moves.
     pub fn reorganize(&mut self, view: &str, layout: Layout) -> Result<()> {
         if self.view(view)?.layout == layout {
             return Ok(());
         }
-        self.write(
-            view,
-            None,
-            WriteIntent::LockOnly,
-            |dbms| dbms.build_store(layout, &dbms.view(view)?.store.to_dataset(view)?),
-            |dbms, store| {
-                let v = dbms.view_mut(view)?;
-                v.install_store(Arc::from(store));
-                v.layout = layout;
-                v.tracker = Default::default();
-                Ok(())
-            },
-        )
+        self.write(view, None, WriteIntent::LockOnly, |dbms| {
+            let store = dbms.build_store(layout, &dbms.view(view)?.store.to_dataset(view)?)?;
+            dbms.install(view, store, Ok(()))?;
+            let v = dbms.view_mut(view)?;
+            v.layout = layout;
+            v.tracker = Default::default();
+            Ok(())
+        })
     }
 
     /// Reorganize if the access pattern recommends a different layout

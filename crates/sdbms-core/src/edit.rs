@@ -1,23 +1,28 @@
-//! The one edit pipeline: lock → intent → plan → apply → record
-//! (DESIGN.md §12). Every writer in this crate is made of these parts:
-//! [`StatDbms::write`] (view lock, write-ahead intent, flush-and-clear
-//! or invalidate-on-error), a [`Plan`] (the statement's [`Edit`]s,
-//! validated before the first write), [`apply`] (the only caller of
+//! The one edit pipeline: lock → intent → plan → apply → install →
+//! record (DESIGN.md §12). Every writer in this crate is made of these
+//! parts: [`StatDbms::write`] (view lock, write-ahead intent,
+//! flush-and-clear), a [`Plan`] (the statement's [`Edit`]s, validated
+//! before the first write), [`apply`] (the only caller of
 //! `TableStore::set_cells` / `set_cell` / `append_row`, writing each
 //! run of one attribute's cells a segment at a time; returns the
-//! [`ChangeRecord`]s everything downstream is derived from), and
-//! [`StatDbms::epilogue`] (history → derived rules → Summary DB), which
-//! reads nothing but those records. An in-place writer and
-//! `commit_batch` differ only in which store `apply` writes and when
-//! that store becomes visible.
+//! [`ChangeRecord`]s everything downstream is derived from),
+//! [`StatDbms::install`] (flush, then one pointer swap) and
+//! [`StatDbms::epilogue`] (history → derived flags → Summary DB), which
+//! reads nothing but those records. No writer mutates an installed
+//! store: [`StatDbms::edit`] applies to a successor version that shares
+//! the installed one's pages and copies only those it writes. A
+//! statement and `commit_batch` differ only in whether the derived
+//! columns their edits trigger are fired or deferred.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use sdbms_columnar::{TableStore, SEGMENT_ROWS};
 use sdbms_data::{value::DataType, value::Value, DataError};
 use sdbms_management::{ChangeRecord, DerivedRule, VectorGenerator, Version};
 use sdbms_relational::Expr;
 use sdbms_stats::regression;
+use sdbms_storage::budget::{BudgetScope, CancelToken};
 use sdbms_summary::{apply_updates, quarantinable, MaintenanceReport, SummaryDb, UpdateDelta};
 use sdbms_txn::LockGuard;
 
@@ -250,13 +255,13 @@ fn residual_column(xs_raw: &[Value], ys_raw: &[Value]) -> Result<Vec<Value>> {
         .collect())
 }
 
-/// Write a plan's edits to `store`, in order, pushing onto `records`
-/// (when the caller wants them) one [`ChangeRecord`] per cell whose
-/// value changed and per appended row. Each run of consecutive cell
-/// edits of one attribute is one `TableStore::set_cells` call, which
-/// stores each segment it touches once. The plan was validated, so
-/// only a device error stops it — and then `records` holds exactly the
-/// prefix that reached the store, counted in whole segments.
+/// Write a plan's edits to `store`, a version no reader has seen, in
+/// order, pushing onto `records` (when the caller wants them) one
+/// [`ChangeRecord`] per cell whose value changed and per appended row.
+/// Each run of consecutive cell edits of one attribute is one
+/// `TableStore::set_cells` call, which stores each segment it touches
+/// once. The plan was validated, so only a device error stops it, and
+/// then the caller drops `store`.
 pub(crate) fn apply(
     store: &mut (dyn TableStore + Send + Sync),
     plan: Plan<'_>,
@@ -273,7 +278,7 @@ pub(crate) fn apply(
                     cells.push((row, new));
                 }
                 let mut olds = Vec::with_capacity(cells.len());
-                let written = store.set_cells(attribute, &cells, &mut olds);
+                store.set_cells(attribute, &cells, &mut olds)?;
                 if let Some(records) = records.as_deref_mut() {
                     for ((row, new), old) in cells.into_iter().zip(olds) {
                         if old != new {
@@ -287,7 +292,6 @@ pub(crate) fn apply(
                         }
                     }
                 }
-                written?;
             }
             Edit::Row(values) => {
                 store.append_row(values.to_vec())?;
@@ -316,51 +320,87 @@ pub(crate) fn cell_updates(
     })
 }
 
-/// When a writer brings the derived columns its edit triggers up to
-/// date.
+/// How a writer brings the derived columns its cell updates trigger up
+/// to date.
 pub(crate) enum Derived {
-    /// Now, each column by its own rule: an in-place writer.
+    /// On the successor, each column by its own rule, so the columns
+    /// install with the edit: a statement.
     Fired,
-    /// On demand: every triggered column is marked stale whatever its
-    /// rule and reported as [`DerivedRule::DEFERRED`] — a shadow
-    /// commit, which writes nothing once its store is installed.
+    /// Every triggered column is marked stale whatever its rule and
+    /// reported as [`DerivedRule::DEFERRED`]: a batch commit, whose
+    /// columns are regenerated on demand.
     Deferred,
 }
 
 /// Which write-ahead intent a writer logs before it touches the view.
 pub(crate) enum WriteIntent {
-    /// A structural change no cached summary depends on (a new column,
-    /// a new layout): the view lock only.
+    /// A change no cached summary depends on (a new column, a new
+    /// layout): the view lock only.
     LockOnly,
-    /// An in-place edit of these attributes; the derived columns their
-    /// rules trigger are added to what is logged.
+    /// A statement that writes these attributes; the derived columns
+    /// their rules trigger are added to what is logged. A crash leaves
+    /// their entries for recovery to invalidate.
     Attributes(Vec<String>),
-    /// A shadow commit.
+    /// A batch commit: a crash leaves the cache for recovery to rebuild.
     Txn,
+}
+
+/// What a writer did to its successor version, for the epilogue once
+/// that version is installed.
+#[derive(Default)]
+pub(crate) struct Applied {
+    /// The history records, in order.
+    pub(crate) records: Vec<ChangeRecord>,
+    /// Whole-column scans planning made, for the access tracker.
+    pub(crate) column_reads: u64,
+    /// Derived columns the writer left stale (`true`) or rewrote from
+    /// their rule (`false`).
+    derived: Vec<(String, bool)>,
+    report: UpdateReport,
+}
+
+impl Applied {
+    /// Apply `plan` to `store` ([`apply`]), keeping its records.
+    pub(crate) fn apply(&mut self, store: &mut Store, plan: Plan<'_>) -> Result<()> {
+        self.report.rows_matched += plan.rows_matched;
+        self.column_reads += plan.column_reads;
+        Ok(apply(store, plan, Some(&mut self.records))?)
+    }
+
+    /// Rewrite derived column `derived` of `store` from a
+    /// [`Plan::column`]. The rule re-derives the cells, so the history
+    /// gets one annotation, not a record per cell, and every cached
+    /// summary of the column is retired.
+    pub(crate) fn regenerate(
+        &mut self,
+        store: &mut Store,
+        derived: &str,
+        plan: Plan<'_>,
+    ) -> Result<()> {
+        self.column_reads += plan.column_reads;
+        apply(store, plan, None)?;
+        let text = format!("regenerated derived column {derived}");
+        self.records.push(ChangeRecord::Annotation { text });
+        self.derived.push((derived.to_string(), false));
+        Ok(())
+    }
 }
 
 impl StatDbms {
     /// The one writer prologue. Takes the view's lock (or carries the
     /// one an open batch already `holds`), logs `intent` durably if the
-    /// view has an intent log, then runs the writer: `plan` reads and
-    /// validates and cannot write; `run` writes. On success everything
-    /// buffered is flushed and the intent cleared. If `plan` fails
-    /// nothing was touched and the intent is simply retired; if `run`
-    /// fails without a crash, the summaries of the intent's attributes
-    /// are invalidated first, so the cache is never left possibly
-    /// stale. A crash leaves the intent for [`StatDbms::recover`], and
-    /// the cell updates the writer recorded for it to write again: the
-    /// crash may have discarded their buffer frames.
-    pub(crate) fn write<P, T>(
+    /// view has an intent log, then runs the writer. On success
+    /// everything buffered is flushed and the intent cleared. A writer
+    /// that fails without a crash installed nothing (see
+    /// [`StatDbms::edit`]), so its intent is simply retired; a crash
+    /// leaves the intent for [`StatDbms::recover`].
+    pub(crate) fn write<T>(
         &mut self,
         view: &str,
         holds: Option<LockGuard>,
         intent: WriteIntent,
-        plan: impl FnOnce(&Self) -> Result<P>,
-        run: impl FnOnce(&mut Self, P) -> Result<T>,
+        run: impl FnOnce(&mut Self) -> Result<T>,
     ) -> Result<T> {
-        // Where this writer's cell updates will start in the history.
-        let from = self.history_version(view)?;
         let wal = self.view(view)?.wal.as_ref();
         // Writers exclude each other (and scrubs/repairs) per view; a
         // held lock surfaces immediately as `CoreError::Lock`.
@@ -368,61 +408,39 @@ impl StatDbms {
             Some(guard) => guard,
             None => self.locks.acquire(self.locks.session(), &[view])?,
         };
-        // Logged: the attributes plus the derived columns they trigger.
-        let mut attributes = Vec::new();
-        if let WriteIntent::Attributes(base) = &intent {
-            let triggered = base.iter().flat_map(|a| self.rules.triggered_by(view, a));
-            attributes = triggered.map(|(d, _)| d.to_string()).collect();
-            attributes.extend_from_slice(base);
-            attributes.sort_unstable();
-            attributes.dedup();
-        }
         let logged = match (wal, &intent) {
             (None, _) | (_, WriteIntent::LockOnly) => false,
-            (Some(wal), WriteIntent::Attributes(_)) => wal.begin(&attributes).map(|()| true)?,
+            (Some(wal), WriteIntent::Attributes(base)) => {
+                // Logged: the attributes plus the derived columns they
+                // trigger.
+                let triggered = base.iter().flat_map(|a| self.rules.triggered_by(view, a));
+                let mut attributes: Vec<String> = triggered.map(|(d, _)| d.to_string()).collect();
+                attributes.extend_from_slice(base);
+                attributes.sort_unstable();
+                attributes.dedup();
+                wal.begin(&attributes).map(|()| true)?
+            }
             (Some(wal), WriteIntent::Txn) => wal.begin_txn().map(|()| true)?,
         };
-        let mut written = false;
-        let result = plan(self).and_then(|planned| {
-            written = true;
-            run(self, planned)
-        });
-        // The writer's cell updates since `from` are in the history; a
-        // crash may have discarded their frames, so recovery rewrites them.
-        let crashed = |dbms: &mut Self| {
-            dbms.redo.entry(view.to_string()).or_insert(from);
-        };
+        let result = run(self);
         match &result {
-            Ok(_) if logged => {
-                // A crash while committing must surface: the write may
-                // not be durable. Other trouble leaves the intent
-                // pending, which is conservative (recovery invalidates),
-                // so the successful write still reports success.
+            // Nothing logged.
+            _ if !logged => {}
+            // A crash while committing must surface: the write may not
+            // be durable. Other trouble leaves the intent pending,
+            // which is conservative (recovery invalidates), so the
+            // successful write still reports success.
+            Ok(_) => {
                 if let Err(e) = self.commit_intent(view) {
                     if error_is_crash(&e) {
-                        crashed(self);
                         return Err(e);
                     }
                 }
             }
-            // Nothing logged.
-            Ok(_) => {}
             // The intent stays pending for recovery.
-            Err(e) if error_is_crash(e) => {
-                crashed(self);
-            }
-            Err(_) => {
-                if let (true, Ok(v)) = (written, self.view(view)) {
-                    for a in &attributes {
-                        // Best-effort — with an intent log the pending intent still guards these attributes; without one this is already more than the volatile policy promises
-                        let _ = v.summary.invalidate_attribute(a);
-                    }
-                }
-                if logged {
-                    // Retiring the intent is best-effort on this path — a pending intent is safe and recovery replays it
-                    let _ = self.commit_intent(view);
-                }
-            }
+            Err(e) if error_is_crash(e) => {}
+            // Retiring the intent is best-effort on this path — a pending intent is safe and recovery replays it
+            Err(_) => drop(self.commit_intent(view)),
         }
         result
     }
@@ -437,111 +455,80 @@ impl StatDbms {
         Ok(self.catalog.view_mut(view)?.history.extend(changes))
     }
 
-    /// An in-place edit: apply `plan` to the live store, then the
-    /// epilogue.
-    pub(crate) fn edit_in_place(&mut self, view: &str, plan: Plan<'_>) -> Result<UpdateReport> {
-        let mut report = UpdateReport {
-            rows_matched: plan.rows_matched,
-            ..UpdateReport::default()
-        };
-        let column_reads = plan.column_reads;
-        let records = self.apply_live(view, plan)?;
-        self.epilogue(view, records, column_reads, Derived::Fired, &mut report)?;
-        Ok(report)
-    }
-
-    /// Apply `plan` to the live store. When a device error interrupts
-    /// the apply, the written prefix still goes to the history: the
-    /// history never lies.
-    fn apply_live(&mut self, view: &str, plan: Plan<'_>) -> Result<Vec<ChangeRecord>> {
-        let mut records = Vec::new();
-        let applied = apply(self.view_mut(view)?.store_mut()?, plan, Some(&mut records));
-        if let Err(e) = applied {
-            self.record(view, records)?;
-            return Err(e.into());
-        }
-        Ok(records)
-    }
-
-    /// Write again every cell update the history holds after version
-    /// `from`, each to its new value; returns how many. Recovery's
-    /// redo of an in-place edit a crash interrupted.
-    pub(crate) fn redo_cells(&mut self, view: &str, from: Version) -> Result<usize> {
-        let records: Vec<ChangeRecord> = self
-            .catalog
-            .view(view)?
-            .history
-            .records_since(from)
-            .map(|(_, r)| r)
-            .collect();
-        let cells = cell_updates(&records).map(|(row, a, _, new)| Edit::Cell(row, a, new.clone()));
-        let v = self.view_mut(view)?;
-        let plan = Plan::resolved(&*v.store, cells.collect())?;
-        let n = plan.edits.len();
-        apply(v.store_mut()?, plan, None)?;
-        Ok(n)
-    }
-
-    /// The one writer epilogue: what the Management DB's rules make of
-    /// the `records` of an applied edit — history, derived attributes,
-    /// Summary DB. An in-place writer runs it on the store it just
-    /// wrote, a shadow commit on the store it just installed.
-    pub(crate) fn epilogue(
+    /// The one write protocol. `edit` writes a successor of the view's
+    /// store (`TableStore::boxed_clone`: no I/O, and its first write to
+    /// a shared page copies that page), and the derived columns its
+    /// cell updates trigger are brought up to date on the successor as
+    /// `derived` says. Then the successor is installed
+    /// ([`StatDbms::install`]), and only then do its records reach the
+    /// history and the Summary DB ([`StatDbms::epilogue`]). An error
+    /// before the install discards the successor: the view, its history
+    /// and its cache are as they were, and a crash cannot leave a mix.
+    pub(crate) fn edit(
         &mut self,
         view: &str,
-        records: Vec<ChangeRecord>,
-        column_reads: u64,
         derived: Derived,
-        report: &mut UpdateReport,
-    ) -> Result<()> {
-        let appended = records
-            .iter()
-            .any(|r| matches!(r, ChangeRecord::RowAppended { .. }));
-        let mut deltas = Deltas::new();
-        let rows = self.absorb(view, records, column_reads, &mut deltas)?;
-        report.cells_changed = deltas.values().map(Vec::len).sum();
-        self.fire_derived_rules(view, &rows, &mut deltas, derived, report)?;
-        self.maintain_summaries(view, deltas, appended, report)
+        edit: impl FnOnce(&Self, &mut Store, &mut Applied) -> Result<()>,
+    ) -> Result<UpdateReport> {
+        let mut next = self.view(view)?.store.boxed_clone()?;
+        let mut applied = Applied::default();
+        let written = edit(self, &mut *next, &mut applied).and_then(|()| {
+            applied.report.cells_changed = cell_updates(&applied.records).count();
+            self.derive(view, &mut *next, &mut applied, derived)
+        });
+        self.install(view, next, written)?;
+        self.epilogue(view, applied)
     }
 
-    /// Take in the records of an applied plan: the scans planning made
-    /// go to the access tracker, one Summary-DB delta per changed cell
-    /// to `deltas`, the records themselves to the history. Returns the
-    /// rows touched.
-    fn absorb(
+    /// Install `next`, a version of the view's store no reader has
+    /// seen, once its writer has `written` it: every page it wrote is
+    /// flushed, then it replaces the current version with one pointer
+    /// swap. Every writer's version becomes current here, and nowhere
+    /// else; one whose writer failed, or that fails here, is discarded.
+    pub(crate) fn install(
         &mut self,
         view: &str,
-        records: Vec<ChangeRecord>,
-        column_reads: u64,
-        deltas: &mut Deltas,
-    ) -> Result<Vec<usize>> {
-        self.view_mut(view)?.tracker.column_reads += column_reads;
-        let mut rows = Vec::new();
-        for (row, attribute, old, new) in cell_updates(&records) {
-            let (old, new) = (old.clone(), new.clone());
-            let of_attribute = deltas.entry(attribute.to_string()).or_default();
-            of_attribute.push(UpdateDelta { old, new });
-            rows.push(row);
+        next: Box<Store>,
+        written: Result<()>,
+    ) -> Result<()> {
+        // Durability point: every page of the new version reaches disk
+        // before the swap makes it reachable. Then the last
+        // cancellation checkpoint: past it the write is committed.
+        let durable = written
+            .and_then(|()| Ok(self.env.pool.flush_all()?))
+            .and_then(|()| Ok(sdbms_storage::budget::charge_ambient_ops(0)?));
+        let v = self.view_mut(view)?;
+        match durable {
+            Ok(()) => v.install_store(Arc::from(next)),
+            Err(e) => {
+                v.discard(next);
+                return Err(e);
+            }
         }
+        Ok(())
+    }
+
+    /// Bring the derived columns triggered by the cell updates among
+    /// `applied`'s records up to date on `store`, on the rows whose
+    /// base cells changed, each by its own rule — or, `when` they are
+    /// deferred, only mark each one stale.
+    fn derive(
+        &self,
+        view: &str,
+        store: &mut Store,
+        applied: &mut Applied,
+        when: Derived,
+    ) -> Result<()> {
+        let mut rows: Vec<usize> = cell_updates(&applied.records)
+            .map(|(row, ..)| row)
+            .collect();
         rows.sort_unstable();
         rows.dedup();
-        self.record(view, records)?;
-        Ok(rows)
-    }
-
-    /// Fire the rule of every derived column triggered by the
-    /// attributes in `deltas`, on the rows whose base cells changed —
-    /// or, `when` they are deferred, only mark each one stale.
-    fn fire_derived_rules(
-        &mut self,
-        view: &str,
-        affected_rows: &[usize],
-        deltas: &mut Deltas,
-        when: Derived,
-        report: &mut UpdateReport,
-    ) -> Result<()> {
-        let triggered = deltas.keys().flat_map(|a| self.rules.triggered_by(view, a));
-        let fired: BTreeMap<String, DerivedRule> = triggered
+        let attributes: BTreeSet<&str> =
+            cell_updates(&applied.records).map(|(_, a, ..)| a).collect();
+        let fired: BTreeMap<String, DerivedRule> = attributes
+            .into_iter()
+            .flat_map(|a| self.rules.triggered_by(view, a))
             .map(|(column, rule)| {
                 let rule = match when {
                     Derived::Fired => rule.clone(),
@@ -550,48 +537,77 @@ impl StatDbms {
                 (column.to_string(), rule)
             })
             .collect();
-        let mut stale = Vec::new();
         for (derived, rule) in fired {
             let class = rule.cost_class();
             match rule {
                 DerivedRule::Local { expr } => {
                     let target = [(derived.clone(), expr)];
-                    let plan = Plan::assign(&*self.view(view)?.store, affected_rows, &target)?;
-                    let records = self.apply_live(view, plan)?;
-                    self.absorb(view, records, 0, deltas)?;
+                    let plan = Plan::assign(store, &rows, &target)?;
+                    apply(store, plan, Some(&mut applied.records))?;
                 }
                 DerivedRule::Regenerate { generator } => {
-                    let plan = Plan::column(&*self.view(view)?.store, &derived, &generator)?;
-                    self.regenerate(view, &derived, plan)?;
+                    let plan = Plan::column(store, &derived, &generator)?;
+                    applied.regenerate(store, &derived, plan)?;
                 }
-                DerivedRule::MarkStale { .. } => {
-                    self.view_mut(view)?.stale_columns.insert(derived.clone());
-                    stale.push(derived.clone());
-                }
+                DerivedRule::MarkStale { .. } => applied.derived.push((derived.clone(), true)),
             }
-            report.derived_updates.push((derived, class));
-        }
-        // Every flag is set (memory only) before the first cache write,
-        // so an error or crash below leaves no triggered column unflagged.
-        for derived in stale {
-            self.view(view)?.summary.invalidate_attribute(&derived)?;
+            applied.report.derived_updates.push((derived, class));
         }
         Ok(())
     }
 
-    /// Rewrite derived column `derived` in place from a
-    /// [`Plan::column`]. The rule re-derives the cells, so history gets
-    /// one annotation, not a record per cell, and every cached summary
-    /// of the column is retired.
-    pub(crate) fn regenerate(&mut self, view: &str, derived: &str, plan: Plan<'_>) -> Result<()> {
-        let v = self.view_mut(view)?;
-        v.tracker.column_reads += plan.column_reads;
-        apply(v.store_mut()?, plan, None)?;
-        v.stale_columns.remove(derived);
-        v.summary.invalidate_attribute(derived)?;
-        let text = format!("regenerated derived column {derived}");
-        self.record(view, [ChangeRecord::Annotation { text }])?;
-        Ok(())
+    /// The one writer epilogue, on the version just installed: what the
+    /// Management DB's rules make of a writer's records. The planner's
+    /// scans go to the access tracker, the records to the history, the
+    /// derived columns' flags are set and their summaries retired, and
+    /// every other affected attribute's summaries are maintained. It
+    /// cannot undo the install, so it runs outside the caller's op
+    /// budget and only a crash stops it (the writer's intent is still
+    /// pending; recovery repairs the cache). Any other failure costs the
+    /// cache, rebuilt empty, not the write.
+    fn epilogue(&mut self, view: &str, applied: Applied) -> Result<UpdateReport> {
+        let _unbounded = BudgetScope::enter(CancelToken::unbounded());
+        let Applied {
+            records,
+            column_reads,
+            derived,
+            mut report,
+        } = applied;
+        let appended = records
+            .iter()
+            .any(|r| matches!(r, ChangeRecord::RowAppended { .. }));
+        let mut deltas = Deltas::new();
+        for (_, attribute, old, new) in cell_updates(&records) {
+            let (old, new) = (old.clone(), new.clone());
+            let of_attribute = deltas.entry(attribute.to_string()).or_default();
+            of_attribute.push(UpdateDelta { old, new });
+        }
+        let absorb = || -> Result<()> {
+            let v = self.view_mut(view)?;
+            v.tracker.column_reads += column_reads;
+            for (column, stale) in &derived {
+                if *stale {
+                    v.stale_columns.insert(column.clone());
+                } else {
+                    v.stale_columns.remove(column);
+                }
+            }
+            self.record(view, records)?;
+            // Every flag is set (memory only) before the first cache
+            // write, so an error or crash below leaves no triggered
+            // column unflagged.
+            for (column, _) in &derived {
+                self.view(view)?.summary.invalidate_attribute(column)?;
+            }
+            self.maintain_summaries(view, deltas, appended, &mut report)
+        };
+        match absorb() {
+            Err(e) if !error_is_crash(&e) => {
+                self.view_mut(view)?.summary = SummaryDb::create(self.env.pool.clone())?;
+            }
+            done => done?,
+        }
+        Ok(report)
     }
 
     /// Summary Database maintenance per affected attribute: each entry

@@ -53,7 +53,7 @@ use sdbms_summary::{
 };
 
 use crate::dbms::{error_is_crash, resolve_source, summarizable, StatDbms};
-use crate::edit::{apply, derived_column, Edit, Plan};
+use crate::edit::{apply, derived_column, Derived, Edit, Plan};
 use crate::error::{CoreError, Result};
 
 /// Every `SUMMARY_SAMPLE_EVERY`-th Summary-DB entry a scrub pass walks
@@ -446,18 +446,21 @@ impl StatDbms {
 
         if has_zone && !need_store {
             // Cheapest rung: zone maps are pure derivations of the
-            // (intact) segment data.
+            // (intact) segment data, rebuilt in a successor version.
             report
                 .actions
                 .push("rebuild zone maps from intact encoded segments".to_string());
-            let v = self.view_mut(view)?;
-            match v.store_mut().and_then(|s| s.rebuild_zone_maps()) {
-                Ok(n) => report.zone_maps_rebuilt += n,
-                Err(e) if data_error_is_crash(&e) => return Err(e.into()),
+            let rebuilt = self.edit(view, Derived::Fired, |_, next, _| {
+                report.zone_maps_rebuilt += next.rebuild_zone_maps()?;
+                Ok(())
+            });
+            match rebuilt {
+                Err(e) if error_is_crash(&e) => return Err(e),
                 // A segment the rebuild needs is itself unreadable:
                 // the damage reaches above this rung, so escalate to
                 // archive regeneration.
                 Err(_) => need_store = true,
+                Ok(_) => {}
             }
         }
         if need_store {
@@ -537,8 +540,8 @@ impl StatDbms {
             let plan = Plan::column(&*store, attr, generator)?;
             apply(&mut *store, plan, None)?;
         }
+        self.install(view, store, Ok(()))?;
         let v = self.view_mut(view)?;
-        v.install_store(std::sync::Arc::from(store));
         for (attr, _) in &regenerate_at_end {
             v.stale_columns.remove(attr);
         }

@@ -5,24 +5,24 @@
 //! views. This module gives each of them a safe seat:
 //!
 //! - [`Snapshot`] — a read session pinning one view *version*.
-//!   Reads never block and never observe a concurrent batch, because a
-//!   commit installs a brand-new store on fresh pages and retires the
-//!   old one through the epoch registry only after the last pinned
+//!   Reads never block and never observe a concurrent write, because
+//!   every writer installs a successor version whose writes went to
+//!   copies of the pages it touched, and the old version's pages are
+//!   freed through the epoch registry only after the last pinned
 //!   snapshot drains. Each snapshot accounts the I/O *it* incurs on a
 //!   private counter set (scoped through [`sdbms_storage::IoScope`]),
 //!   so shared-tracker totals stay exact while every analyst sees
 //!   their own bill.
 //! - [`StatDbms::begin_batch`] / [`StatDbms::commit_batch`] — a writer
 //!   session staging [`BatchOp`]s against a view, holding the view's
-//!   exclusive lock from begin to commit/abort. Commit is shadowed:
-//!   each staged op is planned and applied against a copy-on-write
-//!   clone through the one edit pipeline (`edit.rs` — the same
-//!   prologue, planner, applier and epilogue as every in-place
-//!   writer), the clone is made durable, and only then is it installed
-//!   in memory — one pointer swap, so readers see the whole batch or
-//!   none of it — and the batch's records drive the epilogue: history,
-//!   stale marks for triggered derived columns, Summary-DB maintenance
-//!   per entry. Under
+//!   exclusive lock from begin to commit/abort. Commit is the one write
+//!   protocol (`edit.rs` — the same prologue, planner, applier and
+//!   epilogue as every writer): each staged op is planned and applied
+//!   against a successor version, which is made durable and only then
+//!   installed in memory — one pointer swap, so readers see the whole
+//!   batch or none of it — and the batch's records drive the epilogue:
+//!   history, stale marks for triggered derived columns, Summary-DB
+//!   maintenance per entry. Under
 //!   [`crate::DurabilityPolicy::CrashConsistent`] the commit runs
 //!   inside a durable `Txn` WAL intent; a crash at any point recovers
 //!   to the full pre-batch or full post-batch state, idempotently.
@@ -35,12 +35,12 @@ use parking_lot::{Mutex, Rank};
 use sdbms_columnar::TableStore;
 use sdbms_data::{schema::Schema, value::Value};
 use sdbms_relational::{Expr, Predicate};
-use sdbms_storage::{BudgetScope, CancelToken, IoScope, IoSnapshot, IoStats};
-use sdbms_summary::{ComputeSource, StatFunction, SummaryDb, SummaryValue};
+use sdbms_storage::{IoScope, IoSnapshot, IoStats};
+use sdbms_summary::{ComputeSource, StatFunction, SummaryValue};
 use sdbms_txn::{EpochPin, LockGuard};
 
-use crate::dbms::{error_is_crash, summarizable, StatDbms};
-use crate::edit::{apply, Derived, Plan, WriteIntent};
+use crate::dbms::{summarizable, StatDbms};
+use crate::edit::{Derived, Plan, WriteIntent};
 use crate::error::{CoreError, Result};
 use crate::view::UpdateReport;
 
@@ -261,7 +261,7 @@ impl StatDbms {
 
     /// Open a transactional update batch on a view, taking its
     /// exclusive lock. The lock is held until [`StatDbms::commit_batch`]
-    /// or [`StatDbms::abort_batch`]; a concurrent batch, legacy
+    /// or [`StatDbms::abort_batch`]; a concurrent batch,
     /// update, scrub, or repair on the same view surfaces as
     /// [`CoreError::Lock`] immediately (acquisition never blocks).
     pub fn begin_batch(&mut self, view: &str) -> Result<BatchId> {
@@ -342,25 +342,27 @@ impl StatDbms {
             .ok_or(CoreError::NoSuchBatch(batch))
     }
 
-    /// Commit a batch atomically. The staged ops apply to a shadow
-    /// clone of the view's store (the live version's pages are never
-    /// written); the clone is flushed durable, then installed with one
-    /// in-memory pointer swap, and the displaced version is
+    /// Commit a batch atomically. The staged ops apply, in order, to a
+    /// successor version of the view's store (each planned against the
+    /// successor as the ops before it left it; the live version's pages
+    /// are never written, and the successor copies only the pages it
+    /// writes); the successor is flushed durable, then installed with
+    /// one in-memory pointer swap, and the displaced version is
     /// epoch-retired for draining snapshots. The batch's change records
-    /// then take the writer epilogue every in-place edit takes:
-    /// history, triggered derived columns marked stale (reported as
-    /// `deferred`), the Summary DB maintained per attribute — an edit
-    /// to `INCOME` leaves `AGE`'s entries
-    /// fresh. A batch that appends rows invalidates every attribute's
-    /// entries instead. Nothing after the install can fail the commit:
-    /// it runs outside the caller's op budget, and summary-cache
-    /// trouble short of a crash costs the cache, not the batch.
+    /// then take the writer epilogue every statement takes: history,
+    /// triggered derived columns marked stale (reported as `deferred`),
+    /// the Summary DB maintained per attribute — an edit to `INCOME`
+    /// leaves `AGE`'s entries fresh. A batch that appends rows
+    /// invalidates every attribute's entries instead. Nothing after the
+    /// install can fail the commit: it runs outside the caller's op
+    /// budget, and summary-cache trouble short of a crash costs the
+    /// cache, not the batch.
     ///
     /// Under [`crate::DurabilityPolicy::CrashConsistent`] the whole
     /// commit runs inside a durable `Txn` WAL intent: a crash at any
     /// I/O operation leaves either the full pre-batch state (swap not
-    /// reached — the shadow pages are orphaned, the live version
-    /// untouched) or the full post-batch state (swap done, shadow
+    /// reached — the successor's pages are orphaned, the live version
+    /// untouched) or the full post-batch state (swap done, successor
     /// already durable; maintenance may be part-way). [`StatDbms::recover`]
     /// then conservatively rebuilds the summary cache and retires the
     /// intent; running it again changes nothing.
@@ -373,58 +375,18 @@ impl StatDbms {
             .batches
             .remove(&batch)
             .ok_or(CoreError::NoSuchBatch(batch))?;
+        let view = pending.view.as_str();
         // The batch's lock guard moves into the writer section and
         // drops when it ends.
-        self.write(
-            &pending.view,
-            Some(pending.guard),
-            WriteIntent::Txn,
-            |_| Ok(()),
-            |dbms, ()| dbms.apply_batch(&pending.view, &pending.ops),
-        )
-    }
-
-    /// Apply staged ops to a shadow clone, install it, and hand the
-    /// records to the writer epilogue. Only called with the view lock
-    /// held.
-    fn apply_batch(&mut self, view: &str, ops: &[BatchOp]) -> Result<UpdateReport> {
-        let exec = self.exec;
-        let mut report = UpdateReport::default();
-        let mut records = Vec::new();
-        let mut column_reads = 0;
-        let mut new_store = self.view(view)?.store.boxed_clone()?;
-        // Each op is planned against the shadow as the ops before it
-        // left it. A bad op fails its plan and the shadow is dropped.
-        for op in ops {
-            let plan = Plan::op(&*new_store, op, &exec)?;
-            report.rows_matched += plan.rows_matched;
-            column_reads += plan.column_reads;
-            apply(&mut *new_store, plan, Some(&mut records))?;
-        }
-        // Durability point: every shadow page reaches disk before the
-        // in-memory swap makes the version reachable.
-        self.env.pool.flush_all()?;
-        // Last cancellation checkpoint: past this line the batch is
-        // committed. A budget trip here aborts the batch cleanly — the
-        // shadow pages are orphaned, the live version was never
-        // touched, and the typed error takes the non-crash path in
-        // `commit_batch` (intent retired, lock released),
-        // indistinguishable from any other aborted batch.
-        sdbms_storage::budget::charge_ambient_ops(0)?;
-        // Atomic in-memory install: one pointer swap, no I/O.
-        self.view_mut(view)?.install_store(Arc::from(new_store));
-        // The epilogue maintains the cache against the installed store
-        // and cannot undo the install, so it runs outside the caller's
-        // budget and only a crash stops it (the `Txn` intent is still
-        // pending; recovery rebuilds the cache). Any other failure
-        // costs the cache, not the commit.
-        let _unbounded = BudgetScope::enter(CancelToken::unbounded());
-        match self.epilogue(view, records, column_reads, Derived::Deferred, &mut report) {
-            Err(e) if !error_is_crash(&e) => {
-                self.view_mut(view)?.summary = SummaryDb::create(self.env.pool.clone())?;
-            }
-            done => done?,
-        }
-        Ok(report)
+        self.write(view, Some(pending.guard), WriteIntent::Txn, |dbms| {
+            dbms.edit(view, Derived::Deferred, |dbms, store, applied| {
+                // A bad op fails its plan and the successor is dropped.
+                for op in &pending.ops {
+                    let plan = Plan::op(store, op, &dbms.exec)?;
+                    applied.apply(store, plan)?;
+                }
+                Ok(())
+            })
+        })
     }
 }

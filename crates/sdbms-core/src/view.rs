@@ -1,11 +1,10 @@
 //! Concrete views and their access-pattern bookkeeping.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use sdbms_columnar::{Layout, TableStore};
-use sdbms_data::DataError;
-use sdbms_storage::DiskManager;
+use sdbms_storage::{BufferPool, PageId};
 use sdbms_summary::{IntentLog, SummaryDb};
 use sdbms_txn::EpochRegistry;
 
@@ -47,14 +46,15 @@ pub struct ConcreteView {
     pub name: String,
     /// Owning analyst.
     pub owner: String,
-    /// The on-disk data in its current layout. `Send + Sync` so the
-    /// morsel-driven executor can scan it from worker threads, and
-    /// behind an `Arc` so a [`crate::Snapshot`] can pin the version it
-    /// opened against while later commits install successors.
+    /// The on-disk data in its current layout: the installed version,
+    /// which no writer mutates. `Send + Sync` so the morsel-driven
+    /// executor can scan it from worker threads, and behind an `Arc` so
+    /// a [`crate::Snapshot`] can pin the version it opened against
+    /// while later writers install successors.
     pub store: Arc<dyn TableStore + Send + Sync>,
     /// Monotone version counter, bumped every time a new store is
-    /// installed (batch commit, copy-on-write mutation, reorganize,
-    /// repair regeneration). A snapshot records the version it pinned.
+    /// installed — by every writer. A snapshot records the version it
+    /// pinned.
     pub version: u64,
     /// Current layout.
     pub layout: Layout,
@@ -72,52 +72,56 @@ pub struct ConcreteView {
     /// The DBMS-wide epoch registry, for retiring replaced store
     /// versions only after the last pinned snapshot drains.
     pub(crate) epochs: Arc<EpochRegistry>,
-    /// The disk, so retired versions can return their pages.
-    pub(crate) disk: Arc<DiskManager>,
+    /// The buffer pool, so retired versions can return their pages.
+    pub(crate) pool: Arc<BufferPool>,
 }
 
 impl ConcreteView {
-    /// Mutable access to the store for in-place edits. If a pinned
-    /// snapshot still shares the current version, the store is first
-    /// shadow-copied onto fresh pages (copy-on-write) so the
-    /// snapshot's version stays byte-stable; the displaced version is
-    /// retired through the epoch registry.
-    pub fn store_mut(
-        &mut self,
-    ) -> std::result::Result<&mut (dyn TableStore + Send + Sync), DataError> {
-        if Arc::get_mut(&mut self.store).is_none() {
-            let clone = self.store.boxed_clone()?;
-            self.install_store(Arc::from(clone));
-        }
-        match Arc::get_mut(&mut self.store) {
-            Some(s) => Ok(s),
-            // Unreachable: the shadow copy above leaves exactly one
-            // strong reference. Kept as an error, not a panic.
-            None => Err(DataError::Decode(
-                "store version still shared after shadow copy",
-            )),
-        }
-    }
-
-    /// Install `store` as the view's current version: bump the version
-    /// counter, and retire the displaced version through the epoch
-    /// registry — its pages return to the free list only once every
-    /// snapshot pinned before the install has dropped.
+    /// Install `store`, a successor of the current version built and
+    /// flushed by a writer, as the view's current version: one pointer
+    /// swap and a version bump. The displaced version is retired
+    /// through the epoch registry: once every snapshot pinned before
+    /// the install has dropped, the pages it has and `store` does not
+    /// (the shared pages `store` copied, and all of them when `store`
+    /// was built afresh) return to the free list.
     pub fn install_store(&mut self, store: Arc<dyn TableStore + Send + Sync>) {
         // The one place a view's store is replaced; every writer routes here.
+        let freed = only_in(&*self.store, &*store);
         let old = std::mem::replace(&mut self.store, store);
         self.version += 1;
-        let mut pages = old.data_page_ids();
-        pages.extend(old.zone_map_page_ids());
-        let disk = Arc::clone(&self.disk);
+        let pool = Arc::clone(&self.pool);
         self.epochs.retire(move || {
             drop(old);
-            for pid in pages {
-                // Best-effort: a page that cannot be zeroed right now
-                // is merely leaked, never reused while referenced.
-                let _ = disk.deallocate(pid);
-            }
+            free(&pool, freed);
         });
+    }
+
+    /// Drop `next`, a successor of the current version that a failed
+    /// writer will not install, and free every page it has that the
+    /// current version does not: the pages it copied or added, which
+    /// no reader has seen.
+    pub(crate) fn discard(&self, next: Box<dyn TableStore + Send + Sync>) {
+        let fresh = only_in(&*next, &*self.store);
+        drop(next);
+        free(&self.pool, fresh);
+    }
+}
+
+/// The pages of `a`, data and zone maps, that `b` does not have.
+fn only_in(a: &(dyn TableStore + Send + Sync), b: &(dyn TableStore + Send + Sync)) -> Vec<PageId> {
+    let pages = |s: &(dyn TableStore + Send + Sync)| {
+        let zones = s.zone_map_page_ids();
+        s.data_page_ids().into_iter().chain(zones)
+    };
+    let kept: HashSet<PageId> = pages(b).collect();
+    pages(a).filter(|p| !kept.contains(p)).collect()
+}
+
+/// Return `pages` to the free list. Best-effort: a page that cannot be
+/// freed right now is merely leaked, never reused while referenced.
+fn free(pool: &BufferPool, pages: Vec<PageId>) {
+    for pid in pages {
+        let _ = pool.deallocate(pid);
     }
 }
 

@@ -802,7 +802,10 @@ fn a_failed_statement_leaves_no_trace() {
         assert!(is_type_mismatch(&err), "{err}");
         assert_untouched(&mut dbms, &age, &income, "second assignment bad");
 
-        // Control: the same statements staged in a batch.
+        // Control: the same statements staged in a batch. The first
+        // is written to the successor before the second fails; the
+        // pages it copied are freed with the successor.
+        let pages = dbms.env().disk.allocated_pages();
         let batch = dbms.begin_batch("v").unwrap();
         dbms.batch_update_where(batch, &Predicate::True, &[double_income()])
             .unwrap();
@@ -811,6 +814,7 @@ fn a_failed_statement_leaves_no_trace() {
         let err = dbms.commit_batch(batch).unwrap_err();
         assert!(is_type_mismatch(&err), "{err}");
         assert_untouched(&mut dbms, &age, &income, "batch");
+        assert_eq!(dbms.env().disk.allocated_pages(), pages, "batch: pages");
 
         // And the view is still writable.
         let report = dbms

@@ -65,13 +65,13 @@ pub const TXN_LOCK_ORDER: Lint = Lint {
     description: "acquire_raw skips the ordered-acquisition check; call LockTable::acquire so the deadlock-avoidance discipline holds",
 };
 
-/// `snapshot-bypass`: core code must not mutate a view's table store
-/// in place — every mutation goes through `store_mut()` (copy-on-write
-/// when readers are pinned) or `install_store` (the version swap), so
-/// pinned snapshots stay immutable.
+/// `snapshot-bypass`: core code must not mutate a view's installed
+/// table store — every writer writes a successor (`boxed_clone`) and
+/// installs it (`StatDbms::install` → `install_store`, the version
+/// swap), so pinned snapshots stay immutable.
 pub const SNAPSHOT_BYPASS: Lint = Lint {
     id: "snapshot-bypass",
-    description: "direct mutation of a view's store bypasses snapshot isolation; route through store_mut()/install_store",
+    description: "direct mutation of a view's installed store bypasses snapshot isolation; write a successor and install it",
 };
 
 /// `deadline-bypass`: a serving-layer function meters I/O (enters an

@@ -189,8 +189,8 @@ const TWIN: &str = "a second StatFunction evaluator or miss path; \
                     use StatFunction::answer / get_or_compute_resilient";
 const APPLIER: &str = "a store write outside the one applier; plan it and hand it to edit::apply";
 const PROLOGUE: &str = "a WAL intent begun outside the one writer prologue; enter StatDbms::write";
-const SNAPSHOT: &str = "mutates a possibly-pinned store in place; \
-                        go through store_mut() (copy-on-write) or install_store (the version swap)";
+const SNAPSHOT: &str = "mutates an installed store; write a successor \
+                        (boxed_clone) and install it (StatDbms::install)";
 const TXN: &[&str] = &["crates/sdbms-txn/"];
 const CORE: &[&str] = &["crates/sdbms-core/src/"];
 const EDIT: &[&str] = &["crates/sdbms-core/src/edit.rs"];
@@ -219,10 +219,12 @@ pub const CONTAINMENT: &[Containment] = &[
     (EDIT_PIPELINE_BYPASS, ". append_row (", CORE, EDIT, APPLIER),
     (EDIT_PIPELINE_BYPASS, "wal . begin (", CORE, EDIT, PROLOGUE),
     (EDIT_PIPELINE_BYPASS, "begin_txn (", CORE, EDIT, PROLOGUE),
-    // Snapshot isolation: in sdbms-core a view's store changes only
-    // through store_mut() or install_store, so pinned snapshots stay
+    // One write protocol: in sdbms-core no writer mutates an installed
+    // store; a view's store changes only by the install of a successor
+    // (install_store, the version swap), so pinned snapshots stay
     // immutable. Reads on `.store` are fine, and `==` is one token, so
-    // a comparison is not an assignment.
+    // a comparison is not an assignment. The in-place accessor and a
+    // way to write through the shared `Arc` stay gone.
     (SNAPSHOT_BYPASS, ". store . set_cell", CORE, &[], SNAPSHOT),
     (SNAPSHOT_BYPASS, ". store . set_cells", CORE, &[], SNAPSHOT),
     (SNAPSHOT_BYPASS, ". store . append_row", CORE, &[], SNAPSHOT),
@@ -235,6 +237,8 @@ pub const CONTAINMENT: &[Containment] = &[
         SNAPSHOT,
     ),
     (SNAPSHOT_BYPASS, ". store =", CORE, &[], SNAPSHOT),
+    (SNAPSHOT_BYPASS, "store_mut", CORE, &[], SNAPSHOT),
+    (SNAPSHOT_BYPASS, "Arc : : get_mut", CORE, &[], SNAPSHOT),
 ];
 
 /// Report every [`CONTAINMENT`] row whose pattern starts at token `i`
@@ -712,6 +716,16 @@ mod tests {
         );
         let src = "fn h(v: &mut V) { v.store.set_cells(a, &cells, &mut olds); }\n";
         assert_eq!(ids_at(EDIT_FILE, src), vec![("snapshot-bypass".into(), 1)]);
+    }
+
+    #[test]
+    fn in_place_store_access_flagged() {
+        let src = "fn f(v: &mut V) { v.store_mut()?.set_cells(a, &c, &mut o)?; }\n";
+        assert_eq!(ids_at(EDIT_FILE, src), vec![("snapshot-bypass".into(), 1)]);
+        let src = "fn g(v: &mut V) { if let Some(s) = Arc::get_mut(&mut v.store) { s.x(); } }\n";
+        assert_eq!(ids_at(EDIT_FILE, src), vec![("snapshot-bypass".into(), 1)]);
+        let src = "fn h(next: &mut S) { next.set_cells(a, &c, &mut o)?; }\n";
+        assert!(ids_at(EDIT_FILE, src).is_empty(), "a successor is written");
     }
 
     #[test]

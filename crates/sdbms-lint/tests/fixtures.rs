@@ -82,15 +82,17 @@ fn lossy_and_docs_fixture_fires_at_expected_lines() {
 
 #[test]
 fn txn_and_snapshot_fixture_fires_at_expected_lines() {
-    // Linted as the edit module: cell writes belong there, but still
-    // only through store_mut(), never on the shared store itself.
+    // Linted as the edit module: cell writes belong there, but only to
+    // a successor version, never to the installed store itself.
     assert_eq!(
         findings_as(EDIT_FILE, "txn_and_snapshot.rs"),
         vec![
-            ("txn-lock-order".to_string(), 13),
-            ("snapshot-bypass".to_string(), 18),
-            ("snapshot-bypass".to_string(), 19),
-            ("snapshot-bypass".to_string(), 24),
+            ("txn-lock-order".to_string(), 15),
+            ("snapshot-bypass".to_string(), 20),
+            ("snapshot-bypass".to_string(), 21),
+            ("snapshot-bypass".to_string(), 26),
+            ("snapshot-bypass".to_string(), 31),
+            ("snapshot-bypass".to_string(), 32),
         ]
     );
 }

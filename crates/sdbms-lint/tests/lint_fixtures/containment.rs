@@ -9,10 +9,10 @@
 
 /// Fixes one cell on the side: no plan, no records, and an intent the
 /// writer prologue never sees.
-pub fn quick_fix(v: &mut ConcreteView, wal: &IntentLog) -> Result<()> {
-    v.store_mut()?.set_cell(0, "AGE", Value::Int(30))?;
+pub fn quick_fix(next: &mut dyn TableStore, wal: &IntentLog) -> Result<()> {
+    next.set_cell(0, "AGE", Value::Int(30))?;
     wal.begin(&["AGE".to_string()])?;
-    v.store_mut()?.set_cells("AGE", &[(1, Value::Int(31))], &mut Vec::new())?;
+    next.set_cells("AGE", &[(1, Value::Int(31))], &mut Vec::new())?;
     Ok(())
 }
 

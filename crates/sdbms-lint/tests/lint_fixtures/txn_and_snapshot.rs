@@ -1,9 +1,11 @@
 //! Known-bad fixture: unordered lock acquisition and in-place store
 //! mutation. Expected findings (see ../fixtures.rs):
-//!   line 13  txn-lock-order     (acquire_raw in library code)
-//!   line 18  snapshot-bypass    (.store.set_cell mutates in place)
-//!   line 19  snapshot-bypass    (.store.set_cells mutates in place)
-//!   line 24  snapshot-bypass    (.store = assignment skips install)
+//!   line 15  txn-lock-order     (acquire_raw in library code)
+//!   line 20  snapshot-bypass    (.store.set_cell mutates in place)
+//!   line 21  snapshot-bypass    (.store.set_cells mutates in place)
+//!   line 26  snapshot-bypass    (.store = assignment skips install)
+//!   line 31  snapshot-bypass    (store_mut, the in-place accessor, is back)
+//!   line 32  snapshot-bypass    (Arc::get_mut writes the installed store)
 
 /// Grabs a lock below the session's current maximum — acquire_raw
 /// skips the order check that would have caught it.
@@ -22,6 +24,14 @@ pub fn poke(v: &mut ConcreteView) {
 /// Swaps the store without a version bump or epoch retire.
 pub fn swap(v: &mut ConcreteView, s: Arc<dyn TableStore>) {
     v.store = s;
+}
+
+/// Writes the installed version when no snapshot happens to pin it.
+pub fn poke_unshared(v: &mut ConcreteView) {
+    v.store_mut().set_cell(0, 3, Value::Int(9));
+    if let Some(s) = Arc::get_mut(&mut v.store) {
+        s.set_cell(0, 3, Value::Int(9));
+    }
 }
 
 /// Reads are fine on a shared store: no findings below this line.

@@ -9,9 +9,9 @@
 //!   cached against the old one becomes unreachable — commits
 //!   invalidate by construction, no flush traffic, no stale reads.
 //! - A **repair** purges the repaired view's entries outright
-//!   ([`ResultCache::purge_view`]). A repair that regenerates the store
-//!   moves the version anyway; one that mends pages in place does not,
-//!   and although the mended bytes are the bytes the entries were
+//!   ([`ResultCache::purge_view`]). A repair that installs a store
+//!   moves the version anyway; one that only resets the Summary DB does
+//!   not, and although the view's bytes are the bytes the entries were
 //!   computed from, dropping a view's entries costs a few recomputes
 //!   while reasoning about which survive buys nothing: after the one
 //!   event that distrusts derived state, keep none.

@@ -902,14 +902,13 @@ fn finish(
 }
 
 /// Return the session's pinned snapshot, re-pinning if the view's
-/// version has moved since it was taken.
-fn refresh_snapshot(inner: &Inner, job: &Job) -> Result<Arc<Snapshot>> {
+/// version has moved from it to `current`.
+fn refresh_snapshot(inner: &Inner, job: &Job, current: u64) -> Result<Arc<Snapshot>> {
     let pinned = inner
         .sessions
         .lock()
         .get(&job.session)
         .and_then(|s| s.snap.clone());
-    let current = inner.dbms.lock().view_version(&job.view)?;
     if let Some(snap) = pinned {
         if snap.version() == current {
             return Ok(snap);
@@ -936,12 +935,16 @@ fn process_query(inner: &Inner, job: &Job, query: &Query) -> Result<Response> {
     // recompute path, which never consults the circuit breaker: the
     // degraded route *is* the safe fallback the breaker would other-
     // wise be protecting us toward. Unrecoverable views go the same
-    // way so the engine can surface its typed error.
-    let health = inner.dbms.lock().health(&job.view)?;
+    // way so the engine can surface its typed error. The view's health
+    // and version come from one engine-lock acquisition.
+    let (health, current) = {
+        let dbms = inner.dbms.lock();
+        (dbms.health(&job.view)?, dbms.view_version(&job.view)?)
+    };
     if health.can_serve_fallback() || health == ViewHealth::Unrecoverable {
         return process_degraded_query(inner, job, query);
     }
-    let snap = refresh_snapshot(inner, job)?;
+    let snap = refresh_snapshot(inner, job, current)?;
     let key = QueryKey {
         view: job.view.clone(),
         version: snap.version(),
@@ -1072,7 +1075,7 @@ fn process_degraded_query(inner: &Inner, job: &Job, query: &Query) -> Result<Res
 }
 
 fn process_commit(inner: &Inner, job: &Job, ops: &[BatchOp]) -> Result<Response> {
-    // The budget covers staging and the shadow apply. A trip anywhere
+    // The budget covers staging and the successor's apply. A trip anywhere
     // before the install swap surfaces as a typed error from
     // commit_batch's clean-abort path: pre-batch state intact, lock
     // released, nothing recorded in the commit log.
@@ -1133,8 +1136,8 @@ fn process_repair(inner: &Inner, job: &Job) -> Result<Response> {
         let report = dbms.repair_view(&job.view)?;
         (report, dbms.view_version(&job.view)?)
     };
-    // A repair that mends pages in place moves no version, so the key
-    // cannot retire the view's entries; drop them all (`crate::cache`).
+    // A repair that only resets the Summary DB moves no version, so the
+    // key cannot retire the view's entries; drop them all (`crate::cache`).
     inner.cache.lock().purge_view(&job.view);
     inner.metrics.repairs.fetch_add(1, Ordering::SeqCst);
     finish(

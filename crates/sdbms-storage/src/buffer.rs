@@ -215,16 +215,7 @@ impl BufferPool {
         // frame still mapped to that id holds stale bytes from the
         // page's previous life and must be invalidated, or the next
         // fetch would serve them as a pool hit.
-        if let Some(&stale) = state.map.get(&pid) {
-            if state.meta[stale].pin_count > 0 {
-                return Err(
-                    StorageError::corrupt("recycled page id still pinned in buffer pool")
-                        .at_page(pid),
-                );
-            }
-            state.map.remove(&pid);
-            state.meta[stale] = FrameMeta::empty();
-        }
+        Self::forget(&mut state, pid)?;
         let frame = match self.take_victim(&mut state) {
             Ok(f) => f,
             Err(e) => {
@@ -277,6 +268,28 @@ impl BufferPool {
             self.disk.write_page(pid, &page)?;
             drop(page);
             state.meta[frame].dirty = false;
+        }
+        Ok(())
+    }
+
+    /// Free page `pid`: drop its frame without write-back, then return
+    /// the page to the disk's free list. Freeing a page with a dirty
+    /// frame straight on the disk would leave the frame to be written
+    /// back, later, to a page that no longer exists. A pinned page is
+    /// left alone.
+    pub fn deallocate(&self, pid: PageId) -> Result<()> {
+        Self::forget(&mut self.state.lock(), pid)?;
+        self.disk.deallocate(pid)
+    }
+
+    /// Unmap page `pid`'s frame, if it has one, without write-back.
+    fn forget(state: &mut PoolState, pid: PageId) -> Result<()> {
+        if let Some(&frame) = state.map.get(&pid) {
+            if state.meta[frame].pin_count > 0 {
+                return Err(StorageError::corrupt("page still pinned in buffer pool").at_page(pid));
+            }
+            state.map.remove(&pid);
+            state.meta[frame] = FrameMeta::empty();
         }
         Ok(())
     }

@@ -280,6 +280,14 @@ impl DiskManager {
         inner.pages.len() - inner.free.len()
     }
 
+    /// One past the highest page id ever allocated: every live page's
+    /// id is below it. Freed ids are recycled, so this can exceed
+    /// [`DiskManager::allocated_pages`].
+    #[must_use]
+    pub fn page_id_limit(&self) -> PageId {
+        self.inner.lock().pages.len() as PageId
+    }
+
     fn charge_access(&self, inner: &mut DiskInner, pid: PageId) {
         let sequential = matches!(inner.head_at, Some(prev) if pid == prev || pid == prev + 1);
         if !sequential {

@@ -1,16 +1,16 @@
 //! Slotted-page heap files.
 //!
-//! A heap file is a chain of slotted pages holding variable-length
-//! records addressed by stable [`Rid`]s. This is the WiSS-style record
-//! layer the paper's concrete views are stored in (when row-oriented;
-//! see `sdbms-columnar` for the transposed alternative).
+//! A heap file is a list of slotted pages holding variable-length
+//! records addressed by [`Rid`]s. This is the WiSS-style record layer
+//! the paper's concrete views are stored in (when row-oriented; see
+//! `sdbms-columnar` for the transposed alternative).
 //!
 //! ## Page layout
 //!
 //! ```text
 //! 0..2    u16  slot_count
 //! 2..4    u16  free_ptr        start of the record area (grows down)
-//! 4..8    u32  next_page       chain link (INVALID_PAGE at tail)
+//! 4..8    u32  reserved        INVALID_PAGE (page order is the file's list)
 //! 8..     slot array           4 bytes/slot: u16 offset, u16 len
 //! ...     free space
 //! ...     record area          records packed toward PAGE_SIZE
@@ -19,7 +19,16 @@
 //! A slot with `offset == 0` is vacant (no record can start inside the
 //! header). Deleting a record vacates its slot; the space is reclaimed
 //! by in-page compaction when a later insert needs it.
+//!
+//! ## Shadow pages
+//!
+//! [`HeapFile::successor`] is Lorie's shadow-page version of a file: it
+//! shares every page with the file it came from and writes none of
+//! them. The first write to a shared page copies it to a fresh page and
+//! writes the copy, so the records on that page move, slot for slot, to
+//! the copy; [`HeapFile::relocate`] maps their old rids to the new ones.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, Rank};
@@ -34,7 +43,8 @@ const SLOT_SIZE: usize = 4;
 /// Largest record a page can hold (one slot, empty page).
 pub const MAX_RECORD: usize = PAGE_SIZE - HEADER - SLOT_SIZE;
 
-/// Stable record identifier: page id + slot index.
+/// Record identifier: page id + slot index. Stable within one version
+/// of a file; see [`HeapFile::relocate`] for a successor's copies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rid {
     /// Page holding the record.
@@ -65,13 +75,6 @@ fn free_ptr(p: &Page) -> u16 {
 fn set_free_ptr(p: &mut Page, v: u16) {
     p.put_u16(2, v);
 }
-#[allow(dead_code)] // chain-traversal counterpart of set_next_page, kept for symmetry
-fn next_page(p: &Page) -> PageId {
-    p.get_u32(4)
-}
-fn set_next_page(p: &mut Page, pid: PageId) {
-    p.put_u32(4, pid);
-}
 fn slot(p: &Page, i: u16) -> (u16, u16) {
     let off = HEADER + SLOT_SIZE * i as usize;
     (p.get_u16(off), p.get_u16(off + 2))
@@ -101,7 +104,7 @@ fn live_slot(p: &Page, rid: Rid) -> Result<(u16, u16)> {
 fn init_page(p: &mut Page) {
     set_slot_count(p, 0);
     set_free_ptr(p, PAGE_SIZE as u16);
-    set_next_page(p, INVALID_PAGE);
+    p.put_u32(4, INVALID_PAGE);
 }
 
 /// Contiguous free bytes between the slot array and the record area.
@@ -161,20 +164,26 @@ fn check_header(p: &Page, pid: PageId) -> Result<()> {
     Ok(())
 }
 
+/// Bytes a new record needs besides its own: a slot entry, unless a
+/// vacant one can be reused.
+fn slot_cost(p: &Page) -> usize {
+    SLOT_SIZE * usize::from(vacant_slot(p).is_none())
+}
+
+/// Whether [`page_insert`] would find room for `len` bytes.
+fn fits(p: &Page, len: usize) -> bool {
+    total_free(p) >= len + slot_cost(p)
+}
+
 /// Insert `bytes` into the page, compacting first if needed.
 /// Returns the slot index, or `None` if it cannot fit.
 fn page_insert(p: &mut Page, bytes: &[u8]) -> Option<u16> {
-    let need_slot = vacant_slot(p).is_none();
-    let slot_cost = if need_slot { SLOT_SIZE } else { 0 };
-    if contiguous_free(p) < bytes.len() + slot_cost {
-        if total_free(p) >= bytes.len() + slot_cost {
-            compact(p);
-        } else {
-            return None;
-        }
-    }
-    if contiguous_free(p) < bytes.len() + slot_cost {
+    if !fits(p, bytes.len()) {
         return None;
+    }
+    // Dead space counts toward `fits`; compaction makes it contiguous.
+    if contiguous_free(p) < bytes.len() + slot_cost(p) {
+        compact(p);
     }
     let idx = match vacant_slot(p) {
         Some(i) => i,
@@ -195,10 +204,22 @@ fn page_insert(p: &mut Page, bytes: &[u8]) -> Option<u16> {
 
 struct FileState {
     pages: Vec<PageId>,
+    /// Each page shared with the file this one succeeded, to its copy
+    /// once this file has copied it. A shared page is never written
+    /// through this file: [`HeapFile::own`] copies it first.
+    shared: HashMap<PageId, Option<PageId>>,
+    /// Whether a shared page was copied since the last
+    /// [`HeapFile::relocate`], which then has rids to move.
+    copied: bool,
+    /// Pages a delete or a moved record left room on, most recent last:
+    /// an insert that does not fit the last page tries them before it
+    /// grows the file, so a file rewritten record by record stays its
+    /// size.
+    holes: Vec<PageId>,
     records: u64,
 }
 
-/// A chain of slotted pages holding variable-length records.
+/// A list of slotted pages holding variable-length records.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     state: Mutex<FileState>,
@@ -220,16 +241,77 @@ impl HeapFile {
         let (pid, guard) = pool.new_page()?;
         guard.with_mut(init_page);
         drop(guard);
+        let state = FileState {
+            pages: vec![pid],
+            shared: HashMap::new(),
+            copied: false,
+            holes: Vec::new(),
+            records: 0,
+        };
         Ok(HeapFile {
             pool,
-            state: Mutex::new(
-                Rank::HeapState,
-                FileState {
-                    pages: vec![pid],
-                    records: 0,
-                },
-            ),
+            state: Mutex::new(Rank::HeapState, state),
         })
+    }
+
+    /// The successor version of this file: the same records on the same
+    /// pages, every page shared, no I/O. Writes through the successor
+    /// never touch a shared page (see [`HeapFile::own`]), so this file
+    /// reads as it did for as long as its pages are not freed.
+    #[must_use]
+    pub fn successor(&self) -> HeapFile {
+        let s = self.state.lock();
+        let state = FileState {
+            pages: s.pages.clone(),
+            shared: s.pages.iter().map(|&p| (p, None)).collect(),
+            copied: false,
+            holes: Vec::new(),
+            records: s.records,
+        };
+        HeapFile {
+            pool: self.pool.clone(),
+            state: Mutex::new(Rank::HeapState, state),
+        }
+    }
+
+    /// Map each of `rids` to where its record lives now: a record on a
+    /// shared page this file has copied is at the same slot of the copy.
+    /// Any other rid stays as it is. Callers pass every rid they hold,
+    /// after each write: only a copy made since the last call can have
+    /// moved one, so a call with no copy since returns at once.
+    pub fn relocate<'r>(&self, rids: impl IntoIterator<Item = &'r mut Rid>) {
+        let mut s = self.state.lock();
+        if !std::mem::take(&mut s.copied) {
+            return;
+        }
+        for rid in rids {
+            if let Some(&Some(copy)) = s.shared.get(&rid.page) {
+                rid.page = copy;
+            }
+        }
+    }
+
+    /// Make page `pid` this file's own before it is written: a shared
+    /// page is copied to a fresh page, which takes its place in the page
+    /// list. Returns the page to write: the copy, also for a page copied
+    /// earlier, so a rid not yet relocated still writes this file's page
+    /// and never the shared one.
+    fn own(&self, state: &mut FileState, pid: PageId) -> Result<PageId> {
+        match state.shared.get(&pid) {
+            None => return Ok(pid),
+            Some(&Some(copy)) => return Ok(copy),
+            Some(None) => {}
+        }
+        let image = self.pool.fetch(pid)?.with(Page::clone);
+        let (copy, guard) = self.pool.new_page()?;
+        guard.with_mut(|p| *p = image);
+        drop(guard);
+        state.shared.insert(pid, Some(copy));
+        state.copied = true;
+        if let Some(at) = state.pages.iter_mut().find(|p| **p == pid) {
+            *at = copy;
+        }
+        Ok(copy)
     }
 
     /// Number of pages in the file.
@@ -244,22 +326,16 @@ impl HeapFile {
         self.state.lock().records
     }
 
-    /// The page ids of this file, in chain order.
+    /// The page ids of this file, in list order.
     #[must_use]
     pub fn pages(&self) -> Vec<PageId> {
         self.state.lock().pages.clone()
     }
 
-    /// The buffer pool this file lives in.
-    #[must_use]
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
-    /// Append a record, returning its stable id.
+    /// Append a record, returning its id.
     ///
     /// Tries the last page first (append-mostly workloads stay
-    /// sequential); grows the chain when full.
+    /// sequential); grows the file when full.
     pub fn insert(&self, bytes: &[u8]) -> Result<Rid> {
         if bytes.len() > MAX_RECORD {
             return Err(StorageError::RecordTooLarge {
@@ -273,14 +349,28 @@ impl HeapFile {
             .last()
             .copied()
             .ok_or_else(|| StorageError::corrupt("heap file has no pages"))?;
-        let guard = self.pool.fetch(last)?;
+        let mut guard = self.pool.fetch(last)?;
         guard.with(|p| check_header(p, last))?;
-        if let Some(slot) = guard.with_mut(|p| page_insert(p, bytes)) {
-            state.records += 1;
-            return Ok(Rid::new(last, slot));
+        if guard.with(|p| fits(p, bytes.len())) {
+            if state.shared.contains_key(&last) {
+                // A shared page is copied only once the record will go on it.
+                drop(guard);
+                guard = self.pool.fetch(self.own(&mut state, last)?)?;
+            }
+            if let Some(slot) = guard.with_mut(|p| page_insert(p, bytes)) {
+                state.records += 1;
+                return Ok(Rid::new(guard.page_id(), slot));
+            }
         }
         drop(guard);
-        // Grow the chain.
+        while let Some(hole) = state.holes.pop() {
+            let slot = self.pool.fetch(hole)?.with_mut(|p| page_insert(p, bytes));
+            if let Some(slot) = slot {
+                state.records += 1;
+                return Ok(Rid::new(hole, slot));
+            }
+        }
+        // Grow the file.
         let (new_pid, new_guard) = self.pool.new_page()?;
         new_guard.with_mut(init_page);
         let slot = new_guard
@@ -289,9 +379,6 @@ impl HeapFile {
                 StorageError::corrupt("record does not fit in an empty page").at_page(new_pid)
             })?;
         drop(new_guard);
-        let old_last = self.pool.fetch(last)?;
-        old_last.with_mut(|p| set_next_page(p, new_pid));
-        drop(old_last);
         state.pages.push(new_pid);
         state.records += 1;
         Ok(Rid::new(new_pid, slot))
@@ -308,18 +395,21 @@ impl HeapFile {
 
     /// Delete the record at `rid`, vacating its slot.
     pub fn delete(&self, rid: Rid) -> Result<()> {
-        let guard = self.pool.fetch(rid.page)?;
+        let mut state = self.state.lock();
+        let page = self.own(&mut state, rid.page)?;
+        let rid = Rid::new(page, rid.slot);
+        let guard = self.pool.fetch(page)?;
         guard.with_mut(|p| live_slot(p, rid).map(|_| set_slot(p, rid.slot, 0, 0)))?;
-        self.state.lock().records -= 1;
+        state.records -= 1;
+        state.holes.push(page);
         Ok(())
     }
 
-    /// Replace the record at `rid` with `bytes`.
-    ///
-    /// Stays in place when the new value fits in the old page
-    /// (preserving the rid); otherwise the record moves and the new rid
-    /// is returned. Callers maintaining indexes must handle a changed
-    /// rid.
+    /// Replace the record at `rid` with `bytes`, returning the record's
+    /// rid from now on: the same when the new value fits where the old
+    /// one was, else a slot of the same page when it fits there, else a
+    /// rid on another page. A shared page is copied first. Callers
+    /// maintaining indexes must handle a changed rid.
     pub fn update(&self, rid: Rid, bytes: &[u8]) -> Result<Rid> {
         if bytes.len() > MAX_RECORD {
             return Err(StorageError::RecordTooLarge {
@@ -327,106 +417,50 @@ impl HeapFile {
                 max: MAX_RECORD,
             });
         }
-        let guard = self.pool.fetch(rid.page)?;
-        let in_place = guard.with_mut(|p| -> Result<bool> {
+        let page = self.own(&mut self.state.lock(), rid.page)?;
+        let rid = Rid::new(page, rid.slot);
+        let guard = self.pool.fetch(page)?;
+        let slot = guard.with_mut(|p| -> Result<Option<u16>> {
             let (off, len) = live_slot(p, rid)?;
             if bytes.len() <= len as usize {
                 // Overwrite in place, shrinking the slot.
                 let new_off = off as usize + (len as usize - bytes.len());
                 p.write_slice(new_off, bytes);
                 set_slot(p, rid.slot, new_off as u16, bytes.len() as u16);
-                return Ok(true);
+                return Ok(Some(rid.slot));
             }
-            // Try re-inserting in the same page (slot reuse keeps rid).
             set_slot(p, rid.slot, 0, 0);
-            // The vacated slot is the lowest-index vacant slot only if
-            // no earlier vacancy exists; to keep the rid stable we
-            // insert manually into this specific slot.
-            let need = bytes.len();
-            if contiguous_free(p) < need {
-                if total_free(p) >= need {
-                    compact(p);
-                } else {
-                    // Restore nothing (record is gone); caller gets a move.
-                    return Ok(false);
-                }
-            }
-            if contiguous_free(p) < need {
-                return Ok(false);
-            }
-            let new_fp = free_ptr(p) as usize - need;
-            p.write_slice(new_fp, bytes);
-            set_free_ptr(p, new_fp as u16);
-            set_slot(p, rid.slot, new_fp as u16, need as u16);
-            Ok(true)
+            Ok(page_insert(p, bytes))
         })?;
         drop(guard);
-        if in_place {
-            Ok(rid)
-        } else {
-            // Record was removed from its page; re-insert elsewhere.
-            self.state.lock().records -= 1;
-            self.insert(bytes)
-        }
-    }
-
-    /// Iterate `(rid, bytes)` over every live record, page by page in
-    /// chain order.
-    #[must_use]
-    pub fn scan(&self) -> RecordIter<'_> {
-        RecordIter {
-            file: self,
-            page_idx: 0,
-            buffered: Vec::new(),
-            buf_pos: 0,
-        }
-    }
-}
-
-/// Iterator over the live records of a heap file.
-///
-/// Buffers one page of records at a time, so pages are read once each
-/// and guards are not held between `next` calls.
-pub struct RecordIter<'a> {
-    file: &'a HeapFile,
-    page_idx: usize,
-    buffered: Vec<(Rid, Vec<u8>)>,
-    buf_pos: usize,
-}
-
-impl Iterator for RecordIter<'_> {
-    type Item = Result<(Rid, Vec<u8>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.buf_pos < self.buffered.len() {
-                let item = self.buffered[self.buf_pos].clone();
-                self.buf_pos += 1;
-                return Some(Ok(item));
+        match slot {
+            Some(slot) => Ok(Rid::new(page, slot)),
+            None => {
+                // Record was removed from its page; re-insert elsewhere.
+                let mut state = self.state.lock();
+                state.records -= 1;
+                state.holes.push(page);
+                drop(state);
+                self.insert(bytes)
             }
-            let pid = {
-                let state = self.file.state.lock();
-                *state.pages.get(self.page_idx)?
-            };
-            self.page_idx += 1;
-            self.buf_pos = 0;
-            self.buffered.clear();
-            let guard = match self.file.pool.fetch(pid) {
-                Ok(g) => g,
-                Err(e) => return Some(Err(e)),
-            };
-            guard.with(|p| {
-                for i in 0..slot_count(p) {
-                    let (off, len) = slot(p, i);
-                    if off != 0 {
-                        self.buffered.push((
-                            Rid::new(pid, i),
-                            p.slice(off as usize, len as usize).to_vec(),
-                        ));
-                    }
-                }
-            });
         }
+    }
+
+    /// Visit `(rid, bytes)` of every live record, page by page in list
+    /// order; the first error stops the scan.
+    pub fn scan<E: From<StorageError>>(
+        &self,
+        mut visit: impl FnMut(Rid, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        for pid in self.pages() {
+            self.pool.fetch(pid)?.with(|p| {
+                (0..slot_count(p)).try_for_each(|i| match slot(p, i) {
+                    (0, _) => Ok(()),
+                    (off, len) => visit(Rid::new(pid, i), p.slice(off as usize, len as usize)),
+                })
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -548,7 +582,12 @@ mod tests {
             .filter(|(i, _)| i % 3 != 0)
             .map(|(_, x)| x.clone())
             .collect();
-        let scanned: Vec<_> = h.scan().map(|r| r.unwrap()).collect();
+        let mut scanned = Vec::new();
+        h.scan(|rid, bytes| {
+            scanned.push((rid, bytes.to_vec()));
+            Ok::<_, StorageError>(())
+        })
+        .unwrap();
         assert_eq!(scanned, survivors);
     }
 
@@ -568,12 +607,35 @@ mod tests {
     }
 
     #[test]
+    fn a_file_rewritten_record_by_record_stays_its_size() {
+        let h = heap(16);
+        let mut rids: Vec<_> = (0..40u8).map(|i| h.insert(&[i; 300]).unwrap()).collect();
+        let pages = h.page_count();
+        for round in 0..20u8 {
+            for rid in &mut rids {
+                h.delete(*rid).unwrap();
+                *rid = h.insert(&[round; 300]).unwrap();
+            }
+            // A record that grows moves, and the room it left is reused.
+            rids[0] = h.update(rids[0], &[round; 600]).unwrap();
+            rids[0] = h.update(rids[0], &[round; 300]).unwrap();
+        }
+        assert_eq!(h.page_count(), pages);
+        assert_eq!(h.get(rids[39]).unwrap(), vec![19; 300]);
+    }
+
+    #[test]
     fn scan_survives_eviction_with_tiny_pool() {
         let h = heap(2);
         for i in 0..200u32 {
             h.insert(&i.to_le_bytes()).unwrap();
         }
-        let n = h.scan().count();
+        let mut n = 0;
+        h.scan(|_, _| {
+            n += 1;
+            Ok::<_, StorageError>(())
+        })
+        .unwrap();
         assert_eq!(n, 200);
     }
 
@@ -582,11 +644,71 @@ mod tests {
         // Crash shape: the page was allocated (zeroed on disk) and
         // initialised only in a frame that never got flushed.
         let h = heap(8);
-        assert_eq!(h.pool().discard_frames().unwrap(), 1);
+        assert_eq!(h.pool.discard_frames().unwrap(), 1);
         let pid = h.pages()[0];
         match h.insert(b"after the crash") {
             Err(StorageError::Corrupt(d)) => assert_eq!(d.page, Some(u64::from(pid))),
             other => panic!("expected Corrupt at page {pid}, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_successor_copies_only_the_pages_it_writes() {
+        let h = heap(16);
+        let rids: Vec<_> = (0..40u8).map(|i| h.insert(&[i; 300]).unwrap()).collect();
+        assert!(h.page_count() > 3);
+        let tracker = h.pool.tracker().clone();
+        tracker.reset();
+        let next = h.successor();
+        let io = tracker.snapshot();
+        assert_eq!((io.page_reads, io.page_writes, io.pool_hits), (0, 0, 0));
+        assert_eq!(next.pages(), h.pages());
+        // Two writes to one shared page copy it once; a stale rid of
+        // that page still writes the copy.
+        let (a, b) = (rids[0], rids[1]);
+        assert_eq!(a.page, b.page);
+        let a2 = next.update(a, &[200; 300]).unwrap();
+        assert_ne!(a2.page, a.page);
+        let b2 = next.update(b, &[201; 300]).unwrap();
+        assert_eq!(b2.page, a2.page);
+        let mut moved = rids.clone();
+        next.relocate(moved.iter_mut());
+        let copied: Vec<_> = h
+            .pages()
+            .into_iter()
+            .filter(|p| !next.pages().contains(p))
+            .collect();
+        assert_eq!(copied, vec![a.page]);
+        // The predecessor reads as before; the successor has its writes
+        // and every other record where relocate says.
+        for (i, (&old, &new)) in rids.iter().zip(&moved).enumerate() {
+            assert_eq!(h.get(old).unwrap(), vec![i as u8; 300]);
+            let want = match i {
+                0 => vec![200; 300],
+                1 => vec![201; 300],
+                _ => vec![i as u8; 300],
+            };
+            assert_eq!(next.get(new).unwrap(), want, "record {i}");
+        }
+        assert_eq!(next.record_count(), h.record_count());
+    }
+
+    #[test]
+    fn a_successor_appends_to_a_full_shared_page_on_a_new_page() {
+        let h = heap(16);
+        while h.page_count() == 1 {
+            h.insert(&[1; 500]).unwrap();
+        }
+        let pages = h.pages();
+        let next = h.successor();
+        // The shared last page has room: the record goes to its copy.
+        let rid = next.insert(&[2; 8]).unwrap();
+        assert!(!pages.contains(&rid.page));
+        assert_eq!(next.page_count(), pages.len());
+        // A record too big for it grows the file; nothing shared is copied.
+        let other = h.successor();
+        let rid = other.insert(&[3; MAX_RECORD]).unwrap();
+        assert_eq!(other.pages()[..pages.len()], pages[..]);
+        assert_eq!(other.pages().last(), Some(&rid.page));
     }
 }

@@ -59,7 +59,7 @@ impl IncomeUpdate {
         }
     }
 
-    /// Apply the edit through the legacy in-place path.
+    /// Apply the edit as one statement (`StatDbms::update_where`).
     pub fn apply(&self, dbms: &mut StatDbms, view: &str) -> Result<UpdateReport, CoreError> {
         dbms.update_where(view, &self.predicate(), &self.assignments())
     }

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Flip one bit in every allocated disk page (the intent log keeps
     // its pages; recovery needs them readable for this demo's part 4).
     let wal_pages = dbms.view("v")?.wal.as_ref().expect("wal").log_pages();
-    for pid in 0..dbms.env().disk.allocated_pages() as u32 {
+    for pid in 0..dbms.env().disk.page_id_limit() {
         if !wal_pages.contains(&pid) {
             let _ = dbms.env().disk.corrupt_page(pid, 7);
         }

@@ -461,7 +461,7 @@ fn scrub_budget_pauses_and_cursor_survives_restart() {
 /// failed zone-map load as "no statistics, scan everything".
 #[test]
 fn corrupted_zone_map_pages_degrade_to_unpruned_scans_never_wrong() {
-    use sdbms::columnar::{Compression, TransposedFile};
+    use sdbms::columnar::{Compression, TableStore, TransposedFile};
     use sdbms::data::dataset::DataSet;
     use sdbms::data::schema::{Attribute, Schema};
     use sdbms::data::{DataType, Value};
@@ -522,7 +522,7 @@ fn corrupted_zone_map_pages_degrade_to_unpruned_scans_never_wrong() {
         );
     }
 
-    let zone_pages = store.zone_page_ids();
+    let zone_pages = store.zone_map_page_ids();
     assert!(!zone_pages.is_empty(), "zone maps occupy pages");
     // Flush so the disk holds every zone image, then damage it there;
     // discarding pool frames forces the next reads onto the damaged
@@ -797,7 +797,7 @@ fn corrupt_all_but_the_wal_and_restart(dbms: &mut StatDbms) {
         .as_ref()
         .expect("wal")
         .log_pages();
-    for pid in 0..dbms.env().disk.allocated_pages() as u32 {
+    for pid in 0..dbms.env().disk.page_id_limit() {
         if !wal_pages.contains(&pid) {
             // Never-written pages have no image to damage; skip them.
             let _ = dbms.env().disk.corrupt_page(pid, 3);

@@ -384,8 +384,6 @@ fn e17_a_predicate_update_stores_each_touched_segment_once() {
         let mut dbms = dbms_with_view(ROWS);
         let predicate = first_segments(k);
         let exec = ExecConfig::from_env();
-        // Borrowed, not cloned: a second owner of the store would make
-        // the update copy it first.
         let (planning, rows) = warm_touched(&mut dbms, |dbms| {
             let store = &*dbms.view("v").expect("view").store;
             sdbms::relational::filter_table_rows(store, &predicate, &exec).expect("filter")
@@ -533,4 +531,60 @@ fn e7_a_sample_reads_only_the_segments_of_its_rows() {
             assert!(mean_err <= bound && median_err <= bound, "{k} rows");
         }
     }
+}
+
+/// Lorie's shadow pages applied to every writer (E18), counted: a
+/// writer's successor version shares every page with the installed
+/// one, so cloning the store does no I/O, a one-cell batch commit
+/// writes its segment's pages, its intent and its cache entries rather
+/// than the view, and retiring each displaced version frees what its
+/// successor copied, so 200 more commits leave the disk as one left it.
+#[test]
+fn e18_a_one_cell_commit_writes_its_delta_not_the_view() {
+    use sdbms::core::DurabilityPolicy;
+    const ROWS: usize = 8_000;
+    let mut dbms = dbms_with_view(ROWS);
+    dbms.set_durability(DurabilityPolicy::CrashConsistent)
+        .expect("durability");
+    dbms.warm_standing_summaries("v").expect("warm");
+    let store = Arc::clone(&dbms.view("v").expect("view").store);
+    let (segments, view_pages) = (store.segment_count("INCOME"), store.data_page_ids().len());
+    let start = dbms.io();
+    let clone = store.boxed_clone().expect("clone");
+    let cloning = dbms.io().since(&start);
+    drop((clone, store));
+    let commit = |dbms: &mut StatDbms, i: usize| {
+        let batch = dbms.begin_batch("v").expect("begin");
+        let row = (i * 7_919) % ROWS;
+        dbms.batch_set_cell(batch, row, "INCOME", Value::Float(i as f64))
+            .expect("stage");
+        dbms.commit_batch(batch).expect("commit")
+    };
+    dbms.env().pool.flush_all().expect("flush");
+    let start = dbms.io();
+    let report = commit(&mut dbms, 1);
+    let writes = dbms.io().since(&start).page_writes;
+    let after_one = dbms.env().disk.allocated_pages();
+    for i in 2..=201 {
+        commit(&mut dbms, i);
+    }
+    let after_many = dbms.env().disk.allocated_pages();
+    println!(
+        "E18 {segments} segments a column, {view_pages} data pages: clone {} reads \
+         {} writes {} pool hits; one-cell commit {writes} page writes; \
+         {after_one} pages allocated after one commit, {after_many} after 201",
+        cloning.page_reads, cloning.page_writes, cloning.pool_hits
+    );
+    assert!(segments > 1);
+    assert_eq!(report.cells_changed, 1);
+    assert_eq!(
+        (cloning.page_reads, cloning.page_writes, cloning.pool_hits),
+        (0, 0, 0),
+        "a clone is a directory copy"
+    );
+    assert!(writes <= 12, "a one-cell commit wrote {writes} pages");
+    assert!(
+        after_many <= after_one + 4,
+        "{after_one} pages after one commit, {after_many} after 201"
+    );
 }

@@ -7,11 +7,11 @@
 //! handed to the one evaluator, so there is nothing left to drift.
 //!
 //! One edit, one outcome: whichever route applies a list of cleaning
-//! ops — statement by statement in place, as one shadow-committed
-//! batch, or undone and redone — the store bytes and the history are
+//! ops — statement by statement, as one committed batch, or undone
+//! and redone — the store bytes and the history are
 //! the same, the Summary DB holds the same entries and agrees with the
-//! column. Every route is plan → apply → epilogue through the one edit
-//! pipeline, and a batch maintains exactly what it edits.
+//! column. Every route is plan → apply → install → epilogue through
+//! the one edit pipeline, and a batch maintains exactly what it edits.
 
 use sdbms::core::{
     AccuracyPolicy, BatchOp, BinOp, CmpOp, ComputeSource, Expr, Predicate, StatDbms, StatFunction,
@@ -201,7 +201,7 @@ fn clean_dbms(workers: usize) -> StatDbms {
     dbms
 }
 
-/// Route (i): every op its own in-place statement. A staged cell is
+/// Route (i): every op its own statement. A staged cell is
 /// the one-row statement `attribute := value where PERSON_ID = id`.
 fn apply_in_place(dbms: &mut StatDbms, ops: &[BatchOp], ids: &[Value]) {
     for op in ops {
